@@ -145,14 +145,19 @@ def _run_sweep_point(point: Scenario) -> tuple[str, str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     base = load_scenario(args.scenario)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise ScenarioError("sweep needs at least one value")
     points = [apply_axis(base, args.axis, value) for value in values]
     rows: dict[str, str] = {}
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # The pool forks all its workers at once: never more than there are
+    # points to run or CPUs to run them on.
+    workers = min(args.workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_run_sweep_point, p): p for p in points}
             for future in concurrent.futures.as_completed(futures):
                 point = futures[future]
@@ -220,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", required=True,
         help="comma-separated values (L in minutes; tuple as pbj:ws pairs)",
     )
-    sweep_p.add_argument("--workers", type=int, default=1, help="concurrent sweep workers")
+    sweep_p.add_argument(
+        "--workers", type=int, default=1,
+        help="concurrent sweep workers (capped at the point count and the CPU count)",
+    )
     sweep_p.add_argument("--output-dir", default=None, help=f"report directory (or ${OUTPUT_DIR_ENV})")
     sweep_p.set_defaults(func=_cmd_sweep)
 

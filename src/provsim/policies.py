@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InfeasibleScenarioError, KernelError, ScenarioError
-from .state import ACTOR_PBJ, ACTOR_PROVISION, ACTOR_WS, AdjustmentLog, ClusterState
+from .state import ACTOR_PBJ, ACTOR_PROVISION, ACTOR_WS, AdjustmentLog, ClusterState, JobQueue
 from .trace import Job
 
 
@@ -91,21 +91,18 @@ class KillRecord:
     nodes_released: int
 
 
-def first_fit_schedule(queue: Sequence[Job], pbj_idle: int, now: int = 0) -> list[tuple[Job, int]]:
-    """First-fit selection: scan from the front, start the first fitting job,
-    deduct its size, and rescan until nothing fits. Returns (job, start) pairs."""
-    remaining = list(queue)
-    idle = pbj_idle
-    started: list[tuple[Job, int]] = []
-    while True:
-        for i, job in enumerate(remaining):
-            if job.size <= idle:
-                started.append((job, now))
-                idle -= job.size
-                del remaining[i]
-                break
-        else:
-            return started
+def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> list[Job]:
+    """First-fit selection: start the first queued job that fits the idle
+    nodes, deduct its size, and repeat from the front until nothing fits.
+
+    Started jobs are removed from the queue and returned in start order.
+    Idle capacity only falls during a pass, so a job passed over once never
+    fits later: the rescan from the front equals one forward pass, and each
+    step is the earliest-queued job among those that fit. ``JobQueue`` finds
+    it among the heads of its per-size buckets, so the cost per call grows
+    with the number of distinct queued sizes, not with the queue length.
+    """
+    return queue.first_fit(pbj_idle)
 
 
 def _kill_order_key(record) -> tuple[int, int, int]:
@@ -135,9 +132,12 @@ def fb_force_release(
     state.free += surrendered
     short = needed - surrendered
     kills: list[KillRecord] = []
+    victims: list[Job] = []
     while short > 0:
         victim = min(state.running.values(), key=_kill_order_key)
         del state.running[victim.job.id]
+        state.running_alloc -= victim.alloc
+        victims.append(victim.job)
         kills.append(
             KillRecord(job_id=victim.job.id, kill_time=state.clock, nodes_released=victim.alloc)
         )
@@ -150,11 +150,7 @@ def fb_force_release(
             state.free += short
             state.pbj_idle += victim.alloc - short
             short = 0
-        state.queue.insert(0, victim.job)
-    # Restore original-arrival order among the victims now at the head.
-    if len(kills) > 1:
-        head = sorted(state.queue[: len(kills)], key=lambda j: (j.submit_time, j.id))
-        state.queue[: len(kills)] = head
+    state.queue.push_front(sorted(victims, key=lambda j: (j.submit_time, j.id)))
     log.record(state.clock, ACTOR_PBJ, -needed)
     return kills
 
@@ -255,14 +251,14 @@ def flb_manage_tick(
     exceeds current holdings; otherwise release floor(G * idle) when R < V,
     never dropping below the rigid lower-bound share.
     """
-    queued = state.queued_sizes_sum()
+    queued = state.queue.demand
     owned = state.pbj_owned
     if queued > params.U * owned:  # R > U (covers owned == 0 with a nonempty queue)
         dr1 = queued - owned
         _flb_acquire_pbj(state, dr1)
         log.record(state.clock, ACTOR_PBJ, dr1)
         return state
-    biggest = max((j.size for j in state.queue), default=0)
+    biggest = state.queue.biggest
     if biggest > owned:
         dr2 = biggest - state.pbj_idle
         _flb_acquire_pbj(state, dr2)

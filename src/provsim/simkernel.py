@@ -74,6 +74,7 @@ def advance(state: ClusterState, event: Event) -> ClusterState:
     elif event.kind == KIND_JOB_COMPLETION:
         job, _attempt = event.payload
         record = state.running.pop(job.id)
+        state.running_alloc -= record.alloc
         state.pbj_idle += record.alloc
     elif event.kind == KIND_WS_DEMAND_CHANGE:
         state.ws_demand = event.payload
@@ -196,22 +197,19 @@ class _Kernel:
             job=job, start_time=now, alloc=job.size, attempt=attempt,
             start_seq=self.state.start_seq,
         )
+        self.state.running_alloc += job.size
         self.state.pbj_idle -= job.size
         self._push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
     def _schedule_fixed_point(self, now: int) -> list[int]:
-        started = policies.first_fit_schedule(self.state.queue, self.state.pbj_idle, now)
-        started_ids = []
-        for job, start in started:
-            self.state.queue.remove(job)
-            self._start_job(job, start)
-            started_ids.append(job.id)
-        return started_ids
+        started = policies.first_fit_schedule(self.state.queue, self.state.pbj_idle)
+        for job in started:
+            self._start_job(job, now)
+        return [job.id for job in started]
 
     def _react_ec2_arrival(self, now: int) -> list[int]:
         started_ids = []
-        while self.state.queue:
-            job = self.state.queue.pop(0)
+        for job in self.state.queue.drain():
             start, release = policies.ec2_job_lifecycle(job, self.params)
             self.state.pbj_owned += job.size
             self.state.pbj_idle += job.size

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .trace import Job
 
@@ -43,9 +46,6 @@ class Event:
     seq: int
     payload: Any = None
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.time, KIND_PRIORITY[self.kind], self.seq)
-
 
 @dataclass
 class RunningJob:
@@ -72,6 +72,100 @@ class AdjustmentLog:
         self.entries.append((time, actor, delta))
 
 
+class JobQueue:
+    """The batch queue in arrival order, indexed by job size for first fit.
+
+    Jobs sit in one deque of ``(order key, job)`` pairs per distinct size,
+    and ``_sizes`` lists the sizes present in ascending order. Tail appends
+    take increasing keys and head requeues decreasing ones, so queue order
+    is key order and every deque is sorted. The length, ``demand`` (the sum
+    of queued sizes) and ``biggest`` are read without a scan.
+    """
+
+    __slots__ = ("_buckets", "_sizes", "_head", "_tail", "_len", "demand")
+
+    def __init__(self, jobs: Iterable[Job] = ()):
+        self._buckets: dict[int, deque[tuple[int, Job]]] = {}
+        self._sizes: list[int] = []
+        self._head = 0  # key of the current head requeue; the next one is lower
+        self._tail = 0  # key of the next tail append
+        self._len = 0
+        self.demand = 0
+        for job in jobs:
+            self.append(job)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Job]:
+        """Jobs in queue order."""
+        return (job for _, job in heapq.merge(*self._buckets.values()))
+
+    @property
+    def biggest(self) -> int:
+        """Size of the biggest queued job; 0 when the queue is empty."""
+        return self._sizes[-1] if self._sizes else 0
+
+    def _bucket(self, size: int) -> deque[tuple[int, Job]]:
+        bucket = self._buckets.get(size)
+        if bucket is None:
+            bucket = self._buckets[size] = deque()
+            insort(self._sizes, size)
+        return bucket
+
+    def append(self, job: Job) -> None:
+        self._bucket(job.size).append((self._tail, job))
+        self._tail += 1
+        self._len += 1
+        self.demand += job.size
+
+    def push_front(self, jobs: Sequence[Job]) -> None:
+        """Requeue jobs at the head of the queue, keeping their given order."""
+        for job in reversed(jobs):
+            self._head -= 1
+            self._bucket(job.size).appendleft((self._head, job))
+            self._len += 1
+            self.demand += job.size
+
+    def first_fit(self, idle: int) -> list[Job]:
+        """Remove and return the jobs first fit starts with ``idle`` nodes.
+
+        Each step takes the lowest-keyed head among the buckets whose size
+        fits the remaining idle nodes, which is the job a scan from the
+        front would find first; the cost grows with the number of distinct
+        queued sizes, not with the queue length.
+        """
+        sizes = self._sizes
+        if not sizes or sizes[0] > idle:
+            return []
+        buckets = self._buckets
+        started: list[Job] = []
+        while sizes and sizes[0] <= idle:
+            best_size = sizes[0]
+            best_key = buckets[best_size][0][0]
+            for size in sizes[1:bisect_right(sizes, idle)]:
+                key = buckets[size][0][0]
+                if key < best_key:
+                    best_size, best_key = size, key
+            bucket = buckets[best_size]
+            started.append(bucket.popleft()[1])
+            if not bucket:
+                del buckets[best_size]
+                sizes.remove(best_size)
+            idle -= best_size
+            self._len -= 1
+            self.demand -= best_size
+        return started
+
+    def drain(self) -> list[Job]:
+        """Remove and return every queued job in queue order."""
+        jobs = list(self)
+        self._buckets.clear()
+        self._sizes.clear()
+        self._len = self.demand = 0
+        return jobs
+
+
 @dataclass
 class ClusterState:
     """Mutable resource-accounting state shared by the kernel and the policies.
@@ -82,7 +176,9 @@ class ClusterState:
     provision service's unallocated set inside a bounded cluster. The
     ``pbj_pool``/``ws_pool`` counters track how much of each RE's holdings
     is charged to the coordinated pool in FLB_NUB (first-come); holdings
-    beyond them are externally leased.
+    beyond them are externally leased. ``running_alloc`` is a counter kept
+    where jobs start, complete and are killed, so ``snapshot`` reads
+    counters only.
     """
 
     regime: str
@@ -100,13 +196,10 @@ class ClusterState:
     ws_demand: int = 0
     clock: int = 0
     running: dict[int, RunningJob] = field(default_factory=dict)
-    queue: list[Job] = field(default_factory=list)
+    running_alloc: int = 0
+    queue: JobQueue = field(default_factory=JobQueue)
     attempts: dict[int, int] = field(default_factory=dict)
     start_seq: int = 0
-
-    @property
-    def running_alloc(self) -> int:
-        return sum(r.alloc for r in self.running.values())
 
     @property
     def pbj_external(self) -> int:
@@ -115,9 +208,6 @@ class ClusterState:
     @property
     def ws_external(self) -> int:
         return self.ws_held - self.ws_pool
-
-    def queued_sizes_sum(self) -> int:
-        return sum(j.size for j in self.queue)
 
     def snapshot(self) -> dict[str, int]:
         """Post-event accounting snapshot embedded in the event log."""
@@ -132,5 +222,5 @@ class ClusterState:
             "pbj_external": self.pbj_external,
             "ws_external": self.ws_external,
             "queue_len": len(self.queue),
-            "queued_demand": self.queued_sizes_sum(),
+            "queued_demand": self.queue.demand,
         }

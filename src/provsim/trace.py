@@ -73,9 +73,9 @@ def _as_lines(text: Union[str, Iterable[str]]) -> Iterable[str]:
 def _swf_int(token: str, lineno: int, what: str) -> int:
     try:
         return int(float(token))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise TraceParseError(
-            f"SWF line {lineno}: non-numeric {what} field: {token!r}"
+            f"SWF line {lineno}: {what} field is not a finite number: {token!r}"
         ) from None
 
 

@@ -112,6 +112,58 @@ def check_conservation(events, regime, *, config_size=None, pbj_floor=0, pool_si
             assert 0 <= s["ws_pool"] <= s["ws_held"], r
 
 
+def first_fit_reference(queue, pbj_idle):
+    """First fit by rescanning from the front after every start.
+
+    The scheduler's original list implementation, minus the start time it
+    used to pair with each job; returns the started jobs in start order and
+    leaves `queue` untouched.
+    """
+    remaining = list(queue)
+    idle = pbj_idle
+    started = []
+    while True:
+        for i, job in enumerate(remaining):
+            if job.size <= idle:
+                started.append(job)
+                idle -= job.size
+                del remaining[i]
+                break
+        else:
+            return started
+
+
+def replay_queue_accounting(events):
+    """Rebuild queue_len, queued_demand and running_alloc after every event.
+
+    Works from the arrival, `started`, `killed` and completion payloads
+    alone: arrivals queue their size, started jobs move it from the queue to
+    the running set, killed jobs move it back, completions free it. Returns
+    one dict per event, comparable with the snapshot's three fields.
+    """
+    sizes = {}
+    queue_len = queued_demand = running_alloc = 0
+    rebuilt = []
+    for r in events:
+        if r["kind"] == "job_arrival":
+            sizes[r["payload"]["job_id"]] = r["payload"]["size"]
+            queue_len += 1
+            queued_demand += r["payload"]["size"]
+        elif r["kind"] == "job_completion":
+            running_alloc -= r["payload"]["size"]
+        for job_id in r.get("killed", ()):
+            running_alloc -= sizes[job_id]
+            queue_len += 1
+            queued_demand += sizes[job_id]
+        for job_id in r.get("started", ()):
+            running_alloc += sizes[job_id]
+            queue_len -= 1
+            queued_demand -= sizes[job_id]
+        rebuilt.append({"queue_len": queue_len, "queued_demand": queued_demand,
+                        "running_alloc": running_alloc})
+    return rebuilt
+
+
 def greedy_kill_reference(running, needed):
     """Brute-force greedy victim order: minimum size, then latest start.
 

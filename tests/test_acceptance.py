@@ -27,6 +27,7 @@ from oracles import (
     job_times,
     random_micro_scenario,
     replay_consumption,
+    replay_queue_accounting,
 )
 
 BASELINE = PolicyParams(B=25, U=1.2, V=0.2, G=0.5, L=3600)
@@ -305,6 +306,10 @@ class TestCriterion7InvariantFuzz:
             )
             oracle_total = integrate(curve, jobs.window[1])
             assert abs(oracle_total - first.metrics.total_consumption_node_seconds) <= 1
+            snapshots = [{key: r["state"][key] for key in
+                          ("queue_len", "queued_demand", "running_alloc")}
+                         for r in first.events]
+            assert replay_queue_accounting(first.events) == snapshots, seed
             checked += 1
         report(7, checked == 1000, f"{regime}: {checked} fuzzed scenarios clean")
 

@@ -1,7 +1,9 @@
+import concurrent.futures
 import json
 
 import pytest
 
+from provsim import cli
 from provsim.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
 TINY_SWF = "\n".join(
@@ -121,6 +123,73 @@ class TestRunCommand:
         code = main(["run", "--pbj-trace", str(workspace / "jobs.swf")])
         assert code == EXIT_INVALID
         assert "ad hoc" in capsys.readouterr().err
+
+
+class TestTraceErrors:
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+    def test_infinite_swf_field_exits_invalid(self, workspace, capsys, token):
+        fields = TINY_SWF.splitlines()[1].split()
+        fields[3] = token
+        (workspace / "jobs.swf").write_text(" ".join(fields) + "\n")
+        path = write_scenario(workspace)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trace error" in err and "line 1" in err and "Traceback" not in err
+
+
+class RecordingExecutor:
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs calls inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture()
+def recording_executor(monkeypatch):
+    RecordingExecutor.created = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return RecordingExecutor.created
+
+
+class TestSweepWorkers:
+    # Three points; an unknown CPU count (None) means one worker, run serially.
+    @pytest.mark.parametrize("workers, cpus, expected", [
+        (2, 4, [2]), (3, 4, [3]), (1000, 4, [3]), (1, 4, []),
+        (8, 2, [2]), (8, 1, []), (8, None, []),
+    ])
+    def test_pool_capped_at_points_and_cpus(self, workspace, recording_executor, monkeypatch,
+                                            workers, cpus, expected):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                     "--workers", str(workers), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_OK
+        assert recording_executor == expected
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, workspace, recording_executor, capsys,
+                                          workers):
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2",
+                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        assert "--workers" in capsys.readouterr().err
+        assert recording_executor == []
+        assert not (workspace / "out").exists()
 
 
 class TestSweepCommand:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.policies import (
@@ -15,10 +17,10 @@ from provsim.policies import (
     parse_params,
     ws_instance_controller,
 )
-from provsim.state import AdjustmentLog, ClusterState, RunningJob
+from provsim.state import AdjustmentLog, ClusterState, JobQueue, RunningJob
 from provsim.trace import Job
 
-from oracles import greedy_kill_reference
+from oracles import first_fit_reference, greedy_kill_reference
 
 
 class TestPolicyParams:
@@ -55,27 +57,58 @@ def jobs_of_sizes(sizes, submit=0):
 
 class TestFirstFit:
     def test_scan_restarts_from_front(self):
-        queue = jobs_of_sizes([5, 2, 3])
+        queue = JobQueue(jobs_of_sizes([5, 2, 3]))
         started = first_fit_schedule(queue, 4)
-        assert [job.size for job, _ in started] == [2]
+        assert [job.size for job in started] == [2]
 
     def test_all_fit(self):
-        queue = jobs_of_sizes([1, 1, 1])
+        queue = JobQueue(jobs_of_sizes([1, 1, 1]))
         assert len(first_fit_schedule(queue, 3)) == 3
 
     def test_no_idle_starts_nothing(self):
-        assert first_fit_schedule(jobs_of_sizes([1]), 0) == []
+        assert first_fit_schedule(JobQueue(jobs_of_sizes([1])), 0) == []
 
     def test_front_job_preferred_after_each_start(self):
-        queue = jobs_of_sizes([4, 3, 2])
-        started = first_fit_schedule(queue, 5)
-        assert [job.size for job, _ in started] == [4]
-        started = first_fit_schedule(queue, 7)
-        assert [job.size for job, _ in started] == [4, 3]
+        started = first_fit_schedule(JobQueue(jobs_of_sizes([4, 3, 2])), 5)
+        assert [job.size for job in started] == [4]
+        started = first_fit_schedule(JobQueue(jobs_of_sizes([4, 3, 2])), 7)
+        assert [job.size for job in started] == [4, 3]
 
-    def test_start_time_passed_through(self):
-        queue = jobs_of_sizes([1])
-        assert first_fit_schedule(queue, 1, now=42) == [(queue[0], 42)]
+
+class TestJobQueueProperty:
+    """JobQueue against a plain list driven through the same operations."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 9)),
+        st.tuples(st.just("requeue"), st.lists(st.integers(1, 9), max_size=4)),
+        st.tuples(st.just("fit"), st.integers(0, 20)),
+    ), max_size=60))
+    def test_same_as_list(self, ops):
+        queue, reference = JobQueue(), []
+        next_id = 1
+        for op, arg in ops:
+            if op == "append":
+                job = Job(next_id, next_id, 10, arg)
+                next_id += 1
+                queue.append(job)
+                reference.append(job)
+            elif op == "requeue":
+                jobs = [Job(next_id + i, next_id + i, 10, size) for i, size in enumerate(arg)]
+                next_id += len(jobs)
+                queue.push_front(jobs)
+                reference[:0] = jobs
+            else:
+                expected = first_fit_reference(reference, arg)
+                for job in expected:
+                    reference.remove(job)
+                assert first_fit_schedule(queue, arg) == expected
+            assert list(queue) == reference
+            assert len(queue) == len(reference)
+            assert queue.demand == sum(job.size for job in reference)
+            assert queue.biggest == max((job.size for job in reference), default=0)
+        assert queue.drain() == reference
+        assert len(queue) == queue.demand == queue.biggest == 0 and list(queue) == []
 
 
 def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj_bound=None):
@@ -96,8 +129,9 @@ def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj
             job=Job(job_id, 0, 1000, size), start_time=start, alloc=size,
             attempt=1, start_seq=seq,
         )
-    state.queue = list(queue)
-    state.pbj_owned = idle + sum(size for _, size, _ in running)
+    state.queue = JobQueue(queue)
+    state.running_alloc = sum(size for _, size, _ in running)
+    state.pbj_owned = idle + state.running_alloc
     assert state.pbj_owned + ws + free == config
     return state
 
@@ -120,7 +154,7 @@ class TestFbForceRelease:
         assert [k.job_id for k in kills] == [3]
         assert kills[0].nodes_released == 2
         assert state.pbj_owned == 6
-        assert state.queue[0].id == 3  # victim requeued at the head
+        assert list(state.queue)[0].id == 3  # victim requeued at the head
 
     def test_overshoot_stays_as_idle(self):
         state = fb_state(config=4, running=[(1, 4, 10)], ws=0, free=0)
@@ -239,7 +273,7 @@ def flb_state(*, B, owned, idle, floor=0, ws=0, queue=(), pbj_pool=None, ws_pool
     )
     state.pbj_pool = min(owned, B) if pbj_pool is None else pbj_pool
     state.ws_pool = ws_pool if ws_pool is not None else max(0, min(ws, B - state.pbj_pool))
-    state.queue = list(queue)
+    state.queue = JobQueue(queue)
     return state
 
 

@@ -29,7 +29,7 @@ class TestAdvance:
         state = ClusterState(regime="DCS", config_size=4, pool_size=4, pbj_bound=4, ws_bound=0)
         job = Job(1, 5, 10, 2)
         advance(state, Event(time=5, kind="job_arrival", seq=0, payload=job))
-        assert state.queue == [job] and state.clock == 5
+        assert list(state.queue) == [job] and state.clock == 5
 
     def test_demand_change_records_only(self):
         state = ClusterState(regime="DCS", config_size=4, pool_size=4, pbj_bound=4, ws_bound=0)
