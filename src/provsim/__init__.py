@@ -28,7 +28,7 @@ from .errors import (
     TraceParseError,
     TransitionError,
 )
-from .metrics import MetricsReport, consumption_curve, finalize
+from .metrics import MetricsReport, finalize
 from .policies import (
     KillRecord,
     PolicyParams,

@@ -34,6 +34,7 @@ from .scenario import (
     scenario_from_dict,
 )
 from .simkernel import write_event_log
+from .state import REGIMES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     adhoc = run_p.add_argument_group("ad hoc run (instead of a scenario file)")
     adhoc.add_argument("--pbj-trace", default=None, help="SWF batch-job trace path")
     adhoc.add_argument("--ws-trace", default=None, help="demand-trace CSV path")
-    adhoc.add_argument("--regime", choices=["DCS", "FB", "FLB_NUB", "EC2RS"], default=None)
+    adhoc.add_argument("--regime", choices=REGIMES, default=None)
     adhoc.add_argument("--duration", type=int, default=None, help="window duration in seconds")
     adhoc.add_argument("--window-start", type=int, default=0)
     adhoc.add_argument("--cpus-per-node", type=int, default=1)

@@ -1,10 +1,7 @@
-"""Evaluation metrics accumulated from a kernel event log.
-
-The consumption curve is regime-specific: bounded regimes (DCS, FB) consume
-their whole configuration at all times; the coordinated-pool regime consumes
-the pool plus both REs' external leases; the public-cloud baseline consumes
-every active job lease plus the web-service demand curve. Totals are kept as
-exact integer node-seconds and reported in node-hours to one decimal.
+"""Evaluation metrics of one run: completions from the kernel event log, and
+consumption from the step curve the kernel builds as it goes (each regime
+gives its consumption level from state). Totals are kept as exact integer
+node-seconds and reported in node-hours to one decimal.
 """
 
 from __future__ import annotations
@@ -13,14 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .state import (
-    KIND_JOB_ARRIVAL,
-    KIND_JOB_COMPLETION,
-    REGIME_DCS,
-    REGIME_EC2RS,
-    REGIME_FB,
-    REGIME_FLB_NUB,
-)
+from .state import KIND_JOB_COMPLETION
 
 CSV_COLUMNS = [
     "scenario",
@@ -63,47 +53,6 @@ class MetricsReport:
         return round(self.total_consumption_node_seconds / 3600.0, 1)
 
 
-def consumption_curve(
-    events: list[dict[str, Any]],
-    regime: str,
-    *,
-    config_size: Optional[int],
-    pool_size: int,
-    duration: int,
-) -> list[tuple[int, int]]:
-    """Step function of nodes consumed over [0, duration], from the event log."""
-    if regime in (REGIME_DCS, REGIME_FB):
-        if config_size is None:
-            raise ValueError(f"{regime} requires a configuration size")
-        return [(0, config_size)]
-    if regime == REGIME_FLB_NUB:
-        initial = pool_size
-
-        def level(snapshot: dict[str, int]) -> int:
-            return pool_size + snapshot["pbj_external"] + snapshot["ws_external"]
-
-    elif regime == REGIME_EC2RS:
-        initial = 0
-
-        def level(snapshot: dict[str, int]) -> int:
-            return snapshot["pbj_owned"] + snapshot["ws_held"]
-
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    curve: list[tuple[int, int]] = [(0, initial)]
-    for record in events:
-        t = record["time"]
-        if t > duration:
-            break
-        value = level(record["state"])
-        if value != curve[-1][1]:
-            if t == curve[-1][0]:
-                curve[-1] = (t, value)
-            else:
-                curve.append((t, value))
-    return curve
-
-
 def integrate_curve(curve: list[tuple[int, int]], duration: int) -> int:
     """Exact node-seconds under a step curve over [0, duration]."""
     total = 0
@@ -123,21 +72,17 @@ def finalize(
     *,
     duration: int,
     regime: str,
-    total_jobs: Optional[int] = None,
-    adjustment_count: Optional[int] = None,
+    total_jobs: int,
+    adjustment_count: int,
 ) -> MetricsReport:
-    """Close the measurement window and assemble the report.
+    """Assemble the report from the event log and the consumption step curve.
 
     Averages cover completed jobs only (jobs still queued or running at the
     window end are reported as incomplete); turnaround runs from the original
     submission, and execution time is the trace runtime.
     """
     completions = [r for r in events if r["kind"] == KIND_JOB_COMPLETION and r["time"] <= duration]
-    arrived = {r["payload"]["job_id"] for r in events if r["kind"] == KIND_JOB_ARRIVAL}
-    n_jobs = total_jobs if total_jobs is not None else len(arrived)
     completed = len(completions)
-    if adjustment_count is None:
-        adjustment_count = sum(len(r.get("adjustments", ())) for r in events)
     avg_exec: Optional[float] = None
     avg_turnaround: Optional[float] = None
     if completed:
@@ -146,7 +91,7 @@ def finalize(
     return MetricsReport(
         regime=regime,
         completed_jobs=completed,
-        incomplete_jobs=n_jobs - completed,
+        incomplete_jobs=total_jobs - completed,
         avg_execution_time=avg_exec,
         avg_turnaround_time=avg_turnaround,
         peak_consumption=max(v for _, v in curve),

@@ -1,31 +1,30 @@
 """Provisioning regimes, the first-fit scheduler, and the instance controller.
 
-Four regimes share one cluster-state vocabulary:
-
-* DCS      — static partitions, nothing ever moves.
-* FB       — fixed equal bounds per RE inside one bounded cluster; web-service
-             demand has absolute priority and may force the batch side to kill
-             running jobs; a periodic lease timer pushes free nodes back to the
-             batch RE up to its bound.
-* FLB_NUB  — rigid lower bounds with no upper bound on an unbounded provider;
-             the batch manager requests/releases against threshold ratios at
-             every lease-unit tick.
-* EC2RS    — no coordination: every job leases its own nodes immediately and
-             pays in whole lease units.
-
-All functions mutate the passed ClusterState in place and return it; they are
-pure transitions otherwise (no I/O, no hidden state) and are only ever invoked
-from the single-threaded kernel.
+The four regimes (DCS, FB, FLB_NUB, EC2RS) share one cluster-state
+vocabulary. The module-level transition functions mutate the passed
+ClusterState in place and are pure otherwise (no I/O, no hidden state). One
+``Regime`` subclass per regime holds all of that regime's rules and calls
+them; the kernel builds one per run and never names a regime itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .errors import InfeasibleScenarioError, KernelError, ScenarioError
-from .state import ACTOR_PBJ, ACTOR_PROVISION, ACTOR_WS, AdjustmentLog, ClusterState, JobQueue
+from .state import (
+    ACTOR_PBJ,
+    ACTOR_PROVISION,
+    ACTOR_WS,
+    KIND_LEASE_TICK,
+    KIND_PBJ_MANAGE_TICK,
+    REGIMES,
+    AdjustmentLog,
+    ClusterState,
+    JobQueue,
+)
 from .trace import Job
 
 
@@ -81,7 +80,7 @@ def parse_params(compact: str) -> PolicyParams:
         V=values.get("V", defaults.V),
         G=values.get("G", defaults.G),
         L=int(values["L"] * 60) if "L" in values else defaults.L,
-    ).validate()
+    )
 
 
 @dataclass(frozen=True)
@@ -163,10 +162,6 @@ def fb_ws_demand(
     Demand drops release the surplus to the provision service's free set;
     rises take free nodes first and force the batch RE to release the rest.
     """
-    if state.config_size is not None and new_demand > state.config_size:
-        raise InfeasibleScenarioError(
-            f"WS demand {new_demand} exceeds cluster size {state.config_size}"
-        )
     kills: list[KillRecord] = []
     if new_demand < state.ws_held:
         surplus = state.ws_held - new_demand
@@ -183,15 +178,12 @@ def fb_ws_demand(
             state.free -= shortfall
         state.ws_held = new_demand
         log.record(state.clock, ACTOR_WS, need)
-    state.ws_demand = new_demand
     return kills
 
 
 def fb_lease_tick(state: ClusterState, log: AdjustmentLog) -> ClusterState:
     """Provision free nodes to the batch RE, up to its agreement bound."""
-    grant = state.free
-    if state.pbj_bound is not None:
-        grant = min(grant, state.pbj_bound - state.pbj_owned)
+    grant = min(state.free, state.pbj_bound - state.pbj_owned)
     if grant > 0:
         state.free -= grant
         state.pbj_owned += grant
@@ -228,7 +220,6 @@ def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> C
         state.ws_pool -= release - external
         state.ws_held = new_demand
         log.record(state.clock, ACTOR_WS, delta)
-    state.ws_demand = new_demand
     return state
 
 
@@ -283,30 +274,208 @@ def ec2_job_lifecycle(job: Job, params: PolicyParams) -> tuple[int, int]:
     return job.submit_time, job.submit_time + units * params.L
 
 
-def dcs_allocate(state: ClusterState) -> ClusterState:
-    """Statically split the dedicated cluster: each RE permanently owns its peak."""
-    if state.pbj_bound is None or state.ws_bound is None:
-        raise ScenarioError("DCS requires both workload peaks")
-    if state.config_size != state.pbj_bound + state.ws_bound:
-        raise ScenarioError(
-            f"DCS configuration size must be {state.pbj_bound + state.ws_bound}, "
-            f"got {state.config_size}"
-        )
-    state.pbj_owned = state.pbj_bound
-    state.pbj_idle = state.pbj_bound
-    state.free = 0
-    return state
+class Regime:
+    """The rules of one provisioning regime for one run.
+
+    ``simkernel.run`` builds one from the scenario's parameters and the two
+    traces' peak demands; class names are the regime names of scenarios and
+    reports. The constructor resolves ``config_size`` and rejects what the
+    regime cannot run. The kernel owns the clock and the event queue; the
+    regime gives the initial state, its ``timer_kinds`` (fired every
+    ``params.L`` seconds from 0), its reactions to demand changes (returning
+    the ids of killed jobs) and timers, admission after every event, and its
+    consumption level in a state.
+    """
+
+    timer_kinds: tuple[str, ...] = ()
+
+    def __init__(self, params: PolicyParams, prc_pbj: int, prc_ws: int,
+                 config_size: Optional[int] = None, pbj_floor: Optional[int] = None):
+        self.name = type(self).__name__
+        self.params = params.validate()
+        self.prc_pbj = prc_pbj
+        self.prc_ws = prc_ws
+        self.config_size = self.resolve_config(config_size)
+
+    def resolve_config(self, config_size: Optional[int]) -> Optional[int]:
+        """Unbounded regimes draw from a provider with no configuration size."""
+        if config_size is not None:
+            raise ScenarioError(f"{self.name} draws from an unbounded provider; omit config_size")
+        return None
+
+    def admit(self, kernel) -> Sequence[int]:
+        """First fit on the batch side's idle nodes."""
+        state = kernel.state
+        started = first_fit_schedule(state.queue, state.pbj_idle)
+        if not started:
+            return started
+        for job in started:
+            kernel.start_job(job, state.clock)
+        return [job.id for job in started]
+
+    def consumption(self, state: ClusterState) -> int:
+        """Bounded regimes consume their whole configuration at all times."""
+        return self.config_size
+
+    @classmethod
+    def report_columns(cls, scenario) -> dict[str, Any]:
+        """The pool parameters do not apply; the lease unit L does."""
+        return {"config_size": scenario.config_size, "B": None, "U": None, "V": None,
+                "G": None, "L_seconds": scenario.params.L}
 
 
-def dcs_ws_demand(state: ClusterState, new_demand: int) -> ClusterState:
-    """Record demand against the static WS partition; nothing is adjusted."""
-    if state.ws_bound is not None and new_demand > state.ws_bound:
-        raise InfeasibleScenarioError(
-            f"WS demand {new_demand} exceeds static partition {state.ws_bound}"
-        )
-    state.ws_held = new_demand
-    state.ws_demand = new_demand
-    return state
+class DCS(Regime):
+    """A dedicated cluster statically split between the two workloads: each
+    RE permanently owns its peak demand, and nothing ever moves."""
+
+    def resolve_config(self, config_size: Optional[int]) -> int:
+        derived = self.prc_pbj + self.prc_ws
+        if config_size is not None and config_size != derived:
+            raise ScenarioError(f"DCS configuration size must equal the demand-peak sum "
+                                f"{derived}, got {config_size}")
+        return derived
+
+    def initial_state(self) -> ClusterState:
+        return ClusterState(pbj_owned=self.prc_pbj, pbj_idle=self.prc_pbj)
+
+    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+        # The web-service partition is the demand trace's own peak: it always fits.
+        state.ws_held = demand
+        return ()
+
+    @classmethod
+    def report_columns(cls, scenario) -> dict[str, Any]:
+        """No lease timer; the configuration size is the peak tuple's sum."""
+        columns = {**super().report_columns(scenario), "L_seconds": None}
+        if scenario.config_size is None and scenario.prc_pbj is not None:
+            columns["config_size"] = scenario.prc_pbj + scenario.prc_ws
+        return columns
+
+
+class FB(Regime):
+    """Fixed equal bounds per RE in one bounded cluster. Web-service demand is
+    absolute and may force the batch side to kill running jobs; a periodic
+    lease timer gives free nodes back to the batch RE up to its bound."""
+
+    timer_kinds = (KIND_LEASE_TICK,)
+
+    def resolve_config(self, config_size: Optional[int]) -> int:
+        if config_size is None:
+            raise ScenarioError("FB requires an explicit configuration size")
+        if config_size < 1:
+            raise ScenarioError(f"configuration size must be >= 1, got {config_size}")
+        if self.prc_ws > config_size:
+            raise InfeasibleScenarioError(f"WS peak demand {self.prc_ws} exceeds "
+                                          f"configuration size {config_size}")
+        return config_size
+
+    def initial_state(self) -> ClusterState:
+        return ClusterState(pbj_bound=self.prc_pbj, free=self.config_size)
+
+    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+        return [kill.job_id for kill in fb_ws_demand(state, demand, log)]
+
+    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
+        fb_lease_tick(state, log)
+
+
+class FLB_NUB(Regime):
+    """Rigid lower-bound shares of a coordinated pool of B nodes, no upper
+    bound, on an unbounded provider. The batch manager requests and releases
+    against threshold ratios at every lease-unit tick."""
+
+    timer_kinds = (KIND_LEASE_TICK, KIND_PBJ_MANAGE_TICK)
+
+    def __init__(self, params, prc_pbj, prc_ws, config_size=None, pbj_floor=None):
+        super().__init__(params, prc_pbj, prc_ws, config_size)
+        B = self.params.B
+        if pbj_floor is None:
+            # B split in proportion to the two peaks, rounded down.
+            total_peak = prc_pbj + prc_ws
+            pbj_floor = B * prc_pbj // total_peak if total_peak else 0
+        if not 0 <= pbj_floor <= B:
+            raise ScenarioError(f"batch lower-bound share {pbj_floor} outside [0, B={B}]")
+        self.pbj_floor = pbj_floor
+
+    def initial_state(self) -> ClusterState:
+        # The lower-bound share is held from the start; not an adjustment.
+        floor = self.pbj_floor
+        return ClusterState(pool_size=self.params.B, pbj_floor=floor,
+                            pbj_owned=floor, pbj_idle=floor, pbj_pool=floor)
+
+    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+        flb_ws_demand(state, demand, log)
+        return ()
+
+    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
+        if event.kind == KIND_LEASE_TICK:
+            flb_lease_tick(state, log)
+        else:
+            flb_manage_tick(state, self.params, log)
+
+    def consumption(self, state: ClusterState) -> int:
+        """The whole pool plus both REs' external leases."""
+        return (state.pool_size + (state.pbj_owned - state.pbj_pool)
+                + (state.ws_held - state.ws_pool))
+
+    @classmethod
+    def report_columns(cls, scenario) -> dict[str, Any]:
+        params = scenario.params
+        return {**super().report_columns(scenario),
+                "B": params.B, "U": params.U, "V": params.V, "G": params.G}
+
+
+class EC2RS(Regime):
+    """The uncoordinated public-cloud baseline: every job leases its own nodes
+    in whole lease units, and web-service capacity tracks demand."""
+
+    def initial_state(self) -> ClusterState:
+        return ClusterState()
+
+    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+        delta = demand - state.ws_held
+        state.ws_held = demand
+        if delta != 0:
+            log.record(state.clock, ACTOR_WS, delta)
+        return ()
+
+    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
+        """A job's lease expires and its nodes go back to the provider."""
+        nodes = event.payload["nodes"]
+        state.pbj_owned -= nodes
+        state.pbj_idle -= nodes
+        log.record(state.clock, ACTOR_PBJ, -nodes)
+
+    def admit(self, kernel) -> Sequence[int]:
+        """Lease nodes for every queued job and start it at once."""
+        state = kernel.state
+        if not state.queue:
+            return ()
+        started_ids = []
+        for job in state.queue.drain():
+            start, release = ec2_job_lifecycle(job, self.params)
+            state.pbj_owned += job.size
+            state.pbj_idle += job.size
+            kernel.start_job(job, start)
+            kernel.push(release, KIND_LEASE_TICK, {"job_id": job.id, "nodes": job.size})
+            kernel.log.record(state.clock, ACTOR_PBJ, job.size)
+            started_ids.append(job.id)
+        return started_ids
+
+    def consumption(self, state: ClusterState) -> int:
+        """Every active job lease plus the web-service demand."""
+        return state.pbj_owned + state.ws_held
+
+
+_REGIME_CLASSES = {cls.__name__: cls for cls in (DCS, FB, FLB_NUB, EC2RS)}
+
+
+def regime_class(name: str) -> type[Regime]:
+    """The class of the regime called ``name`` in scenarios and reports."""
+    try:
+        return _REGIME_CLASSES[name]
+    except KeyError:
+        raise ScenarioError(f"unknown regime {name!r} (expected one of {REGIMES})") from None
 
 
 MIN_WS_INSTANCES = 2

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import trace as trace_mod
 from .errors import ScenarioError
-from .policies import PolicyParams, parse_params
+from .policies import PolicyParams, parse_params, regime_class
 from .simkernel import SimResult, run
-from .state import REGIME_DCS, REGIME_EC2RS, REGIME_FLB_NUB, REGIMES
+from .state import REGIME_DCS
 
 
 @dataclass(frozen=True)
@@ -40,40 +40,46 @@ class Scenario:
     base_dir: Path = Path(".")
 
     def validate(self) -> "Scenario":
-        if self.regime not in REGIMES:
-            raise ScenarioError(f"unknown regime {self.regime!r} (expected one of {REGIMES})")
+        """Check the scenario's own fields; the regime checks the rest at run time."""
+        regime_class(self.regime)
         if self.window_duration <= 0:
             raise ScenarioError(f"window duration must be positive, got {self.window_duration}")
         if self.cpus_per_node < 1:
             raise ScenarioError(f"cpus_per_node must be >= 1, got {self.cpus_per_node}")
         if (self.prc_pbj is None) != (self.prc_ws is None):
-            raise ScenarioError("target peaks must be given for both traces or neither")
-        self.params.validate()
-        if self.regime == REGIME_EC2RS and self.config_size is not None:
-            raise ScenarioError("EC2RS draws from an unbounded provider; omit config_size")
-        if self.regime == REGIME_FLB_NUB and self.config_size is not None:
-            raise ScenarioError("FLB_NUB draws from an unbounded provider; omit config_size")
+            raise ScenarioError("target_peaks needs both pbj and ws, or neither")
         return self
 
     def identification(self) -> dict[str, Any]:
         """Columns identifying this scenario in reports."""
-        ident: dict[str, Any] = {
+        return {
             "name": self.name,
-            "config_size": self.config_size,
             "prc_pbj": self.prc_pbj,
             "prc_ws": self.prc_ws,
-            "L_seconds": self.params.L,
+            **regime_class(self.regime).report_columns(self),
         }
-        if self.regime == REGIME_FLB_NUB:
-            ident.update(B=self.params.B, U=self.params.U, V=self.params.V, G=self.params.G)
-        else:
-            # FB and EC2RS still lease on the L timer; DCS has no timer at all.
-            ident.update(B=None, U=None, V=None, G=None)
-            if self.regime == REGIME_DCS:
-                ident["L_seconds"] = None
-                if self.config_size is None and self.prc_pbj is not None:
-                    ident["config_size"] = self.prc_pbj + (self.prc_ws or 0)
-        return ident
+
+
+def _field(doc: dict[str, Any], key: str, convert: Callable[[Any], Any],
+           default: Any = None, prefix: str = "") -> Any:
+    """``convert(doc[key])``, or ``default`` when the field is absent or null.
+
+    A value ``convert`` rejects raises a ScenarioError naming the field.
+    """
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad scenario field {prefix}{key}={value!r}: {exc}") from None
+
+
+def _peak(value: Any) -> int:
+    peak = int(value)
+    if peak < 1:
+        raise ValueError("a target peak must be >= 1")
+    return peak
 
 
 def _parse_policy_params(raw: Any) -> PolicyParams:
@@ -82,20 +88,16 @@ def _parse_policy_params(raw: Any) -> PolicyParams:
     if isinstance(raw, str):
         return parse_params(raw)
     if isinstance(raw, dict):
-        defaults = PolicyParams()
         if "L_minutes" in raw and "L" in raw:
             raise ScenarioError("give either L (seconds) or L_minutes, not both")
-        L = defaults.L
-        if "L_minutes" in raw:
-            L = int(raw["L_minutes"]) * 60
-        elif "L" in raw:
-            L = int(raw["L"])
+        defaults = PolicyParams()
+        minutes = _field(raw, "L_minutes", int, prefix="params.")
         return PolicyParams(
-            B=int(raw.get("B", defaults.B)),
-            U=float(raw.get("U", defaults.U)),
-            V=float(raw.get("V", defaults.V)),
-            G=float(raw.get("G", defaults.G)),
-            L=L,
+            B=_field(raw, "B", int, defaults.B, "params."),
+            U=_field(raw, "U", float, defaults.U, "params."),
+            V=_field(raw, "V", float, defaults.V, "params."),
+            G=_field(raw, "G", float, defaults.G, "params."),
+            L=_field(raw, "L", int, defaults.L, "params.") if minutes is None else minutes * 60,
         )
     raise ScenarioError(f"params must be a compact string or an object, got {type(raw)!r}")
 
@@ -119,28 +121,25 @@ def scenario_from_dict(
 ) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    try:
-        pbj_trace = doc["pbj_trace"]
-        ws_trace = doc["ws_trace"]
-        regime = doc["regime"]
-    except KeyError as exc:
-        raise ScenarioError(f"missing scenario field {exc.args[0]!r}") from None
-    window = doc.get("window", {})
-    targets = doc.get("target_peaks")
+    for key in ("pbj_trace", "ws_trace", "regime"):
+        if doc.get(key) is None:
+            raise ScenarioError(f"missing scenario field {key!r}")
+    window = _field(doc, "window", dict, {})
+    targets = _field(doc, "target_peaks", dict, {})
     scenario = Scenario(
-        name=doc.get("name", default_name),
-        pbj_trace=pbj_trace,
-        ws_trace=ws_trace,
-        window_start=int(window.get("start_offset", 0)),
-        window_duration=int(window.get("duration", 0)),
-        cpus_per_node=int(doc.get("cpus_per_node", 1)),
-        prc_pbj=None if targets is None else int(targets["pbj"]),
-        prc_ws=None if targets is None else int(targets["ws"]),
-        regime=regime,
-        config_size=None if doc.get("config_size") is None else int(doc["config_size"]),
+        name=_field(doc, "name", str, default_name),
+        pbj_trace=_field(doc, "pbj_trace", str),
+        ws_trace=_field(doc, "ws_trace", str),
+        window_start=_field(window, "start_offset", int, 0, "window."),
+        window_duration=_field(window, "duration", int, 0, "window."),
+        cpus_per_node=_field(doc, "cpus_per_node", int, 1),
+        prc_pbj=_field(targets, "pbj", _peak, prefix="target_peaks."),
+        prc_ws=_field(targets, "ws", _peak, prefix="target_peaks."),
+        regime=_field(doc, "regime", str),
+        config_size=_field(doc, "config_size", int),
         params=_parse_policy_params(doc.get("params")),
-        pbj_floor=None if doc.get("pbj_floor") is None else int(doc["pbj_floor"]),
-        output_dir=doc.get("output_dir"),
+        pbj_floor=_field(doc, "pbj_floor", int),
+        output_dir=_field(doc, "output_dir", str),
         base_dir=base_dir,
     )
     return scenario.validate()
@@ -205,7 +204,7 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
         return replace(scenario, params=params, name=f"{scenario.name}_L{minutes}")
     if axis == "tuple":
         try:
-            pbj, ws = (int(v) for v in str(value).split(":"))
+            pbj, ws = (_peak(v) for v in str(value).split(":"))
         except ValueError:
             raise ScenarioError(f"tuple axis values look like '128:64', got {value!r}") from None
         derived = replace(scenario, prc_pbj=pbj, prc_ws=ws, name=f"{scenario.name}_{pbj}x{ws}")

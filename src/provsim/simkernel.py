@@ -3,7 +3,8 @@
 A run replays one consolidated scenario: batch-job arrivals, web-service
 demand changes, and the regime's periodic timers, all ordered by
 (time, kind priority, insertion sequence). After every event the regime's
-reaction rules fire, then the first-fit scheduler runs to a fixed point.
+reaction rules fire, then the regime admits queued jobs. The regime's rules
+live in one ``policies.Regime`` subclass.
 Virtual time is integer seconds; identical inputs produce byte-identical
 event logs.
 """
@@ -14,26 +15,19 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Optional
+from typing import IO, Any, Optional, Sequence
 
 from . import policies
-from .errors import InfeasibleScenarioError, KernelError, ScenarioError
-from .metrics import MetricsReport, consumption_curve, finalize
+from .errors import KernelError, ScenarioError
+from .metrics import MetricsReport, finalize
 from .policies import PolicyParams
 from .state import (
-    ACTOR_PBJ,
-    ACTOR_WS,
     KIND_JOB_ARRIVAL,
     KIND_JOB_COMPLETION,
     KIND_LEASE_TICK,
     KIND_PBJ_MANAGE_TICK,
     KIND_PRIORITY,
     KIND_WS_DEMAND_CHANGE,
-    REGIME_DCS,
-    REGIME_EC2RS,
-    REGIME_FB,
-    REGIME_FLB_NUB,
-    REGIMES,
     AdjustmentLog,
     ClusterState,
     Event,
@@ -88,108 +82,42 @@ def _completion_is_stale(state: ClusterState, event: Event) -> bool:
 
 
 class _Kernel:
-    """One simulation run; single-threaded and fully deterministic."""
+    """One simulation run; single-threaded and fully deterministic.
 
-    def __init__(
-        self,
-        job_trace: JobTrace,
-        demand_trace: DemandTrace,
-        regime: str,
-        params: PolicyParams,
-        config_size: Optional[int],
-        pbj_floor: Optional[int],
-    ):
-        if regime not in REGIMES:
-            raise ScenarioError(f"unknown regime {regime!r} (expected one of {REGIMES})")
+    The regime object makes every regime decision. It starts jobs and
+    schedules its own timers through ``start_job`` and ``push``.
+    """
+
+    def __init__(self, job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Regime):
         self.regime = regime
-        self.params = params.validate()
         self.duration = job_trace.window[1]
         self.job_trace = job_trace
         self.demand_trace = demand_trace
-        prc_pbj = job_trace.peak_demand
-        prc_ws = demand_trace.peak_demand
-        self.config_size = self._resolve_config(regime, config_size, prc_pbj, prc_ws)
-        floor = 0
-        if regime == REGIME_FLB_NUB:
-            if pbj_floor is None:
-                total_peak = prc_pbj + prc_ws
-                floor = params.B * prc_pbj // total_peak if total_peak else 0
-            else:
-                floor = pbj_floor
-            if not 0 <= floor <= params.B:
-                raise ScenarioError(f"batch lower-bound share {floor} outside [0, B={params.B}]")
-        self.state = ClusterState(
-            regime=regime,
-            config_size=self.config_size,
-            pool_size=params.B if regime == REGIME_FLB_NUB else (self.config_size or 0),
-            pbj_bound=prc_pbj if regime in (REGIME_DCS, REGIME_FB) else None,
-            ws_bound=prc_ws if regime in (REGIME_DCS, REGIME_FB) else None,
-            pbj_floor=floor,
-        )
+        self.state = regime.initial_state()
         self.log = AdjustmentLog()
         self.events: list[dict[str, Any]] = []
         self._seq = itertools.count()
         self._heap: list[tuple[int, int, int, Event]] = []
 
-    @staticmethod
-    def _resolve_config(
-        regime: str, config_size: Optional[int], prc_pbj: int, prc_ws: int
-    ) -> Optional[int]:
-        if regime == REGIME_DCS:
-            derived = prc_pbj + prc_ws
-            if config_size is not None and config_size != derived:
-                raise ScenarioError(
-                    f"DCS configuration size must equal the demand-peak sum {derived}, "
-                    f"got {config_size}"
-                )
-            return derived
-        if regime == REGIME_FB:
-            if config_size is None:
-                raise ScenarioError("FB requires an explicit configuration size")
-            if config_size < 1:
-                raise ScenarioError(f"configuration size must be >= 1, got {config_size}")
-            return config_size
-        return None  # FLB_NUB and EC2RS draw from an unbounded provider
-
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: int, kind: str, payload: Any = None) -> None:
+    def push(self, time: int, kind: str, payload: Any = None) -> None:
         event = Event(time=time, kind=kind, seq=next(self._seq), payload=payload)
         heapq.heappush(self._heap, (time, KIND_PRIORITY[kind], event.seq, event))
 
     def _seed_events(self) -> None:
         for job in self.job_trace.jobs:
-            self._push(job.submit_time, KIND_JOB_ARRIVAL, job)
+            self.push(job.submit_time, KIND_JOB_ARRIVAL, job)
         for time, demand in self.demand_trace.samples:
             if time <= self.duration:
-                self._push(time, KIND_WS_DEMAND_CHANGE, demand)
-        if self.regime in (REGIME_FB, REGIME_FLB_NUB):
-            for t in range(0, self.duration + 1, self.params.L):
-                self._push(t, KIND_LEASE_TICK)
-        if self.regime == REGIME_FLB_NUB:
-            for t in range(0, self.duration + 1, self.params.L):
-                self._push(t, KIND_PBJ_MANAGE_TICK)
-
-    def _init_state(self) -> None:
-        state = self.state
-        if self.regime == REGIME_DCS:
-            policies.dcs_allocate(state)
-            if self.demand_trace.peak_demand > (state.ws_bound or 0):
-                raise InfeasibleScenarioError("WS demand exceeds the static partition")
-        elif self.regime == REGIME_FB:
-            if self.demand_trace.peak_demand > self.config_size:
-                raise InfeasibleScenarioError(
-                    f"WS peak demand {self.demand_trace.peak_demand} exceeds "
-                    f"configuration size {self.config_size}"
-                )
-            state.free = self.config_size
-        elif self.regime == REGIME_FLB_NUB:
-            # Rigid lower-bound share allocated at startup; not a dynamic adjustment.
-            state.pbj_owned = state.pbj_idle = state.pbj_pool = state.pbj_floor
+                self.push(time, KIND_WS_DEMAND_CHANGE, demand)
+        for kind in self.regime.timer_kinds:
+            for t in range(0, self.duration + 1, self.regime.params.L):
+                self.push(t, kind)
 
     # -- per-event processing ----------------------------------------------
 
-    def _start_job(self, job: Job, now: int) -> None:
+    def start_job(self, job: Job, now: int) -> None:
         attempt = self.state.attempts.get(job.id, 0) + 1
         self.state.attempts[job.id] = attempt
         self.state.start_seq += 1
@@ -199,63 +127,9 @@ class _Kernel:
         )
         self.state.running_alloc += job.size
         self.state.pbj_idle -= job.size
-        self._push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
+        self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
-    def _schedule_fixed_point(self, now: int) -> list[int]:
-        started = policies.first_fit_schedule(self.state.queue, self.state.pbj_idle)
-        for job in started:
-            self._start_job(job, now)
-        return [job.id for job in started]
-
-    def _react_ec2_arrival(self, now: int) -> list[int]:
-        started_ids = []
-        for job in self.state.queue.drain():
-            start, release = policies.ec2_job_lifecycle(job, self.params)
-            self.state.pbj_owned += job.size
-            self.state.pbj_idle += job.size
-            self._start_job(job, start)
-            self._push(release, KIND_LEASE_TICK, {"job_id": job.id, "nodes": job.size})
-            self.log.record(now, ACTOR_PBJ, job.size)
-            started_ids.append(job.id)
-        return started_ids
-
-    def _react(self, event: Event) -> tuple[list[int], list[int]]:
-        """Regime reaction; returns (started job ids, killed job ids)."""
-        state, log, now = self.state, self.log, self.state.clock
-        started: list[int] = []
-        killed: list[int] = []
-        if event.kind == KIND_WS_DEMAND_CHANGE:
-            if self.regime == REGIME_DCS:
-                policies.dcs_ws_demand(state, event.payload)
-            elif self.regime == REGIME_FB:
-                kills = policies.fb_ws_demand(state, event.payload, log)
-                killed = [k.job_id for k in kills]
-            elif self.regime == REGIME_FLB_NUB:
-                policies.flb_ws_demand(state, event.payload, log)
-            else:  # EC2RS: RightScale adjusts instances; consumption tracks demand
-                delta = event.payload - state.ws_held
-                state.ws_held = event.payload
-                if delta != 0:
-                    log.record(now, ACTOR_WS, delta)
-        elif event.kind == KIND_LEASE_TICK:
-            if self.regime == REGIME_FB:
-                policies.fb_lease_tick(state, log)
-            elif self.regime == REGIME_FLB_NUB:
-                policies.flb_lease_tick(state, log)
-            else:  # EC2RS per-job lease expiry
-                nodes = event.payload["nodes"]
-                state.pbj_owned -= nodes
-                state.pbj_idle -= nodes
-                log.record(now, ACTOR_PBJ, -nodes)
-        elif event.kind == KIND_PBJ_MANAGE_TICK:
-            policies.flb_manage_tick(state, self.params, log)
-        elif event.kind == KIND_JOB_ARRIVAL and self.regime == REGIME_EC2RS:
-            started = self._react_ec2_arrival(now)
-        if self.regime != REGIME_EC2RS:
-            started = self._schedule_fixed_point(now)
-        return started, killed
-
-    def _record(self, event: Event, started: list[int], killed: list[int],
+    def _record(self, event: Event, started: Sequence[int], killed: Sequence[int],
                 adjustments_from: int) -> None:
         payload: dict[str, Any]
         if event.kind == KIND_JOB_ARRIVAL:
@@ -285,34 +159,45 @@ class _Kernel:
         self.events.append(record)
 
     def execute(self) -> SimResult:
-        self._init_state()
+        """Process every event up to the window end, adding each post-event
+        consumption level to a step curve of (time, nodes) points; a later
+        level at the same time replaces the earlier one."""
         self._seed_events()
-        while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
+        regime, state, log, heap = self.regime, self.state, self.log, self._heap
+        level = regime.consumption(state)
+        curve = [(0, level)]
+        while heap:
+            event = heapq.heappop(heap)[3]
             if event.time > self.duration:
                 break
-            if event.kind == KIND_JOB_COMPLETION and _completion_is_stale(self.state, event):
+            kind = event.kind
+            if kind == KIND_JOB_COMPLETION and _completion_is_stale(state, event):
                 continue
-            adjustments_from = self.log.count
-            advance(self.state, event)
-            started, killed = self._react(event)
+            adjustments_from = log.count
+            advance(state, event)
+            killed: Sequence[int] = ()
+            if kind == KIND_WS_DEMAND_CHANGE:
+                killed = regime.on_demand(state, event.payload, log)
+            elif kind == KIND_LEASE_TICK or kind == KIND_PBJ_MANAGE_TICK:
+                regime.on_tick(state, event, log)
+            started = regime.admit(self)
             self._record(event, started, killed, adjustments_from)
-        curve = consumption_curve(
-            self.events,
-            self.regime,
-            config_size=self.config_size,
-            pool_size=self.params.B,
-            duration=self.duration,
-        )
+            new_level = regime.consumption(state)
+            if new_level != level:
+                level = new_level
+                if event.time == curve[-1][0]:
+                    curve[-1] = (event.time, level)
+                else:
+                    curve.append((event.time, level))
         report = finalize(
             self.events,
             curve,
             duration=self.duration,
-            regime=self.regime,
+            regime=regime.name,
             total_jobs=len(self.job_trace.jobs),
-            adjustment_count=self.log.count,
+            adjustment_count=log.count,
         )
-        return SimResult(metrics=report, adjustments=self.log, events=self.events)
+        return SimResult(metrics=report, adjustments=log, events=self.events)
 
 
 def run(
@@ -330,11 +215,17 @@ def run(
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")
-    kernel = _Kernel(job_trace, demand_trace, regime, params, config_size, pbj_floor)
-    return kernel.execute()
+    rules = policies.regime_class(regime)(
+        params, job_trace.peak_demand, demand_trace.peak_demand, config_size, pbj_floor
+    )
+    return _Kernel(job_trace, demand_trace, rules).execute()
+
+
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def write_event_log(events: list[dict[str, Any]], stream: IO[str]) -> None:
     """Emit the event log as line-delimited JSON records {time, kind, payload, ...}."""
+    encode = _EVENT_ENCODER.encode
     for record in events:
-        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+        stream.write(encode(record) + "\n")

@@ -10,11 +10,9 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .trace import Job
 
+# Each regime's rules are the class of the same name in ``policies``.
+REGIMES = ("DCS", "FB", "FLB_NUB", "EC2RS")
 REGIME_DCS = "DCS"
-REGIME_FB = "FB"
-REGIME_FLB_NUB = "FLB_NUB"
-REGIME_EC2RS = "EC2RS"
-REGIMES = (REGIME_DCS, REGIME_FB, REGIME_FLB_NUB, REGIME_EC2RS)
 
 ACTOR_PBJ = "pbj_manager"
 ACTOR_WS = "ws_manager"
@@ -170,22 +168,18 @@ class JobQueue:
 class ClusterState:
     """Mutable resource-accounting state shared by the kernel and the policies.
 
-    ``pbj_bound``/``ws_bound`` are the per-RE agreement bounds (the scaled
-    trace peaks). In FB they cap holdings; in DCS they are the static
-    partitions; FLB_NUB and EC2RS have no upper cap. ``free`` is the
-    provision service's unallocated set inside a bounded cluster. The
-    ``pbj_pool``/``ws_pool`` counters track how much of each RE's holdings
-    is charged to the coordinated pool in FLB_NUB (first-come); holdings
-    beyond them are externally leased. ``running_alloc`` is a counter kept
-    where jobs start, complete and are killed, so ``snapshot`` reads
-    counters only.
+    ``pbj_bound`` is the batch RE's agreement bound in FB (its scaled trace
+    peak), which caps its holdings. ``free`` is the provision service's
+    unallocated set inside a bounded cluster. The ``pbj_pool``/``ws_pool``
+    counters track how much of each RE's holdings is charged to the
+    coordinated pool of ``pool_size`` nodes in FLB_NUB (first-come);
+    holdings beyond them are externally leased. ``running_alloc`` is a
+    counter kept where jobs start, complete and are killed, so ``snapshot``
+    reads counters only.
     """
 
-    regime: str
-    config_size: Optional[int]
-    pool_size: int
-    pbj_bound: Optional[int]
-    ws_bound: Optional[int]
+    pool_size: int = 0
+    pbj_bound: Optional[int] = None
     pbj_floor: int = 0
     pbj_owned: int = 0
     pbj_idle: int = 0

@@ -222,10 +222,7 @@ def random_force_release_instance(rng):
     owned = idle + sum(size for _, size, _ in running)
     needed = rng.randint(1, owned)
     config = owned  # ws/free not involved in the release itself
-    state = ClusterState(
-        regime="FB", config_size=config, pool_size=config,
-        pbj_bound=config, ws_bound=config, pbj_owned=owned, pbj_idle=idle,
-    )
+    state = ClusterState(pbj_bound=config, pbj_owned=owned, pbj_idle=idle)
     for seq, (job_id, size, start) in enumerate(running, start=1):
         state.running[job_id] = RunningJob(
             job=Job(job_id, rng.randint(0, start), 100, size),

@@ -102,8 +102,10 @@ class TestRunCommand:
         assert main(["run", str(path)]) == EXIT_INFEASIBLE
 
     def test_ec2_rejects_config_size(self, workspace):
-        path = write_scenario(workspace, regime="EC2RS", config_size=16)
-        assert main(["run", str(path)]) == EXIT_INVALID
+        # FLB_NUB draws from an unbounded provider too.
+        for regime in ("EC2RS", "FLB_NUB"):
+            path = write_scenario(workspace, regime=regime, config_size=16)
+            assert main(["run", str(path)]) == EXIT_INVALID
 
     def test_adhoc_flags_run(self, workspace):
         code = main([
@@ -123,6 +125,29 @@ class TestRunCommand:
         code = main(["run", "--pbj-trace", str(workspace / "jobs.swf")])
         assert code == EXIT_INVALID
         assert "ad hoc" in capsys.readouterr().err
+
+
+# (field the error must name, scenario overrides)
+MALFORMED_FIELDS = [
+    ("window", {"window": 5}),
+    ("target_peaks.pbj", {"target_peaks": {"pbj": "x", "ws": 2}}),
+    ("target_peaks", {"target_peaks": {"pbj": 4}}),
+    ("target_peaks.pbj", {"target_peaks": {"pbj": 0, "ws": 2}}),
+    ("params.L", {"params": {"L": "abc"}}),
+    ("cpus_per_node", {"cpus_per_node": "a"}),
+    ("config_size", {"config_size": "x"}),
+]
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("field, overrides", MALFORMED_FIELDS,
+                             ids=[json.dumps(o) for _, o in MALFORMED_FIELDS])
+    def test_malformed_field_exits_invalid(self, workspace, capsys, field, overrides):
+        path = write_scenario(workspace, **overrides)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err
 
 
 class TestTraceErrors:

@@ -3,7 +3,6 @@ import json
 from provsim.metrics import (
     CSV_COLUMNS,
     MetricsReport,
-    consumption_curve,
     csv_header,
     finalize,
     integrate_curve,
@@ -26,9 +25,6 @@ class TestConsumptionCurve:
         jobs = make_jobs([(1, 0, 50, 4), (2, 10, 100, 2)], duration=500)
         demand = make_demand([(0, 2), (100, 4)])
         result = run(jobs, demand, "DCS", PolicyParams())  # config = 4 + 4
-        curve = consumption_curve(result.events, "DCS", config_size=8, pool_size=0,
-                                  duration=500)
-        assert curve == [(0, 8)]
         assert result.metrics.peak_consumption == 8
         assert result.metrics.total_consumption_node_seconds == 8 * 500
 
@@ -46,9 +42,9 @@ class TestConsumptionCurve:
         demand = make_demand([(0, 5), (300, 8), (600, 3)])
         # Peaks 6 and 8 give a floor of 25*6//14 = 10 >= both job sizes.
         result = run(jobs, demand, "FLB_NUB", PolicyParams(B=25, L=200))
-        curve = consumption_curve(result.events, "FLB_NUB", config_size=None,
-                                  pool_size=25, duration=1000)
-        assert curve == [(0, 25)]
+        assert all(r["state"]["pbj_external"] == r["state"]["ws_external"] == 0
+                   for r in result.events)
+        assert result.metrics.peak_consumption == 25
         assert result.metrics.total_consumption_node_seconds == 25 * 1000
 
     def test_ec2_lease_rounding_node_hours(self):
@@ -59,6 +55,15 @@ class TestConsumptionCurve:
         assert m.total_consumption_node_seconds == 4 * 7200
         assert m.total_consumption_node_hours == 8.0
         assert m.peak_consumption == 4
+
+    def test_same_time_levels_keep_the_last(self):
+        # At t=100 the demand rise (10 nodes held) comes before the lease
+        # expiry (6 held): only the level after both counts toward the peak.
+        jobs = make_jobs([(1, 0, 50, 4)], duration=200)
+        demand = make_demand([(0, 0), (100, 6)])
+        m = run(jobs, demand, "EC2RS", PolicyParams(L=100)).metrics
+        assert m.peak_consumption == 6
+        assert m.total_consumption_node_seconds == 4 * 100 + 6 * 100
 
     def test_ec2_peak_at_least_ws_peak(self):
         jobs = make_jobs([(1, 0, 10, 1)], duration=1000)
@@ -122,7 +127,8 @@ class TestOracleReplay:
                     pbj_floor=floor if regime == "FLB_NUB" else 0,
                 )
                 total = integrate(curve, jobs.window[1])
-                assert abs(total - result.metrics.total_consumption_node_seconds) <= 1
+                assert total == result.metrics.total_consumption_node_seconds
+                assert max(v for _, v in curve) == result.metrics.peak_consumption
 
 
 class TestSerialization:

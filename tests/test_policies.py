@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.policies import (
+    DCS,
+    FB,
     PolicyParams,
-    dcs_allocate,
     ec2_job_lifecycle,
     fb_force_release,
     fb_lease_tick,
@@ -15,9 +16,10 @@ from provsim.policies import (
     flb_manage_tick,
     flb_ws_demand,
     parse_params,
+    regime_class,
     ws_instance_controller,
 )
-from provsim.state import AdjustmentLog, ClusterState, JobQueue, RunningJob
+from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue, RunningJob
 from provsim.trace import Job
 
 from oracles import first_fit_reference, greedy_kill_reference
@@ -114,11 +116,7 @@ class TestJobQueueProperty:
 def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj_bound=None):
     """FB-regime state with running jobs given as (id, size, start_time) tuples."""
     state = ClusterState(
-        regime="FB",
-        config_size=config,
-        pool_size=config,
         pbj_bound=pbj_bound if pbj_bound is not None else config,
-        ws_bound=config,
         ws_held=ws,
         free=free,
         pbj_idle=idle,
@@ -232,9 +230,9 @@ class TestFbWsDemand:
         assert [k.job_id for k in kills] == expected
 
     def test_demand_above_config_infeasible(self):
-        state = fb_state(config=16, idle=16)
+        # The demand trace's peak is the highest demand FB ever sees.
         with pytest.raises(InfeasibleScenarioError):
-            fb_ws_demand(state, 17, AdjustmentLog())
+            FB(PolicyParams(), prc_pbj=16, prc_ws=17, config_size=16)
 
 
 class TestFbLeaseTick:
@@ -261,11 +259,7 @@ class TestFbLeaseTick:
 
 def flb_state(*, B, owned, idle, floor=0, ws=0, queue=(), pbj_pool=None, ws_pool=None):
     state = ClusterState(
-        regime="FLB_NUB",
-        config_size=None,
         pool_size=B,
-        pbj_bound=None,
-        ws_bound=None,
         pbj_floor=floor,
         pbj_owned=owned,
         pbj_idle=idle,
@@ -378,19 +372,19 @@ class TestEc2JobLifecycle:
 
 class TestDcsAllocate:
     def test_static_split(self):
-        state = ClusterState(
-            regime="DCS", config_size=256, pool_size=256, pbj_bound=128, ws_bound=128
-        )
-        dcs_allocate(state)
+        regime = DCS(PolicyParams(), prc_pbj=128, prc_ws=128)
+        assert regime.config_size == 256
+        state = regime.initial_state()
         assert state.pbj_owned == state.pbj_idle == 128
         assert state.free == 0
 
     def test_config_must_match_peak_sum(self):
-        state = ClusterState(
-            regime="DCS", config_size=272, pool_size=272, pbj_bound=144, ws_bound=129
-        )
         with pytest.raises(ScenarioError):
-            dcs_allocate(state)
+            DCS(PolicyParams(), prc_pbj=144, prc_ws=129, config_size=272)
+
+
+def test_regime_classes_named_as_regimes():
+    assert [regime_class(name).__name__ for name in REGIMES] == list(REGIMES)
 
 
 class TestWsInstanceController:

@@ -26,19 +26,19 @@ def serialize_events(events):
 
 class TestAdvance:
     def test_arrival_enqueues(self):
-        state = ClusterState(regime="DCS", config_size=4, pool_size=4, pbj_bound=4, ws_bound=0)
+        state = ClusterState()
         job = Job(1, 5, 10, 2)
         advance(state, Event(time=5, kind="job_arrival", seq=0, payload=job))
         assert list(state.queue) == [job] and state.clock == 5
 
     def test_demand_change_records_only(self):
-        state = ClusterState(regime="DCS", config_size=4, pool_size=4, pbj_bound=4, ws_bound=0)
+        state = ClusterState()
         advance(state, Event(time=3, kind="ws_demand_change", seq=0, payload=7))
         assert state.ws_demand == 7
         assert state.ws_held == 0  # reallocation is the policy's job
 
     def test_time_regression_rejected(self):
-        state = ClusterState(regime="DCS", config_size=4, pool_size=4, pbj_bound=4, ws_bound=0)
+        state = ClusterState()
         state.clock = 10
         with pytest.raises(KernelError, match="regression"):
             advance(state, Event(time=9, kind="lease_tick", seq=0))
@@ -101,6 +101,12 @@ class TestRunBasics:
         demand = make_demand([(0, 3)])
         with pytest.raises(ScenarioError):
             run(jobs, demand, "DCS", PolicyParams(), config_size=99)
+
+    @pytest.mark.parametrize("regime", ["FLB_NUB", "EC2RS"])
+    def test_unbounded_regimes_reject_config_size(self, regime):
+        jobs = make_jobs([(1, 0, 10, 2)], duration=100)
+        with pytest.raises(ScenarioError, match="config_size"):
+            run(jobs, ZERO_WS, regime, PolicyParams(L=50), config_size=8)
 
     def test_unknown_regime(self):
         jobs = make_jobs([(1, 0, 10, 2)], duration=100)
@@ -180,7 +186,8 @@ class TestConservationAndOracle:
                 duration=duration, pbj_floor=floor,
             )
             oracle_total = integrate(oracle_curve, duration)
-            assert abs(oracle_total - result.metrics.total_consumption_node_seconds) <= 1
+            assert oracle_total == result.metrics.total_consumption_node_seconds
+            assert max(v for _, v in oracle_curve) == result.metrics.peak_consumption
 
 
 class TestFbDcsEquivalence:
