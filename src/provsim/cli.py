@@ -68,9 +68,7 @@ def _classify(exc: ProvsimError) -> tuple[str, int]:
     return "error", EXIT_ERROR
 
 
-def _write_reports(
-    scenario: Scenario, result, out_dir: Path, event_log: bool
-) -> list[Path]:
+def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     ident = scenario.identification()
     written = []
@@ -80,7 +78,7 @@ def _write_reports(
     csv_path = out_dir / f"{scenario.name}.report.csv"
     csv_path.write_text(csv_header() + "\n" + report_to_csv_row(result.metrics, ident) + "\n")
     written.append(csv_path)
-    if event_log:
+    if result.events is not None:
         log_path = out_dir / f"{scenario.name}.events.jsonl"
         with log_path.open("w") as stream:
             write_event_log(result.events, stream)
@@ -123,9 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "ad hoc runs need --pbj-trace, --ws-trace, --regime and --duration"
             )
         scenario = _scenario_from_flags(args)
-    result = run_scenario_obj(scenario)
+    result = run_scenario_obj(scenario, record_events=args.event_log)
     out_dir = _output_dir(args.output_dir, scenario)
-    written = _write_reports(scenario, result, out_dir, args.event_log)
+    written = _write_reports(scenario, result, out_dir)
     report = result.metrics
     exec_s = "-" if report.avg_execution_time is None else f"{report.avg_execution_time:.1f}"
     turn_s = "-" if report.avg_turnaround_time is None else f"{report.avg_turnaround_time:.1f}"
@@ -138,6 +136,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for path in written:
         print(f"  wrote {path}")
     return EXIT_OK
+
+
+def _point_failed(point: Scenario, exc: Exception) -> SweepError:
+    detail = exc if isinstance(exc, ProvsimError) else f"{type(exc).__name__}: {exc}"
+    return SweepError(f"sweep point {point.name} failed: {detail}")
 
 
 def _run_sweep_point(point: Scenario) -> tuple[str, str]:
@@ -164,15 +167,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 point = futures[future]
                 try:
                     name, row = future.result()
-                except ProvsimError as exc:
-                    raise SweepError(f"sweep point {point.name} failed: {exc}") from None
+                except Exception as exc:  # also a dead worker (BrokenProcessPool)
+                    raise _point_failed(point, exc) from exc  # keeps the worker's traceback
                 rows[name] = row
     else:
         for point in points:
             try:
                 rows[point.name] = _run_sweep_point(point)[1]
             except ProvsimError as exc:
-                raise SweepError(f"sweep point {point.name} failed: {exc}") from None
+                raise _point_failed(point, exc) from None
     out_dir = _output_dir(args.output_dir, base)
     out_dir.mkdir(parents=True, exist_ok=True)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"

@@ -1,6 +1,6 @@
-"""Evaluation metrics of one run: completions from the kernel event log, and
-consumption from the step curve the kernel builds as it goes (each regime
-gives its consumption level from state). Totals are kept as exact integer
+"""Evaluation metrics of one run, from what the kernel tallies as it goes:
+completion counts and sums, and the consumption step curve (each regime gives
+its consumption level from state). Totals are kept as exact integer
 node-seconds and reported in node-hours to one decimal.
 """
 
@@ -9,8 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Any, Optional
-
-from .state import KIND_JOB_COMPLETION
 
 CSV_COLUMNS = [
     "scenario",
@@ -67,27 +65,28 @@ def integrate_curve(curve: list[tuple[int, int]], duration: int) -> int:
 
 
 def finalize(
-    events: list[dict[str, Any]],
     curve: list[tuple[int, int]],
     *,
+    completed: int,
+    runtime_sum: int,
+    turnaround_sum: int,
     duration: int,
     regime: str,
     total_jobs: int,
     adjustment_count: int,
 ) -> MetricsReport:
-    """Assemble the report from the event log and the consumption step curve.
+    """Assemble the report from the completion tallies and the consumption
+    step curve.
 
     Averages cover completed jobs only (jobs still queued or running at the
     window end are reported as incomplete); turnaround runs from the original
     submission, and execution time is the trace runtime.
     """
-    completions = [r for r in events if r["kind"] == KIND_JOB_COMPLETION and r["time"] <= duration]
-    completed = len(completions)
     avg_exec: Optional[float] = None
     avg_turnaround: Optional[float] = None
     if completed:
-        avg_exec = sum(r["payload"]["runtime"] for r in completions) / completed
-        avg_turnaround = sum(r["payload"]["turnaround"] for r in completions) / completed
+        avg_exec = runtime_sum / completed
+        avg_turnaround = turnaround_sum / completed
     return MetricsReport(
         regime=regime,
         completed_jobs=completed,

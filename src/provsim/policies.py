@@ -46,10 +46,10 @@ class PolicyParams:
     def validate(self) -> "PolicyParams":
         if self.B < 0:
             raise ScenarioError(f"pool size B must be >= 0, got {self.B}")
-        if self.U <= 0:
-            raise ScenarioError(f"threshold ratio U must be > 0, got {self.U}")
-        if self.V <= 0:
-            raise ScenarioError(f"threshold ratio V must be > 0, got {self.V}")
+        if not 0 < self.U < math.inf:
+            raise ScenarioError(f"threshold ratio U must be finite and > 0, got {self.U}")
+        if not 0 < self.V < math.inf:
+            raise ScenarioError(f"threshold ratio V must be finite and > 0, got {self.V}")
         if self.V >= self.U:
             raise ScenarioError(f"release threshold V must be below U, got V={self.V} U={self.U}")
         if not 0 < self.G < 1:
@@ -74,13 +74,16 @@ def parse_params(compact: str) -> PolicyParams:
         except ValueError:
             raise ScenarioError(f"bad policy-parameter token {part!r} in {compact!r}") from None
     defaults = PolicyParams()
-    return PolicyParams(
-        B=int(values.get("B", defaults.B)),
-        U=values.get("U", defaults.U),
-        V=values.get("V", defaults.V),
-        G=values.get("G", defaults.G),
-        L=int(values["L"] * 60) if "L" in values else defaults.L,
-    )
+    try:
+        return PolicyParams(
+            B=int(values.get("B", defaults.B)),
+            U=values.get("U", defaults.U),
+            V=values.get("V", defaults.V),
+            G=values.get("G", defaults.G),
+            L=int(values["L"] * 60) if "L" in values else defaults.L,
+        )
+    except (ValueError, OverflowError) as exc:  # B or L of nan or inf
+        raise ScenarioError(f"bad policy parameters {compact!r}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -60,19 +60,22 @@ class Scenario:
         }
 
 
-def _field(doc: dict[str, Any], key: str, convert: Callable[[Any], Any],
-           default: Any = None, prefix: str = "") -> Any:
-    """``convert(doc[key])``, or ``default`` when the field is absent or null.
-
-    A value ``convert`` rejects raises a ScenarioError naming the field.
-    """
-    value = doc.get(key)
-    if value is None:
-        return default
+def _convert(value: Any, convert: Callable[[Any], Any], what: str) -> Any:
+    """``convert(value)``; a value ``convert`` rejects raises a ScenarioError
+    naming ``what``."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad scenario field {prefix}{key}={value!r}: {exc}") from None
+        raise ScenarioError(f"bad {what}={value!r}: {exc}") from None
+
+
+def _field(doc: dict[str, Any], key: str, convert: Callable[[Any], Any],
+           default: Any = None, prefix: str = "") -> Any:
+    """``convert(doc[key])``, or ``default`` when the field is absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    return _convert(value, convert, f"scenario field {prefix}{key}")
 
 
 def _peak(value: Any) -> int:
@@ -168,8 +171,9 @@ def load_traces(scenario: Scenario) -> tuple[trace_mod.JobTrace, trace_mod.Deman
     return jobs, demand
 
 
-def run_scenario_obj(scenario: Scenario) -> SimResult:
-    """Load traces and execute one scenario."""
+def run_scenario_obj(scenario: Scenario, record_events: bool = False) -> SimResult:
+    """Load traces and execute one scenario (building its event log only
+    with ``record_events``)."""
     jobs, demand = load_traces(scenario)
     return run(
         jobs,
@@ -178,30 +182,26 @@ def run_scenario_obj(scenario: Scenario) -> SimResult:
         scenario.params,
         config_size=scenario.config_size,
         pbj_floor=scenario.pbj_floor,
+        record_events=record_events,
     )
 
 
-SWEEP_AXES = ("B", "U", "V", "G", "L", "tuple")
+_PARAM_AXES: dict[str, Callable[[Any], Any]] = {
+    "B": int, "U": float, "V": float, "G": float, "L": int,
+}
+SWEEP_AXES = (*_PARAM_AXES, "tuple")
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
-    """Derive a sweep-point scenario by overriding one axis."""
-    if axis == "B":
-        params = replace(scenario.params, B=int(value))
-        return replace(scenario, params=params, name=f"{scenario.name}_B{int(value)}")
-    if axis == "U":
-        params = replace(scenario.params, U=float(value))
-        return replace(scenario, params=params, name=f"{scenario.name}_U{value}")
-    if axis == "V":
-        params = replace(scenario.params, V=float(value))
-        return replace(scenario, params=params, name=f"{scenario.name}_V{value}")
-    if axis == "G":
-        params = replace(scenario.params, G=float(value))
-        return replace(scenario, params=params, name=f"{scenario.name}_G{value}")
-    if axis == "L":
-        minutes = int(value)
-        params = replace(scenario.params, L=minutes * 60)
-        return replace(scenario, params=params, name=f"{scenario.name}_L{minutes}")
+    """Derive a sweep-point scenario by overriding one axis (L in minutes)."""
+    if axis in _PARAM_AXES:
+        number = _convert(value, _PARAM_AXES[axis], f"sweep axis {axis} value")
+        if axis == "L":
+            params = replace(scenario.params, L=number * 60)
+        else:
+            params = replace(scenario.params, **{axis: number})
+        label = number if axis in ("B", "L") else value
+        return replace(scenario, params=params, name=f"{scenario.name}_{axis}{label}")
     if axis == "tuple":
         try:
             pbj, ws = (_peak(v) for v in str(value).split(":"))

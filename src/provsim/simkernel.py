@@ -4,7 +4,9 @@ A run replays one consolidated scenario: batch-job arrivals, web-service
 demand changes, and the regime's periodic timers, all ordered by
 (time, kind priority, insertion sequence). After every event the regime's
 reaction rules fire, then the regime admits queued jobs. The regime's rules
-live in one ``policies.Regime`` subclass.
+live in one ``policies.Regime`` subclass. The kernel tallies completions and
+builds the consumption curve as it goes, so the per-event log is built only
+when a run asks for it.
 Virtual time is integer seconds; identical inputs produce byte-identical
 event logs.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Any, Optional, Sequence
 
 from . import policies
@@ -50,7 +52,7 @@ __all__ = [
 class SimResult:
     metrics: MetricsReport
     adjustments: AdjustmentLog
-    events: list[dict[str, Any]] = field(default_factory=list)
+    events: Optional[list[dict[str, Any]]] = None  # None unless recorded
 
 
 def advance(state: ClusterState, event: Event) -> ClusterState:
@@ -75,12 +77,6 @@ def advance(state: ClusterState, event: Event) -> ClusterState:
     return state
 
 
-def _completion_is_stale(state: ClusterState, event: Event) -> bool:
-    job, attempt = event.payload
-    record = state.running.get(job.id)
-    return record is None or record.attempt != attempt
-
-
 class _Kernel:
     """One simulation run; single-threaded and fully deterministic.
 
@@ -88,14 +84,15 @@ class _Kernel:
     schedules its own timers through ``start_job`` and ``push``.
     """
 
-    def __init__(self, job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Regime):
+    def __init__(self, job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Regime,
+                 record_events: bool):
         self.regime = regime
         self.duration = job_trace.window[1]
         self.job_trace = job_trace
         self.demand_trace = demand_trace
         self.state = regime.initial_state()
         self.log = AdjustmentLog()
-        self.events: list[dict[str, Any]] = []
+        self.events: Optional[list[dict[str, Any]]] = [] if record_events else None
         self._seq = itertools.count()
         self._heap: list[tuple[int, int, int, Event]] = []
 
@@ -159,11 +156,17 @@ class _Kernel:
         self.events.append(record)
 
     def execute(self) -> SimResult:
-        """Process every event up to the window end, adding each post-event
-        consumption level to a step curve of (time, nodes) points; a later
-        level at the same time replaces the earlier one."""
+        """Process every event up to the window end.
+
+        Each non-stale completion adds to the completed count and the runtime
+        and turnaround sums. Each post-event consumption level goes onto a
+        step curve of (time, nodes) points; a later level at the same time
+        replaces the earlier one. Event records are built only when asked for.
+        """
         self._seed_events()
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
+        record = self.events is not None
+        completed = runtime_sum = turnaround_sum = 0
         level = regime.consumption(state)
         curve = [(0, level)]
         while heap:
@@ -171,8 +174,14 @@ class _Kernel:
             if event.time > self.duration:
                 break
             kind = event.kind
-            if kind == KIND_JOB_COMPLETION and _completion_is_stale(state, event):
-                continue
+            if kind == KIND_JOB_COMPLETION:
+                job, attempt = event.payload
+                running = state.running.get(job.id)
+                if running is None or running.attempt != attempt:
+                    continue  # a killed attempt's completion
+                completed += 1
+                runtime_sum += job.runtime
+                turnaround_sum += event.time - job.submit_time
             adjustments_from = log.count
             advance(state, event)
             killed: Sequence[int] = ()
@@ -181,7 +190,12 @@ class _Kernel:
             elif kind == KIND_LEASE_TICK or kind == KIND_PBJ_MANAGE_TICK:
                 regime.on_tick(state, event, log)
             started = regime.admit(self)
-            self._record(event, started, killed, adjustments_from)
+            if record:
+                self._record(event, started, killed, adjustments_from)
+            else:
+                # Dropped: perfbench/tracer.py derives its queue-length
+                # figures from one snapshot call per processed event.
+                state.snapshot()
             new_level = regime.consumption(state)
             if new_level != level:
                 level = new_level
@@ -190,8 +204,10 @@ class _Kernel:
                 else:
                     curve.append((event.time, level))
         report = finalize(
-            self.events,
             curve,
+            completed=completed,
+            runtime_sum=runtime_sum,
+            turnaround_sum=turnaround_sum,
             duration=self.duration,
             regime=regime.name,
             total_jobs=len(self.job_trace.jobs),
@@ -207,18 +223,21 @@ def run(
     params: PolicyParams,
     config_size: Optional[int] = None,
     pbj_floor: Optional[int] = None,
+    record_events: bool = False,
 ) -> SimResult:
     """Simulate one scenario and return (metrics, adjustment log, event log).
 
-    An empty job trace is accepted (the degenerate nothing-ever-runs case);
-    the demand trace must carry at least one sample.
+    The event log is built only with ``record_events``; otherwise
+    ``SimResult.events`` is None. An empty job trace is accepted (the
+    degenerate nothing-ever-runs case); the demand trace must carry at least
+    one sample.
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")
     rules = policies.regime_class(regime)(
         params, job_trace.peak_demand, demand_trace.peak_demand, config_size, pbj_floor
     )
-    return _Kernel(job_trace, demand_trace, rules).execute()
+    return _Kernel(job_trace, demand_trace, rules, record_events).execute()
 
 
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))

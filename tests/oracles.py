@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from provsim.policies import PolicyParams
 from provsim.trace import DemandTrace, Job, JobTrace
 
 
@@ -181,6 +182,17 @@ def greedy_kill_reference(running, needed):
     return victims, released
 
 
+def replay_completions(events):
+    """(completed, average runtime, average turnaround) from the completion
+    records of an event log; the averages are None when nothing completed."""
+    completions = [r["payload"] for r in events if r["kind"] == "job_completion"]
+    if not completions:
+        return 0, None, None
+    count = len(completions)
+    return (count, sum(p["runtime"] for p in completions) / count,
+            sum(p["turnaround"] for p in completions) / count)
+
+
 def job_times(events):
     """Per-job start and completion times extracted from an event log."""
     starts: dict[int, list[int]] = {}
@@ -220,3 +232,23 @@ def random_micro_scenario(seed):
         t += rng.randint(60, duration // 3)
     demand = DemandTrace(samples=tuple(samples), peak_demand=max(d for _, d in samples))
     return job_trace, demand
+
+
+def random_fuzz_setup(regime, seed):
+    """``random_micro_scenario(seed)`` plus random parameters (and a random
+    FB configuration): returns (jobs, demand, params, run kwargs)."""
+    jobs, demand = random_micro_scenario(seed)
+    rng = random.Random(seed ^ 0xF00D)
+    params = PolicyParams(
+        B=rng.randint(0, 16),
+        U=rng.uniform(1.05, 2.0),
+        V=rng.uniform(0.05, 0.9),
+        G=rng.uniform(0.2, 0.8),
+        L=rng.choice((150, 300, 600)),
+    )
+    kwargs = {}
+    if regime == "FB":
+        low = demand.peak_demand
+        high = jobs.peak_demand + demand.peak_demand
+        kwargs["config_size"] = max(1, rng.randint(min(low, high), max(low, high)))
+    return jobs, demand, params, kwargs

@@ -25,6 +25,7 @@ from oracles import (
     greedy_kill_reference,
     integrate,
     job_times,
+    random_fuzz_setup,
     random_micro_scenario,
     replay_consumption,
     replay_queue_accounting,
@@ -51,8 +52,8 @@ def report(criterion, passed, detail=""):
 
 class TestCriterion1FbDcsOracleEquivalence:
     def test_fb_at_summed_config_equals_dcs(self, pbj_128, ws_128):
-        dcs = run(pbj_128, ws_128, "DCS", BASELINE)
-        fb = run(pbj_128, ws_128, "FB", BASELINE, config_size=256)
+        dcs = run(pbj_128, ws_128, "DCS", BASELINE, record_events=True)
+        fb = run(pbj_128, ws_128, "FB", BASELINE, config_size=256, record_events=True)
         same_jobs = job_times(dcs.events) == job_times(fb.events)
         md, mf = dcs.metrics, fb.metrics
         same_metrics = (
@@ -72,7 +73,7 @@ class TestCriterion1FbDcsOracleEquivalence:
 
 class TestCriterion2Ec2Identity:
     def test_turnaround_equals_runtime(self, pbj_128, ws_128):
-        result = run(pbj_128, ws_128, "EC2RS", BASELINE)
+        result = run(pbj_128, ws_128, "EC2RS", BASELINE, record_events=True)
         completions = [r for r in result.events if r["kind"] == "job_completion"]
         exact = all(r["payload"]["turnaround"] == r["payload"]["runtime"] for r in completions)
         m = result.metrics
@@ -257,32 +258,14 @@ class TestCriterion6KillOrderProperty:
         report(6, checked == 1000, f"{checked} randomized release instances matched")
 
 
-def random_fuzz_setup(regime, seed):
-    jobs, demand = random_micro_scenario(seed)
-    rng = random.Random(seed ^ 0xF00D)
-    params = PolicyParams(
-        B=rng.randint(0, 16),
-        U=rng.uniform(1.05, 2.0),
-        V=rng.uniform(0.05, 0.9),
-        G=rng.uniform(0.2, 0.8),
-        L=rng.choice((150, 300, 600)),
-    )
-    kwargs = {}
-    if regime == "FB":
-        low = demand.peak_demand
-        high = jobs.peak_demand + demand.peak_demand
-        kwargs["config_size"] = max(1, rng.randint(min(low, high), max(low, high)))
-    return jobs, demand, params, kwargs
-
-
 class TestCriterion7InvariantFuzz:
     @pytest.mark.parametrize("regime", ["DCS", "FB", "FLB_NUB", "EC2RS"])
     def test_invariants_hold_on_randomized_scenarios(self, regime):
         checked = 0
         for seed in range(1000):
             jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
-            first = run(jobs, demand, regime, params, **kwargs)
-            second = run(jobs, demand, regime, params, **kwargs)
+            first = run(jobs, demand, regime, params, record_events=True, **kwargs)
+            second = run(jobs, demand, regime, params, record_events=True, **kwargs)
             a = "\n".join(json.dumps(r, separators=(",", ":")) for r in first.events)
             b = "\n".join(json.dumps(r, separators=(",", ":")) for r in second.events)
             assert a == b, f"nondeterministic log for {regime} seed {seed}"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -149,6 +150,38 @@ class TestMalformedScenario:
         err = capsys.readouterr().err
         assert "invalid input" in err and field in err
 
+    @pytest.mark.parametrize("params", [{"U": float("nan")}, {"V": float("nan")},
+                                        "B4/Unan", "Bnan", "Linf"],
+                             ids=["U-NaN", "V-NaN", "Unan", "Bnan", "Linf"])
+    def test_non_finite_params_exit_invalid(self, workspace, capsys, params):
+        path = write_scenario(workspace, params=params)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        assert "invalid input" in capsys.readouterr().err
+
+
+class TestMalformedSweepValues:
+    @pytest.mark.parametrize("axis", ["B", "U", "V", "G", "L"])
+    def test_malformed_axis_value_exits_invalid(self, workspace, capsys, axis):
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", axis, "--values", "4,abc",
+                     "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and f"sweep axis {axis}" in err and "'abc'" in err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("axis", ["U", "V"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exits_invalid(self, workspace, capsys, axis, value):
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", axis, "--values", value,
+                     "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "sweep error" in err and f"tiny_{axis}{value}" in err
+        assert f"threshold ratio {axis}" in err
+
 
 class TestTraceErrors:
     @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
@@ -214,6 +247,34 @@ class TestSweepWorkers:
         assert code == EXIT_INVALID
         assert "--workers" in capsys.readouterr().err
         assert recording_executor == []
+        assert not (workspace / "out").exists()
+
+
+class FailingExecutor(RecordingExecutor):
+    """Stand-in for ProcessPoolExecutor whose futures all raise ``error``."""
+
+    error = None
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_exception(FailingExecutor.error)
+        return future
+
+
+class TestSweepWorkerFailures:
+    @pytest.mark.parametrize("error", [BrokenProcessPool("a worker died"), RuntimeError("boom")],
+                             ids=["BrokenProcessPool", "RuntimeError"])
+    def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, error):
+        FailingExecutor.error = error
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FailingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2",
+                     "--workers", "2", "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "sweep error" in err and "sweep point tiny_L" in err
+        assert f"{type(error).__name__}: {error}" in err
         assert not (workspace / "out").exists()
 
 

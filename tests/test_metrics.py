@@ -41,7 +41,7 @@ class TestConsumptionCurve:
         jobs = make_jobs([(1, 0, 100, 4), (2, 50, 100, 6)], duration=1000)
         demand = make_demand([(0, 5), (300, 8), (600, 3)])
         # Peaks 6 and 8 give a floor of 25*6//14 = 10 >= both job sizes.
-        result = run(jobs, demand, "FLB_NUB", PolicyParams(B=25, L=200))
+        result = run(jobs, demand, "FLB_NUB", PolicyParams(B=25, L=200), record_events=True)
         assert all(r["state"]["pbj_external"] == r["state"]["ws_external"] == 0
                    for r in result.events)
         assert result.metrics.peak_consumption == 25
@@ -118,7 +118,7 @@ class TestOracleReplay:
         for regime in ("FLB_NUB", "EC2RS"):
             for seed in range(15):
                 jobs, demand = random_micro_scenario(seed + 100)
-                result = run(jobs, demand, regime, params)
+                result = run(jobs, demand, regime, params, record_events=True)
                 total_peak = jobs.peak_demand + demand.peak_demand
                 floor = params.B * jobs.peak_demand // total_peak if total_peak else 0
                 curve = replay_consumption(

@@ -1,0 +1,100 @@
+"""A run without an event log reports exactly what a recording run reports,
+and keeps no per-event records. Its completion figures also equal those
+replayed from a recorded log (`oracles.replay_completions`).
+
+`run` builds event records only with `record_events=True`; the metrics come
+from completion tallies and the consumption curve the kernel keeps as it goes.
+"""
+
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from provsim.metrics import csv_header, report_to_csv_row, report_to_json
+from provsim.scenario import load_scenario, load_traces
+from provsim.simkernel import run
+from provsim.state import REGIMES, ClusterState
+
+from oracles import random_fuzz_setup, replay_completions
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "scenarios" / "synthetic").glob("*.json"))
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["shipped"]
+
+
+def run_shipped(scenario, jobs, demand, record_events=False):
+    return run(jobs, demand, scenario.regime, scenario.params,
+               config_size=scenario.config_size, pbj_floor=scenario.pbj_floor,
+               record_events=record_events)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_fuzzed_metrics_identical_with_recording_off(regime):
+    for seed in range(1000):
+        jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
+        recorded = run(jobs, demand, regime, params, record_events=True, **kwargs)
+        plain = run(jobs, demand, regime, params, **kwargs)
+        assert plain.events is None
+        assert plain.metrics == recorded.metrics, seed
+        assert plain.adjustments == recorded.adjustments, seed
+        m = plain.metrics
+        assert replay_completions(recorded.events) == (
+            m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time), seed
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_scenarios_identical_with_recording_off(path):
+    scenario = load_scenario(path)
+    jobs, demand = load_traces(scenario)
+    recorded = run_shipped(scenario, jobs, demand, record_events=True)
+    plain = run_shipped(scenario, jobs, demand)
+    assert plain.events is None
+    assert plain.metrics == recorded.metrics
+    assert plain.adjustments == recorded.adjustments
+    m = plain.metrics
+    assert replay_completions(recorded.events) == (
+        m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time)
+    # The reports are byte-identical to the recorded golden outputs.
+    ident = scenario.identification()
+    csv = csv_header() + "\n" + report_to_csv_row(plain.metrics, ident) + "\n"
+    assert sha256(report_to_json(plain.metrics, ident)) == GOLDEN[f"{path.stem}.report.json"]
+    assert sha256(csv) == GOLDEN[f"{path.stem}.report.csv"]
+
+
+def test_default_run_snapshots_once_per_event(monkeypatch):
+    # perfbench/tracer.py reads the queue length at each snapshot call, so a
+    # run without records still takes (and drops) one snapshot per event.
+    jobs, demand, params, kwargs = random_fuzz_setup("FB", 7)
+    recorded = run(jobs, demand, "FB", params, record_events=True, **kwargs)
+    calls = []
+    snapshot = ClusterState.snapshot
+    monkeypatch.setattr(ClusterState, "snapshot",
+                        lambda state: calls.append(state.clock) or snapshot(state))
+    plain = run(jobs, demand, "FB", params, **kwargs)
+    assert plain.events is None
+    assert calls == [r["time"] for r in recorded.events]
+
+
+def test_metrics_only_run_retains_under_half_the_memory():
+    # Two weeks of FB 152: about 15k events. Measured peaks: about 1.9 MB
+    # without records and 15.4 MB with them (ratio about 0.13).
+    scenario = load_scenario(ROOT / "scenarios" / "synthetic" / "synthetic_fb_152.json")
+    jobs, demand = load_traces(scenario)
+    peaks = {}
+    for record_events in (False, True):
+        tracemalloc.start()
+        try:
+            result = run_shipped(scenario, jobs, demand, record_events)
+            peaks[record_events] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.events is None) != record_events
+        del result
+    assert peaks[False] < peaks[True] / 2, peaks

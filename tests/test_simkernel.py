@@ -64,14 +64,14 @@ class TestRunBasics:
 
     def test_queued_job_waits_for_capacity(self):
         jobs = make_jobs([(1, 0, 50, 4), (2, 10, 20, 4)], duration=200)
-        result = run(jobs, ZERO_WS, "DCS", PolicyParams())
+        result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
         starts, completions = job_times(result.events)
         assert starts[1] == [0] and completions[1] == 50
         assert starts[2] == [50] and completions[2] == 70
 
     def test_completion_processed_before_same_time_arrival(self):
         jobs = make_jobs([(1, 0, 10, 4), (2, 10, 5, 4)], duration=100)
-        result = run(jobs, ZERO_WS, "DCS", PolicyParams())
+        result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
         starts, _ = job_times(result.events)
         assert starts[2] == [10]  # freed nodes visible to the arrival at t=10
         kinds = [(r["time"], r["kind"]) for r in result.events if r["time"] == 10]
@@ -79,7 +79,7 @@ class TestRunBasics:
 
     def test_job_never_starts_before_submit(self):
         jobs = make_jobs([(1, 30, 10, 1)], duration=100)
-        result = run(jobs, ZERO_WS, "FLB_NUB", PolicyParams(B=4, L=10))
+        result = run(jobs, ZERO_WS, "FLB_NUB", PolicyParams(B=4, L=10), record_events=True)
         starts, _ = job_times(result.events)
         assert starts[1][0] >= 30
 
@@ -120,7 +120,7 @@ class TestFbScenarios:
         # only when the lease timer fires.
         jobs = make_jobs([(1, 0, 1000, 2)], duration=1200)
         demand = make_demand([(0, 8), (150, 2)])
-        result = run(jobs, demand, "FB", PolicyParams(L=600), config_size=10)
+        result = run(jobs, demand, "FB", PolicyParams(L=600), config_size=10, record_events=True)
         owned = [(r["time"], r["state"]["pbj_owned"]) for r in result.events]
         assert (150, 2) in owned          # drop instant: batch still at bound 2
         by_time = dict(owned)
@@ -133,7 +133,7 @@ class TestFbScenarios:
         # One 4-node job gets killed by a demand spike, restarts, completes.
         jobs = make_jobs([(1, 0, 100, 4)], duration=2000)
         demand = make_demand([(0, 0), (50, 8), (200, 0)])
-        result = run(jobs, demand, "FB", PolicyParams(L=300), config_size=8)
+        result = run(jobs, demand, "FB", PolicyParams(L=300), config_size=8, record_events=True)
         m = result.metrics
         assert m.completed_jobs == 1
         starts, completions = job_times(result.events)
@@ -149,8 +149,8 @@ class TestDeterminism:
     def test_byte_identical_event_logs(self):
         for seed in range(5):
             jobs, demand = random_micro_scenario(seed)
-            a = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300))
-            b = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300))
+            a = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300), record_events=True)
+            b = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300), record_events=True)
             assert serialize_events(a.events) == serialize_events(b.events)
 
     def test_identical_reports(self):
@@ -169,7 +169,7 @@ class TestConservationAndOracle:
             kwargs = {}
             if regime == "FB":
                 kwargs["config_size"] = jobs.peak_demand + demand.peak_demand
-            result = run(jobs, demand, regime, params, **kwargs)
+            result = run(jobs, demand, regime, params, record_events=True, **kwargs)
             config = jobs.peak_demand + demand.peak_demand
             floor = params.B * jobs.peak_demand // config if config else 0
             if regime != "FLB_NUB":
@@ -196,8 +196,8 @@ class TestFbDcsEquivalence:
             jobs, demand = random_micro_scenario(seed)
             config = jobs.peak_demand + demand.peak_demand
             params = PolicyParams(L=300)
-            a = run(jobs, demand, "DCS", params)
-            b = run(jobs, demand, "FB", params, config_size=config)
+            a = run(jobs, demand, "DCS", params, record_events=True)
+            b = run(jobs, demand, "FB", params, config_size=config, record_events=True)
             assert job_times(a.events) == job_times(b.events)
             ma, mb = a.metrics, b.metrics
             assert (ma.completed_jobs, ma.avg_execution_time, ma.avg_turnaround_time) == (
