@@ -30,6 +30,7 @@ from .scenario import (
     Scenario,
     apply_axis,
     load_scenario,
+    read_input,
     run_scenario_obj,
     scenario_from_dict,
 )
@@ -188,11 +189,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.agreement)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise AgreementError(f"cannot read agreement file {path}: {exc}") from None
+    text = read_input(Path(args.agreement), "agreement file", AgreementError, AgreementError)
     agreement = parse_agreement(text)
     print(agreement_to_json(agreement))
     return EXIT_OK

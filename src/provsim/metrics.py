@@ -1,7 +1,7 @@
 """Evaluation metrics of one run, from what the kernel tallies as it goes:
-completion counts and sums, and the consumption step curve (each regime gives
-its consumption level from state). Totals are kept as exact integer
-node-seconds and reported in node-hours to one decimal.
+completion counts and sums, and the peak and integral of the consumption
+level (each regime gives its level from state). Totals are kept as exact
+integer node-seconds and reported in node-hours to one decimal.
 """
 
 from __future__ import annotations
@@ -51,22 +51,10 @@ class MetricsReport:
         return round(self.total_consumption_node_seconds / 3600.0, 1)
 
 
-def integrate_curve(curve: list[tuple[int, int]], duration: int) -> int:
-    """Exact node-seconds under a step curve over [0, duration]."""
-    total = 0
-    for (t0, v), (t1, _) in zip(curve, curve[1:]):
-        if t0 >= duration:
-            break
-        total += v * (min(t1, duration) - t0)
-    last_t, last_v = curve[-1]
-    if last_t < duration:
-        total += last_v * (duration - last_t)
-    return total
-
-
 def finalize(
-    curve: list[tuple[int, int]],
     *,
+    peak: int,
+    total: int,
     completed: int,
     runtime_sum: int,
     turnaround_sum: int,
@@ -76,7 +64,7 @@ def finalize(
     adjustment_count: int,
 ) -> MetricsReport:
     """Assemble the report from the completion tallies and the consumption
-    step curve.
+    peak and total node-seconds over the window.
 
     Averages cover completed jobs only (jobs still queued or running at the
     window end are reported as incomplete); turnaround runs from the original
@@ -93,8 +81,8 @@ def finalize(
         incomplete_jobs=total_jobs - completed,
         avg_execution_time=avg_exec,
         avg_turnaround_time=avg_turnaround,
-        peak_consumption=max(v for _, v in curve),
-        total_consumption_node_seconds=integrate_curve(curve, duration),
+        peak_consumption=peak,
+        total_consumption_node_seconds=total,
         adjustment_count=adjustment_count,
         window_duration=duration,
     )

@@ -59,6 +59,25 @@ class PolicyParams:
         return self
 
 
+def whole(value: Any) -> int:
+    """``int(value)`` for a whole number; a fraction raises ValueError instead
+    of being truncated."""
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+def lease_seconds(minutes: Any) -> int:
+    """A lease unit given in minutes, in seconds; it must come to whole
+    seconds (within the rounding of a decimal fraction such as 0.1)."""
+    seconds = float(minutes) * 60
+    nearest = round(seconds)  # nan and inf raise here
+    if abs(seconds - nearest) > 1e-6:
+        raise ValueError(f"{minutes} minutes is not a whole number of seconds")
+    return nearest
+
+
 def parse_params(compact: str) -> PolicyParams:
     """Parse the compact "B25/U1.2/V0.2/G0.5/L60" notation (L in minutes)."""
     values: dict[str, float] = {}
@@ -73,17 +92,21 @@ def parse_params(compact: str) -> PolicyParams:
             values[key] = float(raw)
         except ValueError:
             raise ScenarioError(f"bad policy-parameter token {part!r} in {compact!r}") from None
+
+    def value(key: str, convert, default):
+        try:
+            return convert(values[key]) if key in values else default
+        except (ValueError, OverflowError) as exc:  # a fraction, nan or inf
+            raise ScenarioError(f"bad policy parameter {key} in {compact!r}: {exc}") from None
+
     defaults = PolicyParams()
-    try:
-        return PolicyParams(
-            B=int(values.get("B", defaults.B)),
-            U=values.get("U", defaults.U),
-            V=values.get("V", defaults.V),
-            G=values.get("G", defaults.G),
-            L=int(values["L"] * 60) if "L" in values else defaults.L,
-        )
-    except (ValueError, OverflowError) as exc:  # B or L of nan or inf
-        raise ScenarioError(f"bad policy parameters {compact!r}: {exc}") from None
+    return PolicyParams(
+        B=value("B", whole, defaults.B),
+        U=value("U", float, defaults.U),
+        V=value("V", float, defaults.V),
+        G=value("G", float, defaults.G),
+        L=value("L", lease_seconds, defaults.L),
+    )
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,8 @@ def fb_force_release(
     Idle nodes go first; while short, the running job with the minimum size is
     killed (ties: latest start time first) and its whole allocation freed.
     Overshoot from the last kill stays with the batch RE as idle; victims are
-    requeued at the head of the queue in original-arrival order.
+    requeued at the head of the queue in original-arrival order, and their
+    attempt counts kept in ``state.attempts`` until they restart.
     """
     if needed < 1:
         raise KernelError(f"force release needs a positive amount, got {needed}")
@@ -138,6 +162,7 @@ def fb_force_release(
     while short > 0:
         victim = min(state.running.values(), key=_kill_order_key)
         del state.running[victim.job.id]
+        state.attempts[victim.job.id] = victim.attempt
         state.running_alloc -= victim.alloc
         victims.append(victim.job)
         kills.append(

@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import trace as trace_mod
-from .errors import ScenarioError
-from .policies import PolicyParams, parse_params, regime_class
+from .errors import ProvsimError, ScenarioError, TraceParseError
+from .policies import PolicyParams, lease_seconds, parse_params, regime_class, whole
 from .simkernel import SimResult, run
 from .state import REGIME_DCS
 
@@ -79,7 +79,7 @@ def _field(doc: dict[str, Any], key: str, convert: Callable[[Any], Any],
 
 
 def _peak(value: Any) -> int:
-    peak = int(value)
+    peak = whole(value)
     if peak < 1:
         raise ValueError("a target peak must be >= 1")
     return peak
@@ -94,24 +94,34 @@ def _parse_policy_params(raw: Any) -> PolicyParams:
         if "L_minutes" in raw and "L" in raw:
             raise ScenarioError("give either L (seconds) or L_minutes, not both")
         defaults = PolicyParams()
-        minutes = _field(raw, "L_minutes", int, prefix="params.")
+        lease = _field(raw, "L_minutes", lease_seconds, prefix="params.")
         return PolicyParams(
-            B=_field(raw, "B", int, defaults.B, "params."),
+            B=_field(raw, "B", whole, defaults.B, "params."),
             U=_field(raw, "U", float, defaults.U, "params."),
             V=_field(raw, "V", float, defaults.V, "params."),
             G=_field(raw, "G", float, defaults.G, "params."),
-            L=_field(raw, "L", int, defaults.L, "params.") if minutes is None else minutes * 60,
+            L=_field(raw, "L", whole, defaults.L, "params.") if lease is None else lease,
         )
     raise ScenarioError(f"params must be a compact string or an object, got {type(raw)!r}")
+
+
+def read_input(path: Path, what: str, read_error: type[ProvsimError] = ScenarioError,
+               decode_error: type[ProvsimError] = ScenarioError) -> str:
+    """The UTF-8 text of an input file. A file that cannot be read raises
+    ``read_error`` and one that is not UTF-8 ``decode_error``; both name
+    ``what`` and the path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise read_error(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise decode_error(f"{what} {path} is not valid UTF-8: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario JSON file."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+    text = read_input(path, "scenario file")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,15 +143,15 @@ def scenario_from_dict(
         name=_field(doc, "name", str, default_name),
         pbj_trace=_field(doc, "pbj_trace", str),
         ws_trace=_field(doc, "ws_trace", str),
-        window_start=_field(window, "start_offset", int, 0, "window."),
-        window_duration=_field(window, "duration", int, 0, "window."),
-        cpus_per_node=_field(doc, "cpus_per_node", int, 1),
+        window_start=_field(window, "start_offset", whole, 0, "window."),
+        window_duration=_field(window, "duration", whole, 0, "window."),
+        cpus_per_node=_field(doc, "cpus_per_node", whole, 1),
         prc_pbj=_field(targets, "pbj", _peak, prefix="target_peaks."),
         prc_ws=_field(targets, "ws", _peak, prefix="target_peaks."),
         regime=_field(doc, "regime", str),
-        config_size=_field(doc, "config_size", int),
+        config_size=_field(doc, "config_size", whole),
         params=_parse_policy_params(doc.get("params")),
-        pbj_floor=_field(doc, "pbj_floor", int),
+        pbj_floor=_field(doc, "pbj_floor", whole),
         output_dir=_field(doc, "output_dir", str),
         base_dir=base_dir,
     )
@@ -152,14 +162,8 @@ def load_traces(scenario: Scenario) -> tuple[trace_mod.JobTrace, trace_mod.Deman
     """Load and shape both traces: window, then CPU-normalize, then peak-scale."""
     pbj_path = (scenario.base_dir / scenario.pbj_trace).resolve()
     ws_path = (scenario.base_dir / scenario.ws_trace).resolve()
-    try:
-        pbj_text = pbj_path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read batch-job trace {pbj_path}: {exc}") from None
-    try:
-        ws_text = ws_path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read demand trace {ws_path}: {exc}") from None
+    pbj_text = read_input(pbj_path, "batch-job trace", decode_error=TraceParseError)
+    ws_text = read_input(ws_path, "demand trace", decode_error=TraceParseError)
     jobs = trace_mod.parse_swf(pbj_text)
     jobs = trace_mod.window(jobs, scenario.window_start, scenario.window_duration)
     if scenario.cpus_per_node > 1:
@@ -187,7 +191,7 @@ def run_scenario_obj(scenario: Scenario, record_events: bool = False) -> SimResu
 
 
 _PARAM_AXES: dict[str, Callable[[Any], Any]] = {
-    "B": int, "U": float, "V": float, "G": float, "L": int,
+    "B": whole, "U": float, "V": float, "G": float, "L": lease_seconds,
 }
 SWEEP_AXES = (*_PARAM_AXES, "tuple")
 
@@ -196,11 +200,11 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     """Derive a sweep-point scenario by overriding one axis (L in minutes)."""
     if axis in _PARAM_AXES:
         number = _convert(value, _PARAM_AXES[axis], f"sweep axis {axis} value")
-        if axis == "L":
-            params = replace(scenario.params, L=number * 60)
+        params = replace(scenario.params, **{axis: number})
+        if axis == "L":  # labelled in minutes, as given
+            label = number // 60 if number % 60 == 0 else number / 60
         else:
-            params = replace(scenario.params, **{axis: number})
-        label = number if axis in ("B", "L") else value
+            label = number if axis == "B" else value
         return replace(scenario, params=params, name=f"{scenario.name}_{axis}{label}")
     if axis == "tuple":
         try:

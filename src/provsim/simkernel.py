@@ -4,9 +4,11 @@ A run replays one consolidated scenario: batch-job arrivals, web-service
 demand changes, and the regime's periodic timers, all ordered by
 (time, kind priority, insertion sequence). After every event the regime's
 reaction rules fire, then the regime admits queued jobs. The regime's rules
-live in one ``policies.Regime`` subclass. The kernel tallies completions and
-builds the consumption curve as it goes, so the per-event log is built only
-when a run asks for it.
+live in one ``policies.Regime`` subclass. The heap holds only pending
+events: the arrival, demand-sample and timer streams each keep one entry in
+it and are fed as they drain. The kernel tallies completions and integrates
+consumption as it goes, so the per-event log is built only when a run asks
+for it.
 Virtual time is integer seconds; identical inputs produce byte-identical
 event logs.
 """
@@ -17,7 +19,8 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
-from typing import IO, Any, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import IO, Any, Iterable, Iterator, Optional, Sequence
 
 from . import policies
 from .errors import KernelError, ScenarioError
@@ -77,6 +80,12 @@ def advance(state: ClusterState, event: Event) -> ClusterState:
     return state
 
 
+def _stream(kind: str, base: int, entries: Iterable[tuple[int, Any]]) -> Iterator[Event]:
+    """Events of one kind from (time, payload) pairs, numbered from seq ``base``."""
+    for seq, (time, payload) in enumerate(entries, base):
+        yield Event(time, kind, seq, payload)
+
+
 class _Kernel:
     """One simulation run; single-threaded and fully deterministic.
 
@@ -93,30 +102,55 @@ class _Kernel:
         self.state = regime.initial_state()
         self.log = AdjustmentLog()
         self.events: Optional[list[dict[str, Any]]] = [] if record_events else None
-        self._seq = itertools.count()
         self._heap: list[tuple[int, int, int, Event]] = []
+        self._streams: dict[str, Iterator[Event]] = {}
+        self._seeded = self._open_streams()  # seqs below this belong to the seeded streams
+        self._seq = itertools.count(self._seeded)
 
     # -- event plumbing ----------------------------------------------------
 
     def push(self, time: int, kind: str, payload: Any = None) -> None:
-        event = Event(time=time, kind=kind, seq=next(self._seq), payload=payload)
-        heapq.heappush(self._heap, (time, KIND_PRIORITY[kind], event.seq, event))
+        seq = next(self._seq)
+        event = Event(time, kind, seq, payload)
+        heapq.heappush(self._heap, (time, KIND_PRIORITY[kind], seq, event))
 
-    def _seed_events(self) -> None:
-        for job in self.job_trace.jobs:
-            self.push(job.submit_time, KIND_JOB_ARRIVAL, job)
-        for time, demand in self.demand_trace.samples:
-            if time <= self.duration:
-                self.push(time, KIND_WS_DEMAND_CHANGE, demand)
-        for kind in self.regime.timer_kinds:
-            for t in range(0, self.duration + 1, self.regime.params.L):
-                self.push(t, kind)
+    def _feed(self, kind: str) -> None:
+        """Push the next event of the seeded stream of ``kind``, if any."""
+        event = next(self._streams[kind], None)
+        if event is not None:
+            heapq.heappush(self._heap, (event.time, KIND_PRIORITY[kind], event.seq, event))
+
+    def _open_streams(self) -> int:
+        """Open the arrival, demand-sample and timer streams and return the
+        number of events they hold.
+
+        Each event takes the seq it would get if every arrival, then every
+        demand sample up to the window end, then each timer kind's ticks
+        were pushed up front: its stream's base plus its index. Dynamic
+        events are numbered after all of them.
+        """
+        duration = self.duration
+        jobs = sorted(self.job_trace.jobs, key=attrgetter("submit_time"))
+        samples = sorted(self.demand_trace.samples, key=itemgetter(0))
+        in_window = sum(1 for time, _ in samples if time <= duration)
+        ticks = range(0, duration + 1, self.regime.params.L)
+        streams = [
+            (KIND_JOB_ARRIVAL, len(jobs), ((job.submit_time, job) for job in jobs)),
+            (KIND_WS_DEMAND_CHANGE, in_window, itertools.islice(samples, in_window)),
+        ]
+        streams += [(kind, len(ticks), ((t, None) for t in ticks))
+                    for kind in self.regime.timer_kinds]
+        base = 0
+        for kind, count, entries in streams:
+            self._streams[kind] = _stream(kind, base, entries)
+            self._feed(kind)
+            base += count
+        return base
 
     # -- per-event processing ----------------------------------------------
 
     def start_job(self, job: Job, now: int) -> None:
-        attempt = self.state.attempts.get(job.id, 0) + 1
-        self.state.attempts[job.id] = attempt
+        attempt = self.state.attempts.pop(job.id, 0) + 1
         self.state.start_seq += 1
         self.state.running[job.id] = RunningJob(
             job=job, start_time=now, alloc=job.size, attempt=attempt,
@@ -159,21 +193,24 @@ class _Kernel:
         """Process every event up to the window end.
 
         Each non-stale completion adds to the completed count and the runtime
-        and turnaround sums. Each post-event consumption level goes onto a
-        step curve of (time, nodes) points; a later level at the same time
-        replaces the earlier one. Event records are built only when asked for.
+        and turnaround sums. The consumption level after each event is
+        integrated into node-seconds as time moves on. A later level at the
+        same time replaces the earlier one, so a level enters the peak only
+        once time moves past it or the window ends. Event records are built
+        only when asked for.
         """
-        self._seed_events()
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
+        heappop, seeded, duration = heapq.heappop, self._seeded, self.duration
         record = self.events is not None
         completed = runtime_sum = turnaround_sum = 0
-        level = regime.consumption(state)
-        curve = [(0, level)]
+        level, since, peak, total = regime.consumption(state), 0, 0, 0
         while heap:
-            event = heapq.heappop(heap)[3]
-            if event.time > self.duration:
+            _, _, seq, event = heappop(heap)
+            time, kind = event.time, event.kind
+            if time > duration:
                 break
-            kind = event.kind
+            if seq < seeded:
+                self._feed(kind)
             if kind == KIND_JOB_COMPLETION:
                 job, attempt = event.payload
                 running = state.running.get(job.id)
@@ -181,7 +218,7 @@ class _Kernel:
                     continue  # a killed attempt's completion
                 completed += 1
                 runtime_sum += job.runtime
-                turnaround_sum += event.time - job.submit_time
+                turnaround_sum += time - job.submit_time
             adjustments_from = log.count
             advance(state, event)
             killed: Sequence[int] = ()
@@ -198,17 +235,23 @@ class _Kernel:
                 state.snapshot()
             new_level = regime.consumption(state)
             if new_level != level:
+                if time != since:
+                    if level > peak:
+                        peak = level
+                    total += level * (time - since)
+                    since = time
                 level = new_level
-                if event.time == curve[-1][0]:
-                    curve[-1] = (event.time, level)
-                else:
-                    curve.append((event.time, level))
+        if level > peak:
+            peak = level
+        if since < duration:
+            total += level * (duration - since)
         report = finalize(
-            curve,
+            peak=peak,
+            total=total,
             completed=completed,
             runtime_sum=runtime_sum,
             turnaround_sum=turnaround_sum,
-            duration=self.duration,
+            duration=duration,
             regime=regime.name,
             total_jobs=len(self.job_trace.jobs),
             adjustment_count=log.count,

@@ -160,6 +160,61 @@ class TestMalformedScenario:
         assert "invalid input" in capsys.readouterr().err
 
 
+# (field the error must name, scenario overrides): integer fields with a fraction
+FRACTIONAL_FIELDS = [
+    ("window.duration", {"window": {"start_offset": 0, "duration": 100.9}}),
+    ("cpus_per_node", {"cpus_per_node": 1.5}),
+    ("target_peaks.pbj", {"target_peaks": {"pbj": 4.5, "ws": 2}}),
+    ("params.B", {"params": {"B": 4.7}}),
+    ("params.L", {"params": {"L": 90.5}}),
+    ("params.L_minutes", {"params": {"L_minutes": 0.01}}),
+    ("parameter B", {"params": "B4.7"}),
+    ("parameter L", {"params": "L1.01"}),
+]
+
+
+class TestFractionalFields:
+    @pytest.mark.parametrize("field, overrides", FRACTIONAL_FIELDS,
+                             ids=[json.dumps(o) for _, o in FRACTIONAL_FIELDS])
+    def test_fraction_exits_invalid(self, workspace, capsys, field, overrides):
+        path = write_scenario(workspace, **overrides)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and field in err and "whole number" in err
+
+    def test_lease_minutes_agree_in_both_forms(self, workspace):
+        # 1.5 minutes is 90 whole seconds in the object and the compact form.
+        for name, params in (("obj", {"L_minutes": 1.5}), ("compact", "L1.5")):
+            path = write_scenario(workspace, name=name, params=params)
+            assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_OK
+            report = json.loads((workspace / "out" / f"{name}.report.json").read_text())
+            assert report["L_seconds"] == 90
+
+
+class TestInputEncoding:
+    """Input files that are not UTF-8 exit 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("name, category", [("jobs.swf", "trace error"),
+                                                ("demand.csv", "trace error"),
+                                                ("tiny.json", "invalid input")])
+    def test_run_input_not_utf8(self, workspace, capsys, name, category):
+        path = write_scenario(workspace)
+        target = workspace / name
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert category in err and name in err and "not valid UTF-8" in err
+
+    def test_agreement_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "re.xml"
+        path.write_bytes(AGREEMENT_XML.encode() + b"\xff")
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "not valid UTF-8" in err
+
+
 class TestMalformedSweepValues:
     @pytest.mark.parametrize("axis", ["B", "U", "V", "G", "L"])
     def test_malformed_axis_value_exits_invalid(self, workspace, capsys, axis):
@@ -169,6 +224,25 @@ class TestMalformedSweepValues:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "invalid input" in err and f"sweep axis {axis}" in err and "'abc'" in err
+        assert not (workspace / "out").exists()
+
+    def test_lease_axis_takes_fractional_minutes(self, workspace):
+        # 1.5 minutes is 90 whole seconds, as for L1.5 and params.L_minutes.
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1.5",
+                     "--output-dir", str(workspace / "out")])
+        assert code == EXIT_OK
+        header, row = (workspace / "out" / "tiny.sweep_L.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["scenario"] == "tiny_L1.5" and cells["L_seconds"] == "90"
+
+    def test_lease_axis_not_whole_seconds_exits_invalid(self, workspace, capsys):
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1.01",
+                     "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "sweep axis L" in err and "whole number of seconds" in err
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("axis", ["U", "V"])

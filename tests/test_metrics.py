@@ -4,18 +4,22 @@ from provsim.metrics import (
     CSV_COLUMNS,
     MetricsReport,
     csv_header,
-    finalize,
-    integrate_curve,
     report_to_csv_row,
     report_to_dict,
     report_to_json,
 )
 from provsim.policies import PolicyParams
 from provsim.simkernel import run
+from provsim.state import REGIMES
 from provsim.trace import DemandTrace
 
 from conftest import make_demand, make_jobs
-from oracles import integrate, random_micro_scenario, replay_consumption
+from oracles import (
+    integrate,
+    random_fuzz_setup,
+    random_micro_scenario,
+    replay_consumption,
+)
 
 ZERO_WS = DemandTrace(samples=((0, 0),), peak_demand=0)
 
@@ -107,28 +111,34 @@ class TestFinalize:
         assert flb.metrics.adjustment_count > 0
 
     def test_integrate_curve_exact(self):
-        assert integrate_curve([(0, 5)], 100) == 500
-        assert integrate_curve([(0, 2), (10, 4), (90, 0)], 100) == 20 + 320
-        assert integrate_curve([(0, 1), (200, 9)], 100) == 100
+        # The oracles' step-curve integral, the reference for the kernel's
+        # running total.
+        assert integrate([(0, 5)], 100) == 500
+        assert integrate([(0, 2), (10, 4), (90, 0)], 100) == 20 + 320
+        assert integrate([(0, 1), (200, 9)], 100) == 100
 
 
 class TestOracleReplay:
     def test_independent_replay_matches_within_one_node_second(self):
-        params = PolicyParams(B=7, L=180)
-        for regime in ("FLB_NUB", "EC2RS"):
-            for seed in range(15):
-                jobs, demand = random_micro_scenario(seed + 100)
-                result = run(jobs, demand, regime, params, record_events=True)
-                total_peak = jobs.peak_demand + demand.peak_demand
-                floor = params.B * jobs.peak_demand // total_peak if total_peak else 0
-                curve = replay_consumption(
-                    result.events, regime, pool_size=params.B,
-                    duration=jobs.window[1],
-                    pbj_floor=floor if regime == "FLB_NUB" else 0,
-                )
-                total = integrate(curve, jobs.window[1])
-                assert total == result.metrics.total_consumption_node_seconds
-                assert max(v for _, v in curve) == result.metrics.peak_consumption
+        # The kernel's running peak and total against the step curve rebuilt
+        # from event payloads: fixed parameters, then the invariant-fuzz setups.
+        cases = [(regime, seed, *random_micro_scenario(seed + 100), PolicyParams(B=7, L=180), {})
+                 for regime in ("FLB_NUB", "EC2RS") for seed in range(15)]
+        cases += [(regime, seed, *random_fuzz_setup(regime, seed))
+                  for regime in REGIMES for seed in range(400)]
+        for regime, seed, jobs, demand, params, kwargs in cases:
+            result = run(jobs, demand, regime, params, record_events=True, **kwargs)
+            total_peak = jobs.peak_demand + demand.peak_demand
+            floor = params.B * jobs.peak_demand // total_peak if total_peak else 0
+            duration = jobs.window[1]
+            curve = replay_consumption(
+                result.events, regime, config_size=kwargs.get("config_size", total_peak),
+                pool_size=params.B, duration=duration,
+                pbj_floor=floor if regime == "FLB_NUB" else 0,
+            )
+            m = result.metrics
+            assert m.total_consumption_node_seconds == integrate(curve, duration), (regime, seed)
+            assert m.peak_consumption == max(v for _, v in curve), (regime, seed)
 
 
 class TestSerialization:

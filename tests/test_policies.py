@@ -37,6 +37,15 @@ class TestPolicyParams:
         with pytest.raises(ScenarioError, match="X9"):
             parse_params("B25/X9")
 
+    @pytest.mark.parametrize("compact", ["B4.7", "L1.01", "L0.01"])
+    def test_fraction_not_truncated(self, compact):
+        with pytest.raises(ScenarioError, match=f"parameter {compact[0]}"):
+            parse_params(compact)
+
+    def test_lease_minutes_in_whole_seconds(self):
+        assert parse_params("L1.5").L == 90
+        assert parse_params("B4.0/L0.1").B == 4 and parse_params("L0.1").L == 6
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -153,6 +162,7 @@ class TestFbForceRelease:
         assert kills[0].nodes_released == 2
         assert state.pbj_owned == 6
         assert list(state.queue)[0].id == 3  # victim requeued at the head
+        assert state.attempts == {3: 1}  # kept until the victim restarts
 
     def test_overshoot_stays_as_idle(self):
         state = fb_state(config=4, running=[(1, 4, 10)], ws=0, free=0)

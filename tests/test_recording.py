@@ -3,10 +3,13 @@ and keeps no per-event records. Its completion figures also equal those
 replayed from a recorded log (`oracles.replay_completions`).
 
 `run` builds event records only with `record_events=True`; the metrics come
-from completion tallies and the consumption curve the kernel keeps as it goes.
+from completion tallies and the consumption peak and integral the kernel
+keeps as it goes. Its event heap holds only pending events, so its length
+and the run's memory do not grow with the trace length.
 """
 
 import hashlib
+import heapq
 import json
 import tracemalloc
 from pathlib import Path
@@ -17,11 +20,13 @@ from provsim.metrics import csv_header, report_to_csv_row, report_to_json
 from provsim.scenario import load_scenario, load_traces
 from provsim.simkernel import run
 from provsim.state import REGIMES, ClusterState
+from provsim.trace import DemandTrace, Job, JobTrace
 
 from oracles import random_fuzz_setup, replay_completions
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios" / "synthetic").glob("*.json"))
+FB_152 = ROOT / "scenarios" / "synthetic" / "synthetic_fb_152.json"
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["shipped"]
 
 
@@ -83,9 +88,9 @@ def test_default_run_snapshots_once_per_event(monkeypatch):
 
 
 def test_metrics_only_run_retains_under_half_the_memory():
-    # Two weeks of FB 152: about 15k events. Measured peaks: about 1.9 MB
-    # without records and 15.4 MB with them (ratio about 0.13).
-    scenario = load_scenario(ROOT / "scenarios" / "synthetic" / "synthetic_fb_152.json")
+    # Two weeks of FB 152: about 15k events. Measured peaks: about 0.07 MB
+    # without records and 15.4 MB with them.
+    scenario = load_scenario(FB_152)
     jobs, demand = load_traces(scenario)
     peaks = {}
     for record_events in (False, True):
@@ -97,4 +102,34 @@ def test_metrics_only_run_retains_under_half_the_memory():
             tracemalloc.stop()
         assert (result.events is None) != record_events
         del result
-    assert peaks[False] < peaks[True] / 2, peaks
+    assert peaks[False] < peaks[True] * 0.05, peaks
+
+
+def tile(jobs, demand, copies):
+    """The traces repeated ``copies`` times back to back in time."""
+    span = jobs.window[1]
+    tiled_jobs = tuple(Job(j.id + k * 10**7, j.submit_time + k * span, j.runtime, j.size)
+                       for k in range(copies) for j in jobs.jobs)
+    samples = tuple((t + k * span, d) for k in range(copies)
+                    for t, d in demand.samples if t < span)
+    return (JobTrace(tiled_jobs, jobs.peak_demand, (0, copies * span)),
+            DemandTrace(samples, demand.peak_demand))
+
+
+def test_event_heap_is_flat_in_trace_length(monkeypatch):
+    # Arrivals, demand samples and timers each keep one entry in the heap,
+    # so its longest length does not grow when the trace is four times as
+    # long (measured: 49 at both lengths).
+    scenario = load_scenario(FB_152)
+    jobs, demand = load_traces(scenario)
+    push = heapq.heappush
+    longest = {}
+
+    def counting_push(heap, item):
+        push(heap, item)
+        longest[copies] = max(longest.get(copies, 0), len(heap))
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    for copies in (1, 4):
+        run_shipped(scenario, *tile(jobs, demand, copies))
+    assert 0 < longest[4] == longest[1] < 100, longest

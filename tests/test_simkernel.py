@@ -1,11 +1,13 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.policies import PolicyParams
 from provsim.simkernel import advance, run
-from provsim.state import ClusterState, Event
+from provsim.state import REGIMES, ClusterState, Event
 from provsim.trace import DemandTrace, Job, JobTrace
 
 from conftest import make_demand, make_jobs
@@ -13,6 +15,7 @@ from oracles import (
     check_conservation,
     integrate,
     job_times,
+    random_fuzz_setup,
     random_micro_scenario,
     replay_consumption,
 )
@@ -205,3 +208,31 @@ class TestFbDcsEquivalence:
             )
             assert ma.peak_consumption == mb.peak_consumption
             assert ma.total_consumption_node_seconds == mb.total_consumption_node_seconds
+
+
+class TestTraceOrder:
+    """The kernel feeds arrivals and demand samples in time order; traces out
+    of order replay exactly as their stably sorted forms."""
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_unsorted_traces_replay_as_sorted(self, regime):
+        for seed in range(150):
+            jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
+            rng = random.Random(seed)
+            end = jobs.window[1]
+            shuffled_jobs = list(jobs.jobs)
+            rng.shuffle(shuffled_jobs)
+            # A second sample at an existing time, and samples past the window end.
+            samples = list(demand.samples) + [(rng.choice(demand.samples)[0],
+                                               rng.choice(demand.samples)[1])]
+            samples += [(end + rng.randint(1, 600), rng.randint(0, 9)) for _ in range(3)]
+            rng.shuffle(samples)
+            unsorted_jobs = replace(jobs, jobs=tuple(shuffled_jobs))
+            unsorted_demand = replace(demand, samples=tuple(samples))
+            sorted_jobs = replace(jobs, jobs=tuple(sorted(shuffled_jobs,
+                                                          key=lambda j: j.submit_time)))
+            sorted_demand = replace(demand, samples=tuple(sorted(samples, key=lambda s: s[0])))
+            a = run(unsorted_jobs, unsorted_demand, regime, params, record_events=True, **kwargs)
+            b = run(sorted_jobs, sorted_demand, regime, params, record_events=True, **kwargs)
+            assert serialize_events(a.events) == serialize_events(b.events), seed
+            assert a.metrics == b.metrics, seed
