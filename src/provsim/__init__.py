@@ -6,16 +6,6 @@ and reports completed jobs, execution/turnaround times, peak and total
 resource consumption, and management overhead.
 """
 
-from .agreement import (
-    CoordinationPlan,
-    LifecycleEvent,
-    REAgreement,
-    TREState,
-    lifecycle_step,
-    pair_coordinated,
-    parse_agreement,
-    serialize_agreement,
-)
 from .errors import (
     AgreementError,
     EmptyTraceError,
@@ -47,7 +37,6 @@ from .trace import (
     parse_demand_trace,
     parse_swf,
     scale_to_peak,
-    serialize_demand_trace,
     window,
 )
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from .errors import AgreementError, PairingError, TransitionError
+from .policies import whole
 
 RELATIONSHIPS = ("same", "affiliated", "business")
 WORKLOAD_TYPES = ("parallel_batch_jobs", "web_services")
@@ -134,26 +135,34 @@ def _parse_bound(value: Optional[str], field: str) -> Optional[int]:
     if value is None or value.strip().lower() in ("null", "undefined", ""):
         return None
     try:
-        return int(value.strip())
+        return whole(value.strip())
     except ValueError:
         raise AgreementError(f"non-integer {field} value {value!r}") from None
 
 
-def _parse_agreement_xml(text: str) -> REAgreement:
-    root = _ROOT_RE.search(text)
-    if root is None:
-        raise AgreementError("missing RE_agreement root element")
-    fields: dict[str, Optional[str]] = {}
-    for match in _ELEMENT_RE.finditer(root.group(1)):
-        open_name, quoted, null_token, close_name = match.groups()
-        if open_name != close_name:
-            raise AgreementError(
-                f"mismatched element tags <{open_name}> ... </{close_name}>"
-            )
-        fields[open_name] = quoted.strip() if quoted is not None else None
-    required = ("relationship", "type", "granularity", "resource_coordination_model",
-                "lower_bound_size", "setup_policy")
-    for name in required:
+_REQUIRED = ("relationship", "type", "granularity", "resource_coordination_model",
+             "lower_bound_size", "setup_policy")
+
+# JSON key -> element name; "workload_type" is listed after "type" so that it
+# wins when both are given.
+_JSON_ELEMENTS = {
+    "relationship": "relationship",
+    "type": "type",
+    "workload_type": "type",
+    "granularity": "granularity",
+    "has_coordinated_re": "coordinated_RE",
+    "allows_cross_provider": "cross_provider_coordinated_RE",
+    "model": "resource_coordination_model",
+    "lower_bound": "lower_bound_size",
+    "upper_bound": "upper_bound_size",
+    "setup_policy": "setup_policy",
+}
+
+
+def _build_agreement(fields: dict[str, Optional[str]]) -> REAgreement:
+    """The agreement whose element values (text, or None for null) are
+    ``fields``."""
+    for name in _REQUIRED:
         if name not in fields:
             raise AgreementError(f"missing agreement element {name!r}")
     has_coord = _parse_flag(fields.get("coordinated_RE") or "No", "coordinated_RE")
@@ -175,6 +184,21 @@ def _parse_agreement_xml(text: str) -> REAgreement:
     )
 
 
+def _parse_agreement_xml(text: str) -> REAgreement:
+    root = _ROOT_RE.search(text)
+    if root is None:
+        raise AgreementError("missing RE_agreement root element")
+    fields: dict[str, Optional[str]] = {}
+    for match in _ELEMENT_RE.finditer(root.group(1)):
+        open_name, quoted, null_token, close_name = match.groups()
+        if open_name != close_name:
+            raise AgreementError(
+                f"mismatched element tags <{open_name}> ... </{close_name}>"
+            )
+        fields[open_name] = quoted.strip() if quoted is not None else None
+    return _build_agreement(fields)
+
+
 def _parse_agreement_json(text: str) -> REAgreement:
     try:
         obj = json.loads(text)
@@ -182,20 +206,11 @@ def _parse_agreement_json(text: str) -> REAgreement:
         raise AgreementError(f"invalid agreement JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise AgreementError("agreement JSON must be an object")
-    try:
-        return REAgreement(
-            relationship=str(obj["relationship"]),
-            workload_type=str(obj.get("workload_type", obj.get("type", ""))),
-            granularity=str(obj["granularity"]),
-            has_coordinated_re=bool(obj.get("has_coordinated_re", False)),
-            allows_cross_provider=bool(obj.get("allows_cross_provider", False)),
-            model=str(obj["model"]),
-            lower_bound=int(obj["lower_bound"]),
-            upper_bound=None if obj.get("upper_bound") is None else int(obj["upper_bound"]),
-            setup_policy=str(obj.get("setup_policy", "NOOP")),
-        )
-    except KeyError as exc:
-        raise AgreementError(f"missing agreement JSON field {exc.args[0]!r}") from None
+    fields: dict[str, Optional[str]] = {"setup_policy": "NOOP"}
+    for key, name in _JSON_ELEMENTS.items():
+        if key in obj:  # a value is read as the text of its element: true as "True"
+            fields[name] = None if obj[key] is None else str(obj[key])
+    return _build_agreement(fields)
 
 
 def parse_agreement(text: str) -> REAgreement:
@@ -228,20 +243,7 @@ def serialize_agreement(agreement: REAgreement) -> str:
 
 def agreement_to_json(agreement: REAgreement) -> str:
     """JSON mirror of an agreement (same fields as the XML shape)."""
-    return json.dumps(
-        {
-            "relationship": agreement.relationship,
-            "workload_type": agreement.workload_type,
-            "granularity": agreement.granularity,
-            "has_coordinated_re": agreement.has_coordinated_re,
-            "allows_cross_provider": agreement.allows_cross_provider,
-            "model": agreement.model,
-            "lower_bound": agreement.lower_bound,
-            "upper_bound": agreement.upper_bound,
-            "setup_policy": agreement.setup_policy,
-        },
-        indent=2,
-    )
+    return json.dumps(asdict(agreement), indent=2)
 
 
 def allows_coordination(agreement: REAgreement) -> bool:

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .agreement import agreement_to_json, parse_agreement
 from .errors import (
     AgreementError,
     EmptyTraceError,
@@ -25,11 +24,13 @@ from .errors import (
     TraceParseError,
 )
 from .metrics import csv_header, report_to_csv_row, report_to_json
+from .policies import whole
 from .scenario import (
     SWEEP_AXES,
     Scenario,
     apply_axis,
     load_scenario,
+    peak_pair,
     read_input,
     run_scenario_obj,
     scenario_from_dict,
@@ -97,12 +98,7 @@ def _scenario_from_flags(args: argparse.Namespace) -> Scenario:
         "regime": args.regime,
     }
     if args.target_peaks:
-        try:
-            pbj, ws = (int(v) for v in args.target_peaks.split(":"))
-        except ValueError:
-            raise ScenarioError(
-                f"--target-peaks looks like '128:128', got {args.target_peaks!r}"
-            ) from None
+        pbj, ws = peak_pair(args.target_peaks, "--target-peaks")
         doc["target_peaks"] = {"pbj": pbj, "ws": ws}
     if args.config_size is not None:
         doc["config_size"] = args.config_size
@@ -189,6 +185,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .agreement import agreement_to_json, parse_agreement  # only this command needs it
+
     text = read_input(Path(args.agreement), "agreement file", AgreementError, AgreementError)
     agreement = parse_agreement(text)
     print(agreement_to_json(agreement))
@@ -210,11 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     adhoc.add_argument("--pbj-trace", default=None, help="SWF batch-job trace path")
     adhoc.add_argument("--ws-trace", default=None, help="demand-trace CSV path")
     adhoc.add_argument("--regime", choices=REGIMES, default=None)
-    adhoc.add_argument("--duration", type=int, default=None, help="window duration in seconds")
-    adhoc.add_argument("--window-start", type=int, default=0)
-    adhoc.add_argument("--cpus-per-node", type=int, default=1)
+    adhoc.add_argument("--duration", type=whole, default=None, help="window duration in seconds")
+    adhoc.add_argument("--window-start", type=whole, default=0)
+    adhoc.add_argument("--cpus-per-node", type=whole, default=1)
     adhoc.add_argument("--target-peaks", default=None, help="scaling tuple as pbj:ws, e.g. 128:128")
-    adhoc.add_argument("--config-size", type=int, default=None)
+    adhoc.add_argument("--config-size", type=whole, default=None)
     adhoc.add_argument("--params", default=None, help='e.g. "B25/U1.2/V0.2/G0.5/L60"')
     adhoc.add_argument("--name", default=None, help="report base name for ad hoc runs")
     run_p.set_defaults(func=_cmd_run)

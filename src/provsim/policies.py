@@ -10,8 +10,8 @@ them; the kernel builds one per run and never names a regime itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import InfeasibleScenarioError, KernelError, ScenarioError
 from .state import (
@@ -59,54 +59,64 @@ class PolicyParams:
         return self
 
 
+def real(value: Any) -> float:
+    """``float(value)`` for a number or numeric string; a boolean raises
+    TypeError instead of counting as 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def whole(value: Any) -> int:
-    """``int(value)`` for a whole number; a fraction raises ValueError instead
-    of being truncated."""
-    number = int(value)
-    if not isinstance(value, str) and number != value:
+    """An integer given as an int, a whole float or a numeric string with a
+    whole value ("4.0", "1e3"); a fraction, nan or inf raises ValueError
+    instead of being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact, however large
+    number = real(value)
+    if not number.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
-    return number
+    return int(number)
 
 
 def lease_seconds(minutes: Any) -> int:
     """A lease unit given in minutes, in seconds; it must come to whole
     seconds (within the rounding of a decimal fraction such as 0.1)."""
-    seconds = float(minutes) * 60
+    seconds = real(minutes) * 60
     nearest = round(seconds)  # nan and inf raise here
     if abs(seconds - nearest) > 1e-6:
         raise ValueError(f"{minutes} minutes is not a whole number of seconds")
     return nearest
 
 
+# How an outside value of each parameter becomes its PolicyParams value, in
+# every form that takes one (L in minutes).
+PARAM_CONVERTERS: dict[str, Callable[[Any], Any]] = {
+    "B": whole, "U": real, "V": real, "G": real, "L": lease_seconds,
+}
+
+
+def convert(value: Any, converter: Callable[[Any], Any], what: str) -> Any:
+    """``converter(value)``; a value it rejects raises a ScenarioError naming
+    ``what``."""
+    try:
+        return converter(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad {what}={value!r}: {exc}") from None
+
+
 def parse_params(compact: str) -> PolicyParams:
     """Parse the compact "B25/U1.2/V0.2/G0.5/L60" notation (L in minutes)."""
-    values: dict[str, float] = {}
+    values = {}
     for part in compact.split("/"):
         part = part.strip()
         if not part:
             continue
         key, raw = part[0].upper(), part[1:]
-        if key not in "BUVGL" or not raw:
+        if key not in PARAM_CONVERTERS or not raw:
             raise ScenarioError(f"bad policy-parameter token {part!r} in {compact!r}")
-        try:
-            values[key] = float(raw)
-        except ValueError:
-            raise ScenarioError(f"bad policy-parameter token {part!r} in {compact!r}") from None
-
-    def value(key: str, convert, default):
-        try:
-            return convert(values[key]) if key in values else default
-        except (ValueError, OverflowError) as exc:  # a fraction, nan or inf
-            raise ScenarioError(f"bad policy parameter {key} in {compact!r}: {exc}") from None
-
-    defaults = PolicyParams()
-    return PolicyParams(
-        B=value("B", whole, defaults.B),
-        U=value("U", float, defaults.U),
-        V=value("V", float, defaults.V),
-        G=value("G", float, defaults.G),
-        L=value("L", lease_seconds, defaults.L),
-    )
+        values[key] = convert(raw, PARAM_CONVERTERS[key], f"policy parameter {key}")
+    return replace(PolicyParams(), **values)
 
 
 @dataclass(frozen=True)
@@ -316,6 +326,9 @@ class Regime:
     """
 
     timer_kinds: tuple[str, ...] = ()
+    # Whether the configuration size is the peak tuple's sum, so that a new
+    # tuple makes the old size stale.
+    config_from_peaks = False
 
     def __init__(self, params: PolicyParams, prc_pbj: int, prc_ws: int,
                  config_size: Optional[int] = None, pbj_floor: Optional[int] = None):
@@ -355,6 +368,8 @@ class Regime:
 class DCS(Regime):
     """A dedicated cluster statically split between the two workloads: each
     RE permanently owns its peak demand, and nothing ever moves."""
+
+    config_from_peaks = True
 
     def resolve_config(self, config_size: Optional[int]) -> int:
         derived = self.prc_pbj + self.prc_ws

@@ -15,9 +15,16 @@ from typing import Any, Callable, Optional
 
 from . import trace as trace_mod
 from .errors import ProvsimError, ScenarioError, TraceParseError
-from .policies import PolicyParams, lease_seconds, parse_params, regime_class, whole
+from .policies import (
+    PARAM_CONVERTERS,
+    PolicyParams,
+    convert,
+    lease_seconds,
+    parse_params,
+    regime_class,
+    whole,
+)
 from .simkernel import SimResult, run
-from .state import REGIME_DCS
 
 
 @dataclass(frozen=True)
@@ -60,22 +67,13 @@ class Scenario:
         }
 
 
-def _convert(value: Any, convert: Callable[[Any], Any], what: str) -> Any:
-    """``convert(value)``; a value ``convert`` rejects raises a ScenarioError
-    naming ``what``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad {what}={value!r}: {exc}") from None
-
-
-def _field(doc: dict[str, Any], key: str, convert: Callable[[Any], Any],
+def _field(doc: dict[str, Any], key: str, converter: Callable[[Any], Any],
            default: Any = None, prefix: str = "") -> Any:
-    """``convert(doc[key])``, or ``default`` when the field is absent or null."""
+    """``converter(doc[key])``, or ``default`` when the field is absent or null."""
     value = doc.get(key)
     if value is None:
         return default
-    return _convert(value, convert, f"scenario field {prefix}{key}")
+    return convert(value, converter, f"scenario field {prefix}{key}")
 
 
 def _peak(value: Any) -> int:
@@ -83,6 +81,19 @@ def _peak(value: Any) -> int:
     if peak < 1:
         raise ValueError("a target peak must be >= 1")
     return peak
+
+
+def peak_pair(text: str, what: str) -> tuple[int, int]:
+    """The (pbj, ws) target peaks written "pbj:ws", such as "128:64"."""
+    try:
+        pbj, ws = (_peak(v) for v in text.split(":"))
+    except ValueError:
+        raise ScenarioError(f"{what} looks like '128:64', got {text!r}") from None
+    return pbj, ws
+
+
+# The object form takes L in seconds, or in minutes as L_minutes.
+_OBJECT_PARAMS = {**PARAM_CONVERTERS, "L": whole, "L_minutes": lease_seconds}
 
 
 def _parse_policy_params(raw: Any) -> PolicyParams:
@@ -93,15 +104,9 @@ def _parse_policy_params(raw: Any) -> PolicyParams:
     if isinstance(raw, dict):
         if "L_minutes" in raw and "L" in raw:
             raise ScenarioError("give either L (seconds) or L_minutes, not both")
-        defaults = PolicyParams()
-        lease = _field(raw, "L_minutes", lease_seconds, prefix="params.")
-        return PolicyParams(
-            B=_field(raw, "B", whole, defaults.B, "params."),
-            U=_field(raw, "U", float, defaults.U, "params."),
-            V=_field(raw, "V", float, defaults.V, "params."),
-            G=_field(raw, "G", float, defaults.G, "params."),
-            L=_field(raw, "L", whole, defaults.L, "params.") if lease is None else lease,
-        )
+        values = {key[0]: _field(raw, key, converter, prefix="params.")  # L_minutes sets L
+                  for key, converter in _OBJECT_PARAMS.items() if raw.get(key) is not None}
+        return replace(PolicyParams(), **values)
     raise ScenarioError(f"params must be a compact string or an object, got {type(raw)!r}")
 
 
@@ -190,16 +195,13 @@ def run_scenario_obj(scenario: Scenario, record_events: bool = False) -> SimResu
     )
 
 
-_PARAM_AXES: dict[str, Callable[[Any], Any]] = {
-    "B": whole, "U": float, "V": float, "G": float, "L": lease_seconds,
-}
-SWEEP_AXES = (*_PARAM_AXES, "tuple")
+SWEEP_AXES = (*PARAM_CONVERTERS, "tuple")
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     """Derive a sweep-point scenario by overriding one axis (L in minutes)."""
-    if axis in _PARAM_AXES:
-        number = _convert(value, _PARAM_AXES[axis], f"sweep axis {axis} value")
+    if axis in PARAM_CONVERTERS:
+        number = convert(value, PARAM_CONVERTERS[axis], f"sweep axis {axis} value")
         params = replace(scenario.params, **{axis: number})
         if axis == "L":  # labelled in minutes, as given
             label = number // 60 if number % 60 == 0 else number / 60
@@ -207,12 +209,9 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
             label = number if axis == "B" else value
         return replace(scenario, params=params, name=f"{scenario.name}_{axis}{label}")
     if axis == "tuple":
-        try:
-            pbj, ws = (_peak(v) for v in str(value).split(":"))
-        except ValueError:
-            raise ScenarioError(f"tuple axis values look like '128:64', got {value!r}") from None
+        pbj, ws = peak_pair(value, "tuple axis value")
         derived = replace(scenario, prc_pbj=pbj, prc_ws=ws, name=f"{scenario.name}_{pbj}x{ws}")
-        if scenario.regime == REGIME_DCS:
+        if regime_class(scenario.regime).config_from_peaks:
             derived = replace(derived, config_size=None)
         return derived
     raise ScenarioError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")

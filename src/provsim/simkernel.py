@@ -61,9 +61,9 @@ class SimResult:
 def advance(state: ClusterState, event: Event) -> ClusterState:
     """Apply an event's primitive effect (no policy reaction).
 
-    Arrivals enqueue, completions free the job's nodes into the batch RE's
-    idle set, demand changes record the new demand; timers have no primitive
-    effect. Policy reactions are dispatched by `run`.
+    Arrivals enqueue and completions free the job's nodes into the batch RE's
+    idle set; demand changes and timers have no primitive effect. Policy
+    reactions are dispatched by `run`.
     """
     if event.time < state.clock:
         raise KernelError(f"time regression: event at {event.time} before clock {state.clock}")
@@ -75,8 +75,6 @@ def advance(state: ClusterState, event: Event) -> ClusterState:
         record = state.running.pop(job.id)
         state.running_alloc -= record.alloc
         state.pbj_idle += record.alloc
-    elif event.kind == KIND_WS_DEMAND_CHANGE:
-        state.ws_demand = event.payload
     return state
 
 

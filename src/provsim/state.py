@@ -12,7 +12,6 @@ from .trace import Job
 
 # Each regime's rules are the class of the same name in ``policies``.
 REGIMES = ("DCS", "FB", "FLB_NUB", "EC2RS")
-REGIME_DCS = "DCS"
 
 ACTOR_PBJ = "pbj_manager"
 ACTOR_WS = "ws_manager"
@@ -192,7 +191,6 @@ class ClusterState:
     free: int = 0
     pbj_pool: int = 0
     ws_pool: int = 0
-    ws_demand: int = 0
     clock: int = 0
     running: dict[int, RunningJob] = field(default_factory=dict)
     running_alloc: int = 0

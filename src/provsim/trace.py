@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 from .errors import EmptyTraceError, TraceParseError
 
@@ -54,21 +53,6 @@ class DemandTrace:
     samples: tuple[tuple[int, int], ...]
     peak_demand: int
 
-    def demand_at(self, t: int) -> int:
-        """Demand in effect at time t (0 before the first sample)."""
-        current = 0
-        for time, demand in self.samples:
-            if time > t:
-                break
-            current = demand
-        return current
-
-
-def _as_lines(text: Union[str, Iterable[str]]) -> Iterable[str]:
-    if isinstance(text, str):
-        return text.splitlines()
-    return (line.rstrip("\n") for line in text)
-
 
 def _swf_int(token: str, lineno: int, what: str) -> int:
     try:
@@ -79,8 +63,8 @@ def _swf_int(token: str, lineno: int, what: str) -> int:
         ) from None
 
 
-def parse_swf(text: Union[str, Iterable[str]]) -> JobTrace:
-    """Parse an SWF character stream into a JobTrace.
+def parse_swf(text: str) -> JobTrace:
+    """Parse SWF text into a JobTrace.
 
     Comment lines start with ';'. Data lines must carry at least 18
     whitespace-separated fields. Job size is the allocated-processor count,
@@ -90,7 +74,7 @@ def parse_swf(text: Union[str, Iterable[str]]) -> JobTrace:
     """
     jobs: list[Job] = []
     seen_ids: set[int] = set()
-    for lineno, raw in enumerate(_as_lines(text), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
@@ -121,15 +105,15 @@ def parse_swf(text: Union[str, Iterable[str]]) -> JobTrace:
     )
 
 
-def parse_demand_trace(text: Union[str, Iterable[str]]) -> DemandTrace:
-    """Parse a "time,demand" CSV stream into a DemandTrace.
+def parse_demand_trace(text: str) -> DemandTrace:
+    """Parse "time,demand" CSV text into a DemandTrace.
 
     A single optional header line "time,demand" is accepted. Sample times
     must be strictly increasing and demands nonnegative integers.
     """
     samples: list[tuple[int, int]] = []
     last_time: int | None = None
-    for lineno, raw in enumerate(_as_lines(text), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -157,13 +141,6 @@ def parse_demand_trace(text: Union[str, Iterable[str]]) -> DemandTrace:
     if not samples:
         raise EmptyTraceError("demand trace contains no samples")
     return DemandTrace(samples=tuple(samples), peak_demand=max(d for _, d in samples))
-
-
-def serialize_demand_trace(trace: DemandTrace) -> str:
-    """Canonical CSV form of a DemandTrace (header + one line per sample)."""
-    lines = ["time,demand"]
-    lines.extend(f"{t},{d}" for t, d in trace.samples)
-    return "\n".join(lines) + "\n"
 
 
 def window(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:

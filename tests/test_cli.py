@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -190,6 +191,52 @@ class TestFractionalFields:
             assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_OK
             report = json.loads((workspace / "out" / f"{name}.report.json").read_text())
             assert report["L_seconds"] == 90
+
+
+# A whole number spelled as a JSON value and as text, and the value every form
+# reads from it (None: every form exits 2).
+SPELLINGS = [(4, "4", 4), (4.0, "4.0", 4), ("4.0", "4.0", 4), ("1e3", "1e3", 1000),
+             (4.7, "4.7", None), (True, "true", None), (float("nan"), "nan", None)]
+
+# form -> (arguments given the workspace and one spelling, report column it sets)
+SPELLING_FORMS = {
+    "compact": (lambda ws, value, text: ["run", str(write_scenario(ws, params=f"B{text}/L5"))],
+                "B"),
+    "params object": (lambda ws, value, text: [
+        "run", str(write_scenario(ws, params={"B": value, "L_minutes": 5}))], "B"),
+    "sweep axis": (lambda ws, value, text: [
+        "sweep", str(write_scenario(ws)), "--axis", "B", "--values", text], "B"),
+    "target_peaks": (lambda ws, value, text: [
+        "run", str(write_scenario(ws, target_peaks={"pbj": value, "ws": value}))], "prc_pbj"),
+    "--target-peaks": (lambda ws, value, text: [
+        "run", "--pbj-trace", str(ws / "jobs.swf"), "--ws-trace", str(ws / "demand.csv"),
+        "--regime", "FLB_NUB", "--duration", "600", "--params", "B4/L5",
+        "--target-peaks", f"{text}:{text}"], "prc_pbj"),
+    "tuple axis": (lambda ws, value, text: [
+        "sweep", str(write_scenario(ws)), "--axis", "tuple", "--values", f"{text}:{text}"],
+        "prc_pbj"),
+}
+
+
+class TestOneRulePerField:
+    """Every form that takes a whole number reads each spelling the same way."""
+
+    @pytest.mark.parametrize("form", SPELLING_FORMS)
+    @pytest.mark.parametrize("value, text, expected", SPELLINGS,
+                             ids=[json.dumps(value) for value, _, _ in SPELLINGS])
+    def test_spelling_reads_the_same_in_every_form(self, workspace, capsys, form, value, text,
+                                                   expected):
+        arguments, column = SPELLING_FORMS[form]
+        out = workspace / "out"
+        code = main([*arguments(workspace, value, text), "--output-dir", str(out)])
+        if expected is None:
+            assert code == EXIT_INVALID
+            assert "invalid input" in capsys.readouterr().err
+            return
+        assert code == EXIT_OK
+        [report] = out.glob("*.csv")
+        header, row = report.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[column] == str(expected)
 
 
 class TestInputEncoding:
@@ -397,6 +444,17 @@ class TestSweepCommand:
         assert rows[0].split(",")[3:5] == ["8", "4"]
 
 
+    def test_tuple_axis_rederives_dcs_config(self, workspace):
+        # DCS's configuration size is the peak tuple's sum: 4+3 in the base, 8+4 at the point.
+        path = write_scenario(workspace, regime="DCS", target_peaks={"pbj": 4, "ws": 3},
+                              config_size=7)
+        code = main(["sweep", str(path), "--axis", "tuple", "--values", "8:4",
+                     "--output-dir", str(workspace / "tup")])
+        assert code == EXIT_OK
+        header, row = (workspace / "tup" / "tiny.sweep_tuple.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["config_size"] == "12"
+
+
 class TestValidateCommand:
     def test_valid_agreement(self, tmp_path, capsys):
         path = tmp_path / "re.xml"
@@ -412,6 +470,36 @@ class TestValidateCommand:
         path.write_text(AGREEMENT_XML.replace("FLB_NUB", "WHATEVER"))
         assert main(["validate", str(path)]) == EXIT_INVALID
         assert "WHATEVER" in capsys.readouterr().err
+
+    # (JSON key, JSON value, XML element, XML value, value read; None: both exit 2)
+    @pytest.mark.parametrize("key, value, element, text, expected", [
+        ("lower_bound", "abc", "lower_bound_size", "abc", None),
+        ("lower_bound", [1], "lower_bound_size", "[1]", None),
+        ("lower_bound", float("inf"), "lower_bound_size", "1e999", None),
+        ("lower_bound", 8.9, "lower_bound_size", "8.9", None),
+        ("lower_bound", 8.0, "lower_bound_size", "8.0", 8),
+        ("has_coordinated_re", "no", "coordinated_RE", "no", False),
+    ], ids=["abc", "list", "1e999", "8.9", "8.0", "no"])
+    def test_json_fields_read_as_in_xml(self, tmp_path, capsys, key, value, element, text,
+                                        expected):
+        base = {"relationship": "affiliated", "workload_type": "web_services",
+                "has_coordinated_re": True, "granularity": "node", "model": "FLB_NUB",
+                "lower_bound": 13, "upper_bound": None, "setup_policy": "WIPE"}
+        json_path, xml_path = tmp_path / "re.json", tmp_path / "re.xml"
+        # json.dumps writes inf as Infinity; 1e999 is what a user would write.
+        json_path.write_text(json.dumps({**base, key: value}).replace("Infinity", "1e999"))
+        xml_path.write_text(re.sub(f'<{element}="[^"]*">', f'<{element}="{text}">',
+                                   AGREEMENT_XML))
+        outputs = []
+        for path in (json_path, xml_path):
+            code = main(["validate", str(path)])
+            out, err = capsys.readouterr()
+            assert code == (EXIT_INVALID if expected is None else EXIT_OK)
+            assert "Traceback" not in err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        if expected is not None:
+            assert json.loads(outputs[0])[key] == expected
 
     def test_json_agreement_accepted(self, tmp_path):
         path = tmp_path / "re.json"
