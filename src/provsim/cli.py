@@ -72,7 +72,7 @@ def _classify(exc: ProvsimError) -> tuple[str, int]:
 
 def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    ident = scenario.identification()
+    ident = {"name": scenario.name, **result.columns}
     written = []
     json_path = out_dir / f"{scenario.name}.report.json"
     json_path.write_text(report_to_json(result.metrics, ident))
@@ -142,7 +142,7 @@ def _point_failed(point: Scenario, exc: Exception) -> SweepError:
 
 def _run_sweep_point(point: Scenario) -> tuple[str, str]:
     result = run_scenario_obj(point)
-    return point.name, report_to_csv_row(result.metrics, point.identification())
+    return point.name, report_to_csv_row(result.metrics, {"name": point.name, **result.columns})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -10,17 +10,14 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
+# The columns identifying what ran: ``Regime.report_columns`` gives their
+# values, and ``SimResult.columns`` carries them.
+IDENT_COLUMNS = ["config_size", "prc_pbj", "prc_ws", "B", "U", "V", "G", "L_seconds"]
+
 CSV_COLUMNS = [
     "scenario",
     "regime",
-    "config_size",
-    "prc_pbj",
-    "prc_ws",
-    "B",
-    "U",
-    "V",
-    "G",
-    "L_seconds",
+    *IDENT_COLUMNS,
     "completed_jobs",
     "incomplete_jobs",
     "avg_execution_time_s",
@@ -92,19 +89,13 @@ def _round1(value: Optional[float]) -> Optional[float]:
     return None if value is None else round(value, 1)
 
 
-def report_to_dict(report: MetricsReport, scenario: dict[str, Any]) -> dict[str, Any]:
-    """JSON-ready report; `scenario` supplies the identification columns."""
+def report_to_dict(report: MetricsReport, ident: dict[str, Any]) -> dict[str, Any]:
+    """JSON-ready report; `ident` supplies the scenario name and the
+    identification columns (absent ones are empty)."""
     return {
-        "scenario": scenario.get("name", ""),
+        "scenario": ident.get("name", ""),
         "regime": report.regime,
-        "config_size": scenario.get("config_size"),
-        "prc_pbj": scenario.get("prc_pbj"),
-        "prc_ws": scenario.get("prc_ws"),
-        "B": scenario.get("B"),
-        "U": scenario.get("U"),
-        "V": scenario.get("V"),
-        "G": scenario.get("G"),
-        "L_seconds": scenario.get("L_seconds"),
+        **{column: ident.get(column) for column in IDENT_COLUMNS},
         "completed_jobs": report.completed_jobs,
         "incomplete_jobs": report.incomplete_jobs,
         "avg_execution_time_s": _round1(report.avg_execution_time),
@@ -117,17 +108,17 @@ def report_to_dict(report: MetricsReport, scenario: dict[str, Any]) -> dict[str,
     }
 
 
-def report_to_json(report: MetricsReport, scenario: dict[str, Any]) -> str:
-    return json.dumps(report_to_dict(report, scenario), indent=2) + "\n"
+def report_to_json(report: MetricsReport, ident: dict[str, Any]) -> str:
+    return json.dumps(report_to_dict(report, ident), indent=2) + "\n"
 
 
 def csv_header() -> str:
     return ",".join(CSV_COLUMNS)
 
 
-def report_to_csv_row(report: MetricsReport, scenario: dict[str, Any]) -> str:
+def report_to_csv_row(report: MetricsReport, ident: dict[str, Any]) -> str:
     """One CSV row in the fixed, documented column order (empty = absent)."""
-    data = report_to_dict(report, scenario)
+    data = report_to_dict(report, ident)
     cells = []
     for column in CSV_COLUMNS:
         value = data.get(column)

@@ -317,8 +317,9 @@ class Regime:
 
     ``simkernel.run`` builds one from the scenario's parameters and the two
     traces' peak demands; class names are the regime names of scenarios and
-    reports. The constructor resolves ``config_size`` and rejects what the
-    regime cannot run. The kernel owns the clock and the event queue; the
+    reports. The constructor resolves ``config_size`` and ``pbj_floor`` and
+    rejects what the regime cannot run; ``report_columns`` reads back what it
+    resolved. The kernel owns the clock and the event queue; the
     regime gives the initial state, its ``timer_kinds`` (fired every
     ``params.L`` seconds from 0), its reactions to demand changes (returning
     the ids of killed jobs) and timers, admission after every event, and its
@@ -337,11 +338,18 @@ class Regime:
         self.prc_pbj = prc_pbj
         self.prc_ws = prc_ws
         self.config_size = self.resolve_config(config_size)
+        self.pbj_floor = self.resolve_floor(pbj_floor)
 
     def resolve_config(self, config_size: Optional[int]) -> Optional[int]:
         """Unbounded regimes draw from a provider with no configuration size."""
         if config_size is not None:
             raise ScenarioError(f"{self.name} draws from an unbounded provider; omit config_size")
+        return None
+
+    def resolve_floor(self, pbj_floor: Optional[int]) -> Optional[int]:
+        """Only FLB_NUB has a pool with a lower-bound share."""
+        if pbj_floor is not None:
+            raise ScenarioError(f"{self.name} has no pool lower-bound share; omit pbj_floor")
         return None
 
     def admit(self, kernel) -> Sequence[int]:
@@ -358,11 +366,11 @@ class Regime:
         """Bounded regimes consume their whole configuration at all times."""
         return self.config_size
 
-    @classmethod
-    def report_columns(cls, scenario) -> dict[str, Any]:
-        """The pool parameters do not apply; the lease unit L does."""
-        return {"config_size": scenario.config_size, "B": None, "U": None, "V": None,
-                "G": None, "L_seconds": scenario.params.L}
+    def report_columns(self) -> dict[str, Any]:
+        """The report's identification columns: the values this run used. The
+        pool parameters do not apply; the lease unit L does."""
+        return {"config_size": self.config_size, "prc_pbj": self.prc_pbj, "prc_ws": self.prc_ws,
+                "B": None, "U": None, "V": None, "G": None, "L_seconds": self.params.L}
 
 
 class DCS(Regime):
@@ -386,13 +394,9 @@ class DCS(Regime):
         state.ws_held = demand
         return ()
 
-    @classmethod
-    def report_columns(cls, scenario) -> dict[str, Any]:
-        """No lease timer; the configuration size is the peak tuple's sum."""
-        columns = {**super().report_columns(scenario), "L_seconds": None}
-        if scenario.config_size is None and scenario.prc_pbj is not None:
-            columns["config_size"] = scenario.prc_pbj + scenario.prc_ws
-        return columns
+    def report_columns(self) -> dict[str, Any]:
+        """No lease timer."""
+        return {**super().report_columns(), "L_seconds": None}
 
 
 class FB(Regime):
@@ -429,16 +433,16 @@ class FLB_NUB(Regime):
 
     timer_kinds = (KIND_LEASE_TICK, KIND_PBJ_MANAGE_TICK)
 
-    def __init__(self, params, prc_pbj, prc_ws, config_size=None, pbj_floor=None):
-        super().__init__(params, prc_pbj, prc_ws, config_size)
+    def resolve_floor(self, pbj_floor: Optional[int]) -> int:
+        """The batch side's lower-bound share: by default B split in proportion
+        to the two peaks, rounded down."""
         B = self.params.B
         if pbj_floor is None:
-            # B split in proportion to the two peaks, rounded down.
-            total_peak = prc_pbj + prc_ws
-            pbj_floor = B * prc_pbj // total_peak if total_peak else 0
+            total_peak = self.prc_pbj + self.prc_ws
+            pbj_floor = B * self.prc_pbj // total_peak if total_peak else 0
         if not 0 <= pbj_floor <= B:
             raise ScenarioError(f"batch lower-bound share {pbj_floor} outside [0, B={B}]")
-        self.pbj_floor = pbj_floor
+        return pbj_floor
 
     def initial_state(self) -> ClusterState:
         # The lower-bound share is held from the start; not an adjustment.
@@ -461,10 +465,9 @@ class FLB_NUB(Regime):
         return (state.pool_size + (state.pbj_owned - state.pbj_pool)
                 + (state.ws_held - state.ws_pool))
 
-    @classmethod
-    def report_columns(cls, scenario) -> dict[str, Any]:
-        params = scenario.params
-        return {**super().report_columns(scenario),
+    def report_columns(self) -> dict[str, Any]:
+        params = self.params
+        return {**super().report_columns(),
                 "B": params.B, "U": params.U, "V": params.V, "G": params.G}
 
 

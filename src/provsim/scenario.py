@@ -57,15 +57,6 @@ class Scenario:
             raise ScenarioError("target_peaks needs both pbj and ws, or neither")
         return self
 
-    def identification(self) -> dict[str, Any]:
-        """Columns identifying this scenario in reports."""
-        return {
-            "name": self.name,
-            "prc_pbj": self.prc_pbj,
-            "prc_ws": self.prc_ws,
-            **regime_class(self.regime).report_columns(self),
-        }
-
 
 def _field(doc: dict[str, Any], key: str, converter: Callable[[Any], Any],
            default: Any = None, prefix: str = "") -> Any:
@@ -74,6 +65,14 @@ def _field(doc: dict[str, Any], key: str, converter: Callable[[Any], Any],
     if value is None:
         return default
     return convert(value, converter, f"scenario field {prefix}{key}")
+
+
+def _text(value: Any) -> str:
+    """A string, or a number read as its text; a list, object or boolean
+    raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise TypeError(f"expected text, got {type(value).__name__}")
+    return str(value)
 
 
 def _peak(value: Any) -> int:
@@ -145,19 +144,19 @@ def scenario_from_dict(
     window = _field(doc, "window", dict, {})
     targets = _field(doc, "target_peaks", dict, {})
     scenario = Scenario(
-        name=_field(doc, "name", str, default_name),
-        pbj_trace=_field(doc, "pbj_trace", str),
-        ws_trace=_field(doc, "ws_trace", str),
+        name=_field(doc, "name", _text, default_name),
+        pbj_trace=_field(doc, "pbj_trace", _text),
+        ws_trace=_field(doc, "ws_trace", _text),
         window_start=_field(window, "start_offset", whole, 0, "window."),
         window_duration=_field(window, "duration", whole, 0, "window."),
         cpus_per_node=_field(doc, "cpus_per_node", whole, 1),
         prc_pbj=_field(targets, "pbj", _peak, prefix="target_peaks."),
         prc_ws=_field(targets, "ws", _peak, prefix="target_peaks."),
-        regime=_field(doc, "regime", str),
+        regime=_field(doc, "regime", _text),
         config_size=_field(doc, "config_size", whole),
         params=_parse_policy_params(doc.get("params")),
         pbj_floor=_field(doc, "pbj_floor", whole),
-        output_dir=_field(doc, "output_dir", str),
+        output_dir=_field(doc, "output_dir", _text),
         base_dir=base_dir,
     )
     return scenario.validate()

@@ -55,6 +55,7 @@ __all__ = [
 class SimResult:
     metrics: MetricsReport
     adjustments: AdjustmentLog
+    columns: dict[str, Any]  # the report's identification columns, from the regime
     events: Optional[list[dict[str, Any]]] = None  # None unless recorded
 
 
@@ -159,7 +160,7 @@ class _Kernel:
         self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
     def _record(self, event: Event, started: Sequence[int], killed: Sequence[int],
-                adjustments_from: int) -> None:
+                adjustments_from: int, snapshot: dict[str, int]) -> None:
         payload: dict[str, Any]
         if event.kind == KIND_JOB_ARRIVAL:
             job = event.payload
@@ -184,7 +185,7 @@ class _Kernel:
         new_adjustments = self.log.entries[adjustments_from:]
         if new_adjustments:
             record["adjustments"] = [[a, d] for _, a, d in new_adjustments]
-        record["state"] = self.state.snapshot()
+        record["state"] = snapshot
         self.events.append(record)
 
     def execute(self) -> SimResult:
@@ -225,12 +226,11 @@ class _Kernel:
             elif kind == KIND_LEASE_TICK or kind == KIND_PBJ_MANAGE_TICK:
                 regime.on_tick(state, event, log)
             started = regime.admit(self)
+            # Taken also when not recorded: perfbench/tracer.py derives its
+            # queue-length figures from one snapshot call per processed event.
+            snapshot = state.snapshot()
             if record:
-                self._record(event, started, killed, adjustments_from)
-            else:
-                # Dropped: perfbench/tracer.py derives its queue-length
-                # figures from one snapshot call per processed event.
-                state.snapshot()
+                self._record(event, started, killed, adjustments_from, snapshot)
             new_level = regime.consumption(state)
             if new_level != level:
                 if time != since:
@@ -254,7 +254,8 @@ class _Kernel:
             total_jobs=len(self.job_trace.jobs),
             adjustment_count=log.count,
         )
-        return SimResult(metrics=report, adjustments=log, events=self.events)
+        return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
+                         events=self.events)
 
 
 def run(
@@ -266,7 +267,8 @@ def run(
     pbj_floor: Optional[int] = None,
     record_events: bool = False,
 ) -> SimResult:
-    """Simulate one scenario and return (metrics, adjustment log, event log).
+    """Simulate one scenario and return its metrics, adjustment log, report
+    identification columns and event log.
 
     The event log is built only with ``record_events``; otherwise
     ``SimResult.events`` is None. An empty job trace is accepted (the

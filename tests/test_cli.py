@@ -2,11 +2,14 @@ import concurrent.futures
 import json
 import re
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from provsim import cli
 from provsim.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from provsim.scenario import load_scenario
+from provsim.trace import parse_demand_trace, parse_swf
 
 TINY_SWF = "\n".join(
     [
@@ -17,6 +20,9 @@ TINY_SWF = "\n".join(
     ]
 )
 TINY_WS = "time,demand\n0,1\n200,3\n400,2\n"
+TINY_PEAKS = (parse_swf(TINY_SWF).peak_demand, parse_demand_trace(TINY_WS).peak_demand)
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").rglob("*.json"))
 
 AGREEMENT_XML = """<RE_agreement>
 <relationship="affiliated"></relationship>
@@ -123,6 +129,14 @@ class TestRunCommand:
         assert report["regime"] == "EC2RS"
         assert report["completed_jobs"] == 3
 
+    @pytest.mark.parametrize("regime, overrides", [("DCS", {}), ("FB", {"config_size": 8}),
+                                                   ("EC2RS", {})])
+    def test_pbj_floor_only_for_flb_nub(self, workspace, capsys, regime, overrides):
+        path = write_scenario(workspace, regime=regime, pbj_floor=1, **overrides)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        assert "pbj_floor" in capsys.readouterr().err
+
     def test_adhoc_flags_need_all_required(self, workspace, capsys):
         code = main(["run", "--pbj-trace", str(workspace / "jobs.swf")])
         assert code == EXIT_INVALID
@@ -138,7 +152,20 @@ MALFORMED_FIELDS = [
     ("params.L", {"params": {"L": "abc"}}),
     ("cpus_per_node", {"cpus_per_node": "a"}),
     ("config_size", {"config_size": "x"}),
+    ("name", {"name": ["x", 1]}),
+    ("name", {"name": {"x": 1}}),
+    ("name", {"name": True}),
+    ("pbj_trace", {"pbj_trace": ["jobs.swf"]}),
+    ("ws_trace", {"ws_trace": {"path": "demand.csv"}}),
+    ("scenario field regime", {"regime": ["FB"]}),
+    ("output_dir", {"output_dir": False}),
 ]
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_shipped_scenario_loads(path):
+    # Loading reads no trace, so the archive scenarios load without their traces.
+    assert load_scenario(path).name
 
 
 class TestMalformedScenario:
@@ -453,6 +480,32 @@ class TestSweepCommand:
         assert code == EXIT_OK
         header, row = (workspace / "tup" / "tiny.sweep_tuple.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["config_size"] == "12"
+
+
+class TestReportColumns:
+    """A report's identification columns are the values the run used, also
+    for a DCS scenario without target_peaks: its traces run at their own
+    peaks, and its configuration is their sum."""
+
+    EXPECTED = {"config_size": str(sum(TINY_PEAKS)), "prc_pbj": str(TINY_PEAKS[0]),
+                "prc_ws": str(TINY_PEAKS[1])}
+
+    def test_unscaled_dcs_run(self, workspace):
+        path = write_scenario(workspace, regime="DCS")
+        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_OK
+        report = json.loads((workspace / "out" / "tiny.report.json").read_text())
+        assert {key: str(report[key]) for key in self.EXPECTED} == self.EXPECTED
+
+    def test_unscaled_dcs_sweep_point_matches_run(self, workspace):
+        path = write_scenario(workspace, regime="DCS")
+        main(["run", str(path), "--output-dir", str(workspace / "single")])
+        assert main(["sweep", str(path), "--axis", "B", "--values", "4",
+                     "--output-dir", str(workspace / "swept")]) == EXIT_OK
+        run_row = (workspace / "single" / "tiny.report.csv").read_text().splitlines()[1]
+        header, sweep_row = (workspace / "swept" / "tiny.sweep_B.csv").read_text().splitlines()
+        assert sweep_row.replace("tiny_B4", "tiny") == run_row
+        cells = dict(zip(header.split(","), sweep_row.split(",")))
+        assert {key: cells[key] for key in self.EXPECTED} == self.EXPECTED
 
 
 class TestValidateCommand:

@@ -67,7 +67,7 @@ def test_shipped_scenarios_identical_with_recording_off(path):
     assert replay_completions(recorded.events) == (
         m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time)
     # The reports are byte-identical to the recorded golden outputs.
-    ident = scenario.identification()
+    ident = {"name": scenario.name, **plain.columns}
     csv = csv_header() + "\n" + report_to_csv_row(plain.metrics, ident) + "\n"
     assert sha256(report_to_json(plain.metrics, ident)) == GOLDEN[f"{path.stem}.report.json"]
     assert sha256(csv) == GOLDEN[f"{path.stem}.report.csv"]

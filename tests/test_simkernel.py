@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
+from provsim.metrics import IDENT_COLUMNS
 from provsim.policies import PolicyParams
 from provsim.simkernel import advance, run
 from provsim.state import REGIMES, ClusterState, Event
@@ -109,6 +110,21 @@ class TestRunBasics:
         jobs = make_jobs([(1, 0, 10, 2)], duration=100)
         with pytest.raises(ScenarioError, match="config_size"):
             run(jobs, ZERO_WS, regime, PolicyParams(L=50), config_size=8)
+
+    @pytest.mark.parametrize("regime, config_size", [("DCS", None), ("FB", 8), ("EC2RS", None)])
+    def test_regimes_without_pool_reject_pbj_floor(self, regime, config_size):
+        jobs = make_jobs([(1, 0, 10, 2)], duration=100)
+        with pytest.raises(ScenarioError, match="pbj_floor"):
+            run(jobs, ZERO_WS, regime, PolicyParams(L=50), config_size=config_size, pbj_floor=1)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_columns_are_the_values_that_ran(self, regime):
+        jobs, demand, params, kwargs = random_fuzz_setup(regime, 3)
+        columns = run(jobs, demand, regime, params, **kwargs).columns
+        assert list(columns) == IDENT_COLUMNS
+        assert (columns["prc_pbj"], columns["prc_ws"]) == (jobs.peak_demand, demand.peak_demand)
+        pool = (params.B, params.U, params.V, params.G) if regime == "FLB_NUB" else (None,) * 4
+        assert (columns["B"], columns["U"], columns["V"], columns["G"]) == pool
 
     def test_unknown_regime(self):
         jobs = make_jobs([(1, 0, 10, 2)], duration=100)
