@@ -28,7 +28,7 @@ from .policies import (
     ws_instance_controller,
 )
 from .scenario import Scenario, load_scenario, run_scenario_obj, scenario_from_dict
-from .simkernel import AdjustmentLog, ClusterState, Event, SimResult, advance, run
+from .simkernel import AdjustmentLog, ClusterState, Event, SimResult, run
 from .trace import (
     DemandTrace,
     Job,

@@ -49,8 +49,9 @@ class Scenario:
     def validate(self) -> "Scenario":
         """Check the scenario's own fields; the regime checks the rest at run time."""
         regime_class(self.regime)
-        if self.window_duration <= 0:
-            raise ScenarioError(f"window duration must be positive, got {self.window_duration}")
+        if not 0 < self.window_duration < 2**63:
+            raise ScenarioError("window.duration must be positive and below 2**63 seconds, "
+                                f"got {self.window_duration}")
         if self.cpus_per_node < 1:
             raise ScenarioError(f"cpus_per_node must be >= 1, got {self.cpus_per_node}")
         if (self.prc_pbj is None) != (self.prc_ws is None):
@@ -73,6 +74,13 @@ def _text(value: Any) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"expected text, got {type(value).__name__}")
     return str(value)
+
+
+def _object(value: Any) -> dict[str, Any]:
+    """A JSON object; anything else raises TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
 
 
 def _peak(value: Any) -> int:
@@ -141,8 +149,8 @@ def scenario_from_dict(
     for key in ("pbj_trace", "ws_trace", "regime"):
         if doc.get(key) is None:
             raise ScenarioError(f"missing scenario field {key!r}")
-    window = _field(doc, "window", dict, {})
-    targets = _field(doc, "target_peaks", dict, {})
+    window = _field(doc, "window", _object, {})
+    targets = _field(doc, "target_peaks", _object, {})
     scenario = Scenario(
         name=_field(doc, "name", _text, default_name),
         pbj_trace=_field(doc, "pbj_trace", _text),
@@ -174,6 +182,9 @@ def load_traces(scenario: Scenario) -> tuple[trace_mod.JobTrace, trace_mod.Deman
         jobs = trace_mod.normalize_cpus(jobs, scenario.cpus_per_node)
     demand = trace_mod.parse_demand_trace(ws_text)
     if scenario.prc_pbj is not None:
+        if demand.peak_demand == 0:
+            raise ScenarioError(f"demand trace {ws_path} peaks at 0, so it cannot be scaled "
+                                f"to target_peaks.ws={scenario.prc_ws}")
         jobs = trace_mod.scale_to_peak(jobs, scenario.prc_pbj)
         demand = trace_mod.scale_to_peak(demand, scenario.prc_ws)
     return jobs, demand

@@ -1,14 +1,15 @@
 """Deterministic virtual-time discrete-event engine.
 
 A run replays one consolidated scenario: batch-job arrivals, web-service
-demand changes, and the regime's periodic timers, all ordered by
-(time, kind priority, insertion sequence). After every event the regime's
+demand changes, and the regime's periodic timers. Kinds are numbered in
+their tie order, so events order as plain tuples by (time, kind, seq), and
+the heap holds the events themselves. After every event the regime's
 reaction rules fire, then the regime admits queued jobs. The regime's rules
 live in one ``policies.Regime`` subclass. The heap holds only pending
-events: the arrival, demand-sample and timer streams each keep one entry in
-it and are fed as they drain. The kernel tallies completions and integrates
-consumption as it goes, so the per-event log is built only when a run asks
-for it.
+events: each seeded stream (arrivals, demand samples, each timer kind)
+keeps one event in it and feeds the next when that one pops. The kernel
+tallies completions and integrates consumption as it goes, so the
+per-event log is built only when a run asks for it.
 Virtual time is integer seconds; identical inputs produce byte-identical
 event logs.
 """
@@ -20,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import IO, Any, Iterable, Iterator, Optional, Sequence
+from typing import IO, Any, Iterator, Optional, Sequence
 
 from . import policies
 from .errors import KernelError, ScenarioError
@@ -30,8 +31,7 @@ from .state import (
     KIND_JOB_ARRIVAL,
     KIND_JOB_COMPLETION,
     KIND_LEASE_TICK,
-    KIND_PBJ_MANAGE_TICK,
-    KIND_PRIORITY,
+    KIND_NAMES,
     KIND_WS_DEMAND_CHANGE,
     AdjustmentLog,
     ClusterState,
@@ -43,7 +43,6 @@ from .trace import DemandTrace, Job, JobTrace
 __all__ = [
     "SimResult",
     "run",
-    "advance",
     "write_event_log",
     "ClusterState",
     "AdjustmentLog",
@@ -59,32 +58,6 @@ class SimResult:
     events: Optional[list[dict[str, Any]]] = None  # None unless recorded
 
 
-def advance(state: ClusterState, event: Event) -> ClusterState:
-    """Apply an event's primitive effect (no policy reaction).
-
-    Arrivals enqueue and completions free the job's nodes into the batch RE's
-    idle set; demand changes and timers have no primitive effect. Policy
-    reactions are dispatched by `run`.
-    """
-    if event.time < state.clock:
-        raise KernelError(f"time regression: event at {event.time} before clock {state.clock}")
-    state.clock = event.time
-    if event.kind == KIND_JOB_ARRIVAL:
-        state.queue.append(event.payload)
-    elif event.kind == KIND_JOB_COMPLETION:
-        job, _attempt = event.payload
-        record = state.running.pop(job.id)
-        state.running_alloc -= record.alloc
-        state.pbj_idle += record.alloc
-    return state
-
-
-def _stream(kind: str, base: int, entries: Iterable[tuple[int, Any]]) -> Iterator[Event]:
-    """Events of one kind from (time, payload) pairs, numbered from seq ``base``."""
-    for seq, (time, payload) in enumerate(entries, base):
-        yield Event(time, kind, seq, payload)
-
-
 class _Kernel:
     """One simulation run; single-threaded and fully deterministic.
 
@@ -97,54 +70,34 @@ class _Kernel:
         self.regime = regime
         self.duration = job_trace.window[1]
         self.job_trace = job_trace
-        self.demand_trace = demand_trace
         self.state = regime.initial_state()
         self.log = AdjustmentLog()
         self.events: Optional[list[dict[str, Any]]] = [] if record_events else None
-        self._heap: list[tuple[int, int, int, Event]] = []
-        self._streams: dict[str, Iterator[Event]] = {}
-        self._seeded = self._open_streams()  # seqs below this belong to the seeded streams
-        self._seq = itertools.count(self._seeded)
+        self._heap: list[Event] = []
+        self._seq = itertools.count()
+        # Each kind's seeded stream of (time, payload) pairs; None for the
+        # kinds that only ``push`` schedules. Samples past the window end
+        # pop after every event inside it, and the run stops there.
+        jobs = sorted(job_trace.jobs, key=attrgetter("submit_time"))
+        ticks = range(0, self.duration + 1, regime.params.L)
+        streams = {KIND_JOB_ARRIVAL: ((job.submit_time, job) for job in jobs),
+                   KIND_WS_DEMAND_CHANGE: iter(sorted(demand_trace.samples, key=itemgetter(0))),
+                   **{kind: ((t, None) for t in ticks) for kind in regime.timer_kinds}}
+        self._streams: list[Optional[Iterator[tuple[int, Any]]]] = [
+            streams.get(kind) for kind in range(len(KIND_NAMES))]
+        for kind in streams:
+            self._feed(kind)
 
     # -- event plumbing ----------------------------------------------------
 
-    def push(self, time: int, kind: str, payload: Any = None) -> None:
-        seq = next(self._seq)
-        event = Event(time, kind, seq, payload)
-        heapq.heappush(self._heap, (time, KIND_PRIORITY[kind], seq, event))
+    def push(self, time: int, kind: int, payload: Any = None) -> None:
+        heapq.heappush(self._heap, Event(time, kind, next(self._seq), payload))
 
-    def _feed(self, kind: str) -> None:
+    def _feed(self, kind: int) -> None:
         """Push the next event of the seeded stream of ``kind``, if any."""
-        event = next(self._streams[kind], None)
-        if event is not None:
-            heapq.heappush(self._heap, (event.time, KIND_PRIORITY[kind], event.seq, event))
-
-    def _open_streams(self) -> int:
-        """Open the arrival, demand-sample and timer streams and return the
-        number of events they hold.
-
-        Each event takes the seq it would get if every arrival, then every
-        demand sample up to the window end, then each timer kind's ticks
-        were pushed up front: its stream's base plus its index. Dynamic
-        events are numbered after all of them.
-        """
-        duration = self.duration
-        jobs = sorted(self.job_trace.jobs, key=attrgetter("submit_time"))
-        samples = sorted(self.demand_trace.samples, key=itemgetter(0))
-        in_window = sum(1 for time, _ in samples if time <= duration)
-        ticks = range(0, duration + 1, self.regime.params.L)
-        streams = [
-            (KIND_JOB_ARRIVAL, len(jobs), ((job.submit_time, job) for job in jobs)),
-            (KIND_WS_DEMAND_CHANGE, in_window, itertools.islice(samples, in_window)),
-        ]
-        streams += [(kind, len(ticks), ((t, None) for t in ticks))
-                    for kind in self.regime.timer_kinds]
-        base = 0
-        for kind, count, entries in streams:
-            self._streams[kind] = _stream(kind, base, entries)
-            self._feed(kind)
-            base += count
-        return base
+        entry = next(self._streams[kind], None)
+        if entry is not None:
+            self.push(entry[0], kind, entry[1])
 
     # -- per-event processing ----------------------------------------------
 
@@ -177,7 +130,8 @@ class _Kernel:
             payload = dict(event.payload)
         else:
             payload = {}
-        record: dict[str, Any] = {"time": event.time, "kind": event.kind, "payload": payload}
+        record: dict[str, Any] = {"time": event.time, "kind": KIND_NAMES[event.kind],
+                                  "payload": payload}
         if started:
             record["started"] = started
         if killed:
@@ -189,7 +143,9 @@ class _Kernel:
         self.events.append(record)
 
     def execute(self) -> SimResult:
-        """Process every event up to the window end.
+        """Process every event up to the window end, dispatching each on its
+        kind once: a completion frees its nodes, a demand change or timer
+        goes to the regime, and an arrival joins the queue.
 
         Each non-stale completion adds to the completed count and the runtime
         and turnaround sums. The consumption level after each event is
@@ -199,31 +155,38 @@ class _Kernel:
         only when asked for.
         """
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
-        heappop, seeded, duration = heapq.heappop, self._seeded, self.duration
+        heappop, streams, feed, duration = heapq.heappop, self._streams, self._feed, self.duration
         record = self.events is not None
         completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = regime.consumption(state), 0, 0, 0
         while heap:
-            _, _, seq, event = heappop(heap)
-            time, kind = event.time, event.kind
+            event = heappop(heap)
+            time, kind, _, payload = event
             if time > duration:
                 break
-            if seq < seeded:
-                self._feed(kind)
+            if time < state.clock:
+                raise KernelError(f"time regression: event at {time} before clock {state.clock}")
+            state.clock = time
+            if streams[kind] is not None:
+                feed(kind)
+            adjustments_from = log.count
+            killed: Sequence[int] = ()
             if kind == KIND_JOB_COMPLETION:
-                job, attempt = event.payload
+                job, attempt = payload
                 running = state.running.get(job.id)
                 if running is None or running.attempt != attempt:
                     continue  # a killed attempt's completion
+                del state.running[job.id]
+                state.running_alloc -= running.alloc
+                state.pbj_idle += running.alloc
                 completed += 1
                 runtime_sum += job.runtime
                 turnaround_sum += time - job.submit_time
-            adjustments_from = log.count
-            advance(state, event)
-            killed: Sequence[int] = ()
-            if kind == KIND_WS_DEMAND_CHANGE:
-                killed = regime.on_demand(state, event.payload, log)
-            elif kind == KIND_LEASE_TICK or kind == KIND_PBJ_MANAGE_TICK:
+            elif kind == KIND_WS_DEMAND_CHANGE:
+                killed = regime.on_demand(state, payload, log)
+            elif kind == KIND_JOB_ARRIVAL:
+                state.queue.append(payload)
+            else:
                 regime.on_tick(state, event, log)
             started = regime.admit(self)
             # Taken also when not recorded: perfbench/tracer.py derives its

@@ -17,28 +17,29 @@ ACTOR_PBJ = "pbj_manager"
 ACTOR_WS = "ws_manager"
 ACTOR_PROVISION = "provision_service"
 
-KIND_JOB_COMPLETION = "job_completion"
-KIND_WS_DEMAND_CHANGE = "ws_demand_change"
-KIND_LEASE_TICK = "lease_tick"
-KIND_PBJ_MANAGE_TICK = "pbj_manage_tick"
-KIND_JOB_ARRIVAL = "job_arrival"
-
-# Total event order at equal times: completions free resources before anything
-# reacts, resource decisions see the freed state, arrivals come last.
-KIND_PRIORITY = {
-    KIND_JOB_COMPLETION: 0,
-    KIND_WS_DEMAND_CHANGE: 1,
-    KIND_LEASE_TICK: 2,
-    KIND_PBJ_MANAGE_TICK: 3,
-    KIND_JOB_ARRIVAL: 4,
-}
+# Event kinds, numbered in their order at equal times: completions free
+# resources before anything reacts, resource decisions see the freed state,
+# arrivals come last. The event log names them by ``KIND_NAMES``.
+KIND_JOB_COMPLETION = 0
+KIND_WS_DEMAND_CHANGE = 1
+KIND_LEASE_TICK = 2
+KIND_PBJ_MANAGE_TICK = 3
+KIND_JOB_ARRIVAL = 4
+KIND_NAMES = ("job_completion", "ws_demand_change", "lease_tick", "pbj_manage_tick",
+              "job_arrival")
 
 
 class Event(NamedTuple):
-    """A scheduled simulation event; seq breaks remaining ties deterministically."""
+    """A scheduled simulation event, ordered as a plain tuple by (time, kind,
+    seq); seqs are distinct, so the payload is never compared.
+
+    Within one kind, events come either from one seeded stream, numbered as
+    it is fed in index order, or from ``push`` calls, numbered in push order.
+    So seq keeps same-time events of one kind in their stream or push order.
+    """
 
     time: int
-    kind: str
+    kind: int
     seq: int
     payload: Any = None
 

@@ -129,6 +129,17 @@ class TestRunCommand:
         assert report["regime"] == "EC2RS"
         assert report["completed_jobs"] == 3
 
+    def test_adhoc_duration_beyond_range_rejected(self, workspace, capsys):
+        code = main([
+            "run",
+            "--pbj-trace", str(workspace / "jobs.swf"),
+            "--ws-trace", str(workspace / "demand.csv"),
+            "--regime", "FLB_NUB", "--duration", "1e30", "--params", "B4/L5",
+            "--output-dir", str(workspace / "adhoc"),
+        ])
+        assert code == EXIT_INVALID
+        assert "window.duration" in capsys.readouterr().err
+
     @pytest.mark.parametrize("regime, overrides", [("DCS", {}), ("FB", {"config_size": 8}),
                                                    ("EC2RS", {})])
     def test_pbj_floor_only_for_flb_nub(self, workspace, capsys, regime, overrides):
@@ -146,6 +157,10 @@ class TestRunCommand:
 # (field the error must name, scenario overrides)
 MALFORMED_FIELDS = [
     ("window", {"window": 5}),
+    ("window", {"window": "ab"}),
+    ("window", {"window": [["duration", 600]]}),
+    ("window.duration", {"window": {"start_offset": 0, "duration": 1e30}}),
+    ("target_peaks", {"target_peaks": [["pbj", 4], ["ws", 3]]}),
     ("target_peaks.pbj", {"target_peaks": {"pbj": "x", "ws": 2}}),
     ("target_peaks", {"target_peaks": {"pbj": 4}}),
     ("target_peaks.pbj", {"target_peaks": {"pbj": 0, "ws": 2}}),
@@ -342,6 +357,15 @@ class TestTraceErrors:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "trace error" in err and "line 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"]])
+    def test_zero_peak_demand_with_target_peaks_exits_invalid(self, workspace, capsys, command):
+        (workspace / "demand.csv").write_text("time,demand\n0,0\n200,0\n")
+        path = write_scenario(workspace, target_peaks={"pbj": 4, "ws": 2})
+        code = main([command[0], str(path), *command[1:], "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "demand.csv" in err and "target_peaks.ws" in err
 
 
 class RecordingExecutor:

@@ -7,8 +7,8 @@ import pytest
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.metrics import IDENT_COLUMNS
 from provsim.policies import PolicyParams
-from provsim.simkernel import advance, run
-from provsim.state import REGIMES, ClusterState, Event
+from provsim.simkernel import run
+from provsim.state import REGIMES
 from provsim.trace import DemandTrace, Job, JobTrace
 
 from conftest import make_demand, make_jobs
@@ -28,23 +28,22 @@ def serialize_events(events):
     return "\n".join(json.dumps(r, separators=(",", ":")) for r in events)
 
 
-class TestAdvance:
-    def test_arrival_enqueues(self):
-        state = ClusterState()
-        job = Job(1, 5, 10, 2)
-        advance(state, Event(time=5, kind="job_arrival", seq=0, payload=job))
-        assert list(state.queue) == [job] and state.clock == 5
+class TestEventOrder:
+    def test_negative_submit_time_is_time_regression(self):
+        jobs = JobTrace(jobs=(Job(1, -5, 10, 1),), peak_demand=1, window=(0, 100))
+        with pytest.raises(KernelError, match="time regression"):
+            run(jobs, ZERO_WS, "DCS", PolicyParams())
 
-    def test_demand_change_records_only(self):
-        state = ClusterState()
-        advance(state, Event(time=3, kind="ws_demand_change", seq=0, payload=7))
-        assert state.ws_held == 0  # reallocation is the policy's job
-
-    def test_time_regression_rejected(self):
-        state = ClusterState()
-        state.clock = 10
-        with pytest.raises(KernelError, match="regression"):
-            advance(state, Event(time=9, kind="lease_tick", seq=0))
+    def test_same_time_events_in_kind_order(self):
+        # At t=10: job 1 completes, demand changes, both FLB_NUB timers tick,
+        # and jobs 5 and 4 arrive, listed in that order in the trace.
+        jobs = make_jobs([(1, 0, 10, 1), (5, 10, 5, 1), (4, 10, 5, 1)], duration=100)
+        demand = make_demand([(0, 0), (10, 1)])
+        result = run(jobs, demand, "FLB_NUB", PolicyParams(B=4, L=10), record_events=True)
+        at_10 = [r for r in result.events if r["time"] == 10]
+        assert [r["kind"] for r in at_10] == ["job_completion", "ws_demand_change", "lease_tick",
+                                              "pbj_manage_tick", "job_arrival", "job_arrival"]
+        assert [r["payload"]["job_id"] for r in at_10 if r["kind"] == "job_arrival"] == [5, 4]
 
 
 class TestRunBasics:
