@@ -136,8 +136,8 @@ def _parse_bound(value: Optional[str], field: str) -> Optional[int]:
         return None
     try:
         return whole(value.strip())
-    except ValueError:
-        raise AgreementError(f"non-integer {field} value {value!r}") from None
+    except ValueError as exc:
+        raise AgreementError(f"bad {field} value {value!r}: {exc}") from None
 
 
 _REQUIRED = ("relationship", "type", "granularity", "resource_coordination_model",

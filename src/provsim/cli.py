@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,7 +25,6 @@ from .errors import (
     TraceParseError,
 )
 from .metrics import csv_header, report_to_csv_row, report_to_json
-from .policies import whole
 from .scenario import (
     SWEEP_AXES,
     Scenario,
@@ -70,21 +70,29 @@ def _classify(exc: ProvsimError) -> tuple[str, int]:
     return "error", EXIT_ERROR
 
 
+@contextmanager
+def _report_dir(out_dir: Path):
+    """Create ``out_dir`` for the block's writes; an OSError names the directory."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ScenarioError(f"cannot write reports to directory {out_dir}: {exc}") from None
+
+
 def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     ident = {"name": scenario.name, **result.columns}
-    written = []
     json_path = out_dir / f"{scenario.name}.report.json"
-    json_path.write_text(report_to_json(result.metrics, ident))
-    written.append(json_path)
     csv_path = out_dir / f"{scenario.name}.report.csv"
-    csv_path.write_text(csv_header() + "\n" + report_to_csv_row(result.metrics, ident) + "\n")
-    written.append(csv_path)
-    if result.events is not None:
-        log_path = out_dir / f"{scenario.name}.events.jsonl"
-        with log_path.open("w") as stream:
-            write_event_log(result.events, stream)
-        written.append(log_path)
+    written = [json_path, csv_path]
+    with _report_dir(out_dir):
+        json_path.write_text(report_to_json(result.metrics, ident))
+        csv_path.write_text(csv_header() + "\n" + report_to_csv_row(result.metrics, ident) + "\n")
+        if result.events is not None:
+            log_path = out_dir / f"{scenario.name}.events.jsonl"
+            with log_path.open("w") as stream:
+                write_event_log(result.events, stream)
+            written.append(log_path)
     return written
 
 
@@ -174,11 +182,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except ProvsimError as exc:
                 raise _point_failed(point, exc) from None
     out_dir = _output_dir(args.output_dir, base)
-    out_dir.mkdir(parents=True, exist_ok=True)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"
     lines = [csv_header()]
     lines.extend(rows[point.name] for point in points)  # merged in given-value order
-    merged.write_text("\n".join(lines) + "\n")
+    with _report_dir(out_dir):
+        merged.write_text("\n".join(lines) + "\n")
     print(f"{base.name}: swept {args.axis} over {len(points)} points")
     print(f"  wrote {merged}")
     return EXIT_OK
@@ -208,11 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     adhoc.add_argument("--pbj-trace", default=None, help="SWF batch-job trace path")
     adhoc.add_argument("--ws-trace", default=None, help="demand-trace CSV path")
     adhoc.add_argument("--regime", choices=REGIMES, default=None)
-    adhoc.add_argument("--duration", type=whole, default=None, help="window duration in seconds")
-    adhoc.add_argument("--window-start", type=whole, default=0)
-    adhoc.add_argument("--cpus-per-node", type=whole, default=1)
+    # The integer flags are scenario fields, converted and checked as such.
+    adhoc.add_argument("--duration", default=None, help="window duration in seconds")
+    adhoc.add_argument("--window-start", default=0)
+    adhoc.add_argument("--cpus-per-node", default=1)
     adhoc.add_argument("--target-peaks", default=None, help="scaling tuple as pbj:ws, e.g. 128:128")
-    adhoc.add_argument("--config-size", type=whole, default=None)
+    adhoc.add_argument("--config-size", default=None)
     adhoc.add_argument("--params", default=None, help='e.g. "B25/U1.2/V0.2/G0.5/L60"')
     adhoc.add_argument("--name", default=None, help="report base name for ad hoc runs")
     run_p.set_defaults(func=_cmd_run)

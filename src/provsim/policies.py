@@ -25,7 +25,7 @@ from .state import (
     ClusterState,
     JobQueue,
 )
-from .trace import Job
+from .trace import INT_LIMIT, Job
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,17 @@ def real(value: Any) -> float:
 def whole(value: Any) -> int:
     """An integer given as an int, a whole float or a numeric string with a
     whole value ("4.0", "1e3"); a fraction, nan or inf raises ValueError
-    instead of being truncated."""
+    instead of being truncated, and so does a magnitude of 2**63 or more."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return value  # exact, however large
-    number = real(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(number)
+        number = value  # exact, however large
+    else:
+        number = real(value)
+        if not number.is_integer():
+            raise ValueError(f"{value!r} is not a whole number")
+        number = int(number)
+    if abs(number) >= INT_LIMIT:
+        raise ValueError(f"{value!r} is not below 2**63 in magnitude")
+    return number
 
 
 def lease_seconds(minutes: Any) -> int:
@@ -140,53 +144,35 @@ def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> list[Job]:
     return queue.first_fit(pbj_idle)
 
 
-def _kill_order_key(record) -> tuple[int, int, int]:
-    # Minimum size first; ties broken by latest start, then latest start order.
-    return (record.alloc, -record.start_time, -record.start_seq)
-
-
 def fb_force_release(
     state: ClusterState, needed: int, log: AdjustmentLog
 ) -> list[KillRecord]:
     """Surrender `needed` nodes from the batch RE to the provision service.
 
-    Idle nodes go first; while short, the running job with the minimum size is
-    killed (ties: latest start time first) and its whole allocation freed.
-    Overshoot from the last kill stays with the batch RE as idle; victims are
-    requeued at the head of the queue in original-arrival order, and their
-    attempt counts kept in ``state.attempts`` until they restart.
+    Idle nodes go first; while short, the running job of minimum size is
+    killed (ties: the latest start time, then the job started last, as
+    ``state.running`` is in start order) and its whole allocation freed.
+    Overshoot from the last kill stays with the batch RE as idle; victims
+    are requeued at the head of the queue in original-arrival order, and
+    their attempt counts kept in ``state.attempts`` until they restart.
     """
     if needed < 1:
         raise KernelError(f"force release needs a positive amount, got {needed}")
     if needed > state.pbj_owned:
-        raise KernelError(
-            f"force release of {needed} exceeds batch holdings {state.pbj_owned}"
-        )
-    surrendered = min(state.pbj_idle, needed)
-    state.pbj_idle -= surrendered
-    state.pbj_owned -= surrendered
-    state.free += surrendered
-    short = needed - surrendered
+        raise KernelError(f"force release of {needed} exceeds batch holdings {state.pbj_owned}")
+    short = needed - state.pbj_idle
     kills: list[KillRecord] = []
     victims: list[Job] = []
     while short > 0:
-        victim = min(state.running.values(), key=_kill_order_key)
-        del state.running[victim.job.id]
-        state.attempts[victim.job.id] = victim.attempt
-        state.running_alloc -= victim.alloc
-        victims.append(victim.job)
-        kills.append(
-            KillRecord(job_id=victim.job.id, kill_time=state.clock, nodes_released=victim.alloc)
-        )
-        if victim.alloc <= short:
-            state.pbj_owned -= victim.alloc
-            state.free += victim.alloc
-            short -= victim.alloc
-        else:
-            state.pbj_owned -= short
-            state.free += short
-            state.pbj_idle += victim.alloc - short
-            short = 0
+        victim = min(reversed(state.running.values()), key=lambda r: (r.job.size, -r.start_time))
+        job = victim.job
+        del state.running[job.id]
+        state.attempts[job.id] = victim.attempt
+        state.running_alloc -= job.size
+        victims.append(job)
+        kills.append(KillRecord(job_id=job.id, kill_time=state.clock, nodes_released=job.size))
+        short -= job.size
+    state.pbj_owned -= needed
     state.queue.push_front(sorted(victims, key=lambda j: (j.submit_time, j.id)))
     log.record(state.clock, ACTOR_PBJ, -needed)
     return kills
@@ -200,22 +186,12 @@ def fb_ws_demand(
     Demand drops release the surplus to the provision service's free set;
     rises take free nodes first and force the batch RE to release the rest.
     """
-    kills: list[KillRecord] = []
-    if new_demand < state.ws_held:
-        surplus = state.ws_held - new_demand
-        state.ws_held = new_demand
-        state.free += surplus
-        log.record(state.clock, ACTOR_WS, -surplus)
-    elif new_demand > state.ws_held:
-        need = new_demand - state.ws_held
-        taken = min(state.free, need)
-        state.free -= taken
-        shortfall = need - taken
-        if shortfall > 0:
-            kills = fb_force_release(state, shortfall, log)
-            state.free -= shortfall
-        state.ws_held = new_demand
-        log.record(state.clock, ACTOR_WS, need)
+    delta = new_demand - state.ws_held
+    shortfall = delta - state.free
+    kills = fb_force_release(state, shortfall, log) if shortfall > 0 else []
+    state.ws_held = new_demand
+    if delta:
+        log.record(state.clock, ACTOR_WS, delta)
     return kills
 
 
@@ -223,39 +199,32 @@ def fb_lease_tick(state: ClusterState, log: AdjustmentLog) -> ClusterState:
     """Provision free nodes to the batch RE, up to its agreement bound."""
     grant = min(state.free, state.pbj_bound - state.pbj_owned)
     if grant > 0:
-        state.free -= grant
         state.pbj_owned += grant
-        state.pbj_idle += grant
         log.record(state.clock, ACTOR_PROVISION, grant)
     return state
 
 
 def _flb_acquire_pbj(state: ClusterState, amount: int) -> None:
-    room = state.pool_size - state.pbj_pool - state.ws_pool
-    state.pbj_pool += min(amount, room)
+    state.pbj_pool += min(amount, state.pool_room)
     state.pbj_owned += amount
-    state.pbj_idle += amount
 
 
 def _flb_release_pbj(state: ClusterState, amount: int) -> None:
     external = min(amount, state.pbj_external)
     state.pbj_pool -= amount - external
     state.pbj_owned -= amount
-    state.pbj_idle -= amount
 
 
 def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> ClusterState:
-    """Track web-service demand exactly: the unbounded provider always grants."""
+    """Track web-service demand exactly: the unbounded provider always grants.
+    A rise is charged to the pool while it has room; a fall gives back
+    external leases first."""
     delta = new_demand - state.ws_held
-    if delta > 0:
-        room = state.pool_size - state.pbj_pool - state.ws_pool
-        state.ws_pool += min(delta, room)
-        state.ws_held = new_demand
-        log.record(state.clock, ACTOR_WS, delta)
-    elif delta < 0:
-        release = -delta
-        external = min(release, state.ws_external)
-        state.ws_pool -= release - external
+    if delta:
+        if delta > 0:
+            state.ws_pool += min(delta, state.pool_room)
+        else:
+            state.ws_pool += delta + min(-delta, state.ws_external)
         state.ws_held = new_demand
         log.record(state.clock, ACTOR_WS, delta)
     return state
@@ -263,7 +232,7 @@ def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> C
 
 def flb_lease_tick(state: ClusterState, log: AdjustmentLog) -> ClusterState:
     """Provision the coordinated pool's idle capacity to the batch RE."""
-    idle_pool = state.pool_size - state.pbj_pool - state.ws_pool
+    idle_pool = state.pool_room
     if idle_pool > 0:
         _flb_acquire_pbj(state, idle_pool)
         log.record(state.clock, ACTOR_PROVISION, idle_pool)
@@ -387,7 +356,7 @@ class DCS(Regime):
         return derived
 
     def initial_state(self) -> ClusterState:
-        return ClusterState(pbj_owned=self.prc_pbj, pbj_idle=self.prc_pbj)
+        return ClusterState(pbj_owned=self.prc_pbj)
 
     def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
         # The web-service partition is the demand trace's own peak: it always fits.
@@ -417,7 +386,7 @@ class FB(Regime):
         return config_size
 
     def initial_state(self) -> ClusterState:
-        return ClusterState(pbj_bound=self.prc_pbj, free=self.config_size)
+        return ClusterState(capacity=self.config_size, pbj_bound=self.prc_pbj)
 
     def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
         return [kill.job_id for kill in fb_ws_demand(state, demand, log)]
@@ -447,8 +416,8 @@ class FLB_NUB(Regime):
     def initial_state(self) -> ClusterState:
         # The lower-bound share is held from the start; not an adjustment.
         floor = self.pbj_floor
-        return ClusterState(pool_size=self.params.B, pbj_floor=floor,
-                            pbj_owned=floor, pbj_idle=floor, pbj_pool=floor)
+        return ClusterState(pool_size=self.params.B, pbj_floor=floor, pbj_owned=floor,
+                            pbj_pool=floor)
 
     def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
         flb_ws_demand(state, demand, log)
@@ -489,7 +458,6 @@ class EC2RS(Regime):
         """A job's lease expires and its nodes go back to the provider."""
         nodes = event.payload["nodes"]
         state.pbj_owned -= nodes
-        state.pbj_idle -= nodes
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
     def admit(self, kernel) -> Sequence[int]:
@@ -501,7 +469,6 @@ class EC2RS(Regime):
         for job in state.queue.drain():
             start, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
-            state.pbj_idle += job.size
             kernel.start_job(job, start)
             kernel.push(release, KIND_LEASE_TICK, {"job_id": job.id, "nodes": job.size})
             kernel.log.record(state.clock, ACTOR_PBJ, job.size)

@@ -49,9 +49,10 @@ class Scenario:
     def validate(self) -> "Scenario":
         """Check the scenario's own fields; the regime checks the rest at run time."""
         regime_class(self.regime)
-        if not 0 < self.window_duration < 2**63:
-            raise ScenarioError("window.duration must be positive and below 2**63 seconds, "
-                                f"got {self.window_duration}")
+        if self.window_start < 0:
+            raise ScenarioError(f"window.start_offset must be >= 0, got {self.window_start}")
+        if self.window_duration <= 0:
+            raise ScenarioError(f"window.duration must be positive, got {self.window_duration}")
         if self.cpus_per_node < 1:
             raise ScenarioError(f"cpus_per_node must be >= 1, got {self.cpus_per_node}")
         if (self.prc_pbj is None) != (self.prc_ws is None):
@@ -74,6 +75,14 @@ def _text(value: Any) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise TypeError(f"expected text, got {type(value).__name__}")
     return str(value)
+
+
+def _file_name(value: Any) -> str:
+    """Text usable as a file name in the report directory."""
+    name = _text(value)
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ValueError("must be a plain file name: not empty, '.', '..', and no '/' or NUL")
+    return name
 
 
 def _object(value: Any) -> dict[str, Any]:
@@ -152,7 +161,7 @@ def scenario_from_dict(
     window = _field(doc, "window", _object, {})
     targets = _field(doc, "target_peaks", _object, {})
     scenario = Scenario(
-        name=_field(doc, "name", _text, default_name),
+        name=_field(doc, "name", _file_name) or convert(default_name, _file_name, "scenario name"),
         pbj_trace=_field(doc, "pbj_trace", _text),
         ws_trace=_field(doc, "ws_trace", _text),
         window_start=_field(window, "start_offset", whole, 0, "window."),

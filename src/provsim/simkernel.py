@@ -103,13 +103,8 @@ class _Kernel:
 
     def start_job(self, job: Job, now: int) -> None:
         attempt = self.state.attempts.pop(job.id, 0) + 1
-        self.state.start_seq += 1
-        self.state.running[job.id] = RunningJob(
-            job=job, start_time=now, alloc=job.size, attempt=attempt,
-            start_seq=self.state.start_seq,
-        )
+        self.state.running[job.id] = RunningJob(job=job, start_time=now, attempt=attempt)
         self.state.running_alloc += job.size
-        self.state.pbj_idle -= job.size
         self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
     def _record(self, event: Event, started: Sequence[int], killed: Sequence[int],
@@ -177,8 +172,7 @@ class _Kernel:
                 if running is None or running.attempt != attempt:
                     continue  # a killed attempt's completion
                 del state.running[job.id]
-                state.running_alloc -= running.alloc
-                state.pbj_idle += running.alloc
+                state.running_alloc -= job.size
                 completed += 1
                 runtime_sum += job.runtime
                 turnaround_sum += time - job.submit_time

@@ -46,11 +46,9 @@ class Event(NamedTuple):
 
 @dataclass
 class RunningJob:
-    job: Job
+    job: Job  # holds job.size nodes while it runs
     start_time: int
-    alloc: int
     attempt: int
-    start_seq: int
 
 
 @dataclass
@@ -172,24 +170,26 @@ class JobQueue:
 class ClusterState:
     """Mutable resource-accounting state shared by the kernel and the policies.
 
-    ``pbj_bound`` is the batch RE's agreement bound in FB (its scaled trace
-    peak), which caps its holdings. ``free`` is the provision service's
-    unallocated set inside a bounded cluster. The ``pbj_pool``/``ws_pool``
-    counters track how much of each RE's holdings is charged to the
-    coordinated pool of ``pool_size`` nodes in FLB_NUB (first-come);
-    holdings beyond them are externally leased. ``running_alloc`` is a
-    counter kept where jobs start, complete and are killed, so ``snapshot``
-    reads counters only. ``attempts`` holds the attempt count of each killed
-    job until it restarts.
+    Only primary counts are stored; the rest are derived, so no transition
+    can leave them out of step. ``pbj_idle`` is the batch RE's holdings
+    ``pbj_owned`` less ``running_alloc``, the nodes its running jobs hold.
+    ``capacity``, set only in FB, is the bounded cluster's size, and ``free``
+    (the provision service's set) is what neither RE holds of it; it is 0
+    when ``capacity`` is None. ``pbj_bound`` caps the batch RE's holdings in
+    FB (its agreement bound, the scaled trace peak). ``pbj_pool``/``ws_pool``
+    count how much of each RE's holdings is charged to the coordinated pool
+    of ``pool_size`` nodes in FLB_NUB (first-come), and ``pool_room`` is the
+    uncharged rest; holdings beyond the pool are externally leased.
+    ``running`` is in start order (a killed job re-enters when it restarts),
+    and ``attempts`` holds each killed job's attempt count until then.
     """
 
     pool_size: int = 0
+    capacity: Optional[int] = None
     pbj_bound: Optional[int] = None
     pbj_floor: int = 0
     pbj_owned: int = 0
-    pbj_idle: int = 0
     ws_held: int = 0
-    free: int = 0
     pbj_pool: int = 0
     ws_pool: int = 0
     clock: int = 0
@@ -197,7 +197,19 @@ class ClusterState:
     running_alloc: int = 0
     queue: JobQueue = field(default_factory=JobQueue)
     attempts: dict[int, int] = field(default_factory=dict)
-    start_seq: int = 0
+
+    @property
+    def pbj_idle(self) -> int:
+        return self.pbj_owned - self.running_alloc
+
+    @property
+    def free(self) -> int:
+        capacity = self.capacity
+        return 0 if capacity is None else capacity - self.pbj_owned - self.ws_held
+
+    @property
+    def pool_room(self) -> int:
+        return self.pool_size - self.pbj_pool - self.ws_pool
 
     @property
     def pbj_external(self) -> int:
@@ -209,16 +221,18 @@ class ClusterState:
 
     def snapshot(self) -> dict[str, int]:
         """Post-event accounting snapshot embedded in the event log."""
+        owned, running, ws = self.pbj_owned, self.running_alloc, self.ws_held
+        pbj_pool, ws_pool, capacity, queue = self.pbj_pool, self.ws_pool, self.capacity, self.queue
         return {
-            "pbj_owned": self.pbj_owned,
-            "pbj_idle": self.pbj_idle,
-            "running_alloc": self.running_alloc,
-            "ws_held": self.ws_held,
-            "free": self.free,
-            "pbj_pool": self.pbj_pool,
-            "ws_pool": self.ws_pool,
-            "pbj_external": self.pbj_external,
-            "ws_external": self.ws_external,
-            "queue_len": len(self.queue),
-            "queued_demand": self.queue.demand,
+            "pbj_owned": owned,
+            "pbj_idle": owned - running,
+            "running_alloc": running,
+            "ws_held": ws,
+            "free": 0 if capacity is None else capacity - owned - ws,
+            "pbj_pool": pbj_pool,
+            "ws_pool": ws_pool,
+            "pbj_external": owned - pbj_pool,
+            "ws_external": ws - ws_pool,
+            "queue_len": len(queue),
+            "queued_demand": queue.demand,
         }

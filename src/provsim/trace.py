@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .errors import EmptyTraceError, TraceParseError
 
+INT_LIMIT = 2**63  # bound on every integer read, so that float arithmetic cannot overflow
+
 # SWF field positions (0-based) of the fields the simulator consumes.
 _F_ID = 0
 _F_SUBMIT = 1
@@ -56,11 +58,13 @@ class DemandTrace:
 
 def _swf_int(token: str, lineno: int, what: str) -> int:
     try:
-        return int(float(token))
+        value = int(float(token))
+        if abs(value) < INT_LIMIT:
+            return value
     except (ValueError, OverflowError):
-        raise TraceParseError(
-            f"SWF line {lineno}: {what} field is not a finite number: {token!r}"
-        ) from None
+        pass
+    raise TraceParseError(
+        f"SWF line {lineno}: {what} field is not a finite number below 2**63: {token!r}")
 
 
 def parse_swf(text: str) -> JobTrace:
@@ -128,6 +132,8 @@ def parse_demand_trace(text: str) -> DemandTrace:
             t, d = int(parts[0]), int(parts[1])
         except ValueError:
             raise TraceParseError(f"demand line {lineno}: non-integer field in {line!r}") from None
+        if max(t, d) >= INT_LIMIT:  # negative values are rejected below
+            raise TraceParseError(f"demand line {lineno}: field not below 2**63 in {line!r}")
         if d < 0:
             raise TraceParseError(f"demand line {lineno}: negative demand {d}")
         if t < 0:

@@ -223,11 +223,11 @@ def random_force_release_instance(rng):
     owned = idle + sum(size for _, size, _ in running)
     needed = rng.randint(1, owned)
     config = owned  # ws/free not involved in the release itself
-    state = ClusterState(pbj_bound=config, pbj_owned=owned, pbj_idle=idle)
-    for seq, (job_id, size, start) in enumerate(running, start=1):
+    state = ClusterState(capacity=config, pbj_bound=config, pbj_owned=owned,
+                         running_alloc=owned - idle)
+    for job_id, size, start in running:
         state.running[job_id] = RunningJob(
-            job=Job(job_id, rng.randint(0, start), 100, size),
-            start_time=start, alloc=size, attempt=1, start_seq=seq,
+            job=Job(job_id, rng.randint(0, start), 100, size), start_time=start, attempt=1,
         )
     return state, running, idle, needed
 

@@ -148,6 +148,35 @@ class TestRunCommand:
         assert code == EXIT_INVALID
         assert "pbj_floor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--window-start", "-5000", "window.start_offset"),
+        ("--window-start", "1e400", "window.start_offset"),
+        ("--cpus-per-node", "1e400", "cpus_per_node"),
+        ("--name", "../escaped", "name"),
+    ])
+    def test_adhoc_flag_checked_as_its_field(self, workspace, capsys, flag, value, field):
+        code = main([
+            "run",
+            "--pbj-trace", str(workspace / "jobs.swf"),
+            "--ws-trace", str(workspace / "demand.csv"),
+            "--regime", "FLB_NUB", "--duration", "600", "--params", "B4/L5",
+            flag, value, "--output-dir", str(workspace / "adhoc"),
+        ])
+        assert code == EXIT_INVALID
+        assert field in capsys.readouterr().err
+        assert not (workspace / "adhoc").exists()
+
+    @pytest.mark.parametrize("below_file", [False, True], ids=["is-file", "below-file"])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"]])
+    def test_unusable_output_dir_exits_invalid(self, workspace, capsys, command, below_file):
+        path = write_scenario(workspace)
+        (workspace / "taken").write_text("a file, not a directory\n")
+        out_dir = workspace / "taken" / "out" if below_file else workspace / "taken"
+        code = main([command[0], str(path), *command[1:], "--output-dir", str(out_dir)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and str(out_dir) in err
+
     def test_adhoc_flags_need_all_required(self, workspace, capsys):
         code = main(["run", "--pbj-trace", str(workspace / "jobs.swf")])
         assert code == EXIT_INVALID
@@ -174,7 +203,14 @@ MALFORMED_FIELDS = [
     ("ws_trace", {"ws_trace": {"path": "demand.csv"}}),
     ("scenario field regime", {"regime": ["FB"]}),
     ("output_dir", {"output_dir": False}),
+    ("target_peaks.pbj", {"target_peaks": {"pbj": 2**63, "ws": 2}}),
+    ("params.B", {"params": {"B": 2**63}}),
+    ("config_size", {"regime": "FB", "config_size": 2**63, "params": {"L_minutes": 1}}),
+    ("window.start_offset", {"window": {"start_offset": -5000, "duration": 600}}),
 ]
+
+# Scenario names that are not a plain file name in the report directory.
+UNUSABLE_NAMES = ["", ".", "..", "a/b", "a\u0000b", "../escaped"]
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: f"{p.parent.name}/{p.stem}")
@@ -192,6 +228,27 @@ class TestMalformedScenario:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "invalid input" in err and field in err
+
+    @pytest.mark.parametrize("name", UNUSABLE_NAMES)
+    def test_unusable_name_exits_invalid(self, workspace, capsys, name):
+        doc = json.loads(write_scenario(workspace).read_text())
+        path = workspace / "named.json"
+        path.write_text(json.dumps({**doc, "name": name}))
+        code = main(["run", str(path), "--output-dir", str(workspace / "out" / "deep")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "scenario field name" in err
+        assert not (workspace / "out").exists()
+
+    def test_unusable_file_stem_as_name_exits_invalid(self, workspace, capsys):
+        # Without a name field the name is the file's stem: "." for "..json".
+        doc = json.loads(write_scenario(workspace).read_text())
+        path = workspace / "..json"
+        path.write_text(json.dumps({key: v for key, v in doc.items() if key != "name"}))
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        assert "scenario name='.'" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("params", [{"U": float("nan")}, {"V": float("nan")},
                                         "B4/Unan", "Bnan", "Linf"],
@@ -357,6 +414,19 @@ class TestTraceErrors:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "trace error" in err and "line 1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("trace, text", [
+        ("jobs.swf", "1 0 -1 40 1e307 -1 -1 2 -1 -1 1 1 1 1 1 1 -1 -1\n"),
+        ("demand.csv", "time,demand\n0,1\n200," + "1" + "0" * 400 + "\n"),
+    ], ids=["swf-size", "demand-sample"])
+    def test_field_beyond_range_exits_invalid(self, workspace, capsys, trace, text):
+        (workspace / trace).write_text(text)
+        path = write_scenario(workspace)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trace error" in err and "2**63" in err
+        assert ("line 1" if trace == "jobs.swf" else "line 3") in err
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"]])
     def test_zero_peak_demand_with_target_peaks_exits_invalid(self, workspace, capsys, command):

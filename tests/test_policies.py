@@ -17,6 +17,7 @@ from provsim.policies import (
     flb_ws_demand,
     parse_params,
     regime_class,
+    whole,
     ws_instance_controller,
 )
 from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue, RunningJob
@@ -41,6 +42,12 @@ class TestPolicyParams:
     def test_fraction_not_truncated(self, compact):
         with pytest.raises(ScenarioError, match=f"parameter {compact[0]}"):
             parse_params(compact)
+
+    def test_whole_numbers_below_two_to_the_63(self):
+        assert whole(2**63 - 1) == 2**63 - 1 and whole(-(2**63) + 1) == -(2**63) + 1
+        for value in (2**63, -(2**63), 10**400, "1e19", 1e307):
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                whole(value)
 
     def test_lease_minutes_in_whole_seconds(self):
         assert parse_params("L1.5").L == 90
@@ -125,16 +132,14 @@ class TestJobQueueProperty:
 def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj_bound=None):
     """FB-regime state with running jobs given as (id, size, start_time) tuples."""
     state = ClusterState(
+        capacity=config,
         pbj_bound=pbj_bound if pbj_bound is not None else config,
         ws_held=ws,
-        free=free,
-        pbj_idle=idle,
         clock=clock,
     )
-    for seq, (job_id, size, start) in enumerate(running, start=1):
+    for job_id, size, start in running:
         state.running[job_id] = RunningJob(
-            job=Job(job_id, 0, 1000, size), start_time=start, alloc=size,
-            attempt=1, start_seq=seq,
+            job=Job(job_id, 0, 1000, size), start_time=start, attempt=1,
         )
     state.queue = JobQueue(queue)
     state.running_alloc = sum(size for _, size, _ in running)
@@ -164,6 +169,15 @@ class TestFbForceRelease:
         assert list(state.queue)[0].id == 3  # victim requeued at the head
         assert state.attempts == {3: 1}  # kept until the victim restarts
 
+    def test_exact_tie_kills_the_job_started_second(self):
+        # Equal size and equal start time: the job started last is the victim,
+        # whichever of the two has the lower id.
+        for first, second in ((1, 2), (2, 1)):
+            state = fb_state(config=4, running=[(first, 2, 10), (second, 2, 10)])
+            kills = fb_force_release(state, 1, AdjustmentLog())
+            assert [k.job_id for k in kills] == [second]
+            assert list(state.running) == [first]
+
     def test_overshoot_stays_as_idle(self):
         state = fb_state(config=4, running=[(1, 4, 10)], ws=0, free=0)
         log = AdjustmentLog()
@@ -183,8 +197,8 @@ class TestFbForceRelease:
         for job_id, submit in ((5, 20), (9, 30), (2, 10)):
             record = state.running[job_id]
             state.running[job_id] = RunningJob(
-                job=Job(job_id, submit, 1000, record.alloc), start_time=record.start_time,
-                alloc=record.alloc, attempt=1, start_seq=record.start_seq,
+                job=Job(job_id, submit, 1000, record.job.size), start_time=record.start_time,
+                attempt=1,
             )
         log = AdjustmentLog()
         fb_force_release(state, 6, log)
@@ -272,7 +286,7 @@ def flb_state(*, B, owned, idle, floor=0, ws=0, queue=(), pbj_pool=None, ws_pool
         pool_size=B,
         pbj_floor=floor,
         pbj_owned=owned,
-        pbj_idle=idle,
+        running_alloc=owned - idle,
         ws_held=ws,
     )
     state.pbj_pool = min(owned, B) if pbj_pool is None else pbj_pool
