@@ -461,12 +461,14 @@ class EC2RS(Regime):
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
     def admit(self, kernel) -> Sequence[int]:
-        """Lease nodes for every queued job and start it at once."""
+        """Lease nodes for every queued job and start it at once.
+
+        First fit given the whole queued demand takes every job in queue
+        order: the idle count left always equals the demand left.
+        """
         state = kernel.state
-        if not state.queue:
-            return ()
         started_ids = []
-        for job in state.queue.drain():
+        for job in state.queue.first_fit(state.queue.demand):
             start, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
             kernel.start_job(job, start)

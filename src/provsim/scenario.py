@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Collection, Optional
 
 from . import trace as trace_mod
 from .errors import ProvsimError, ScenarioError, TraceParseError
@@ -78,11 +78,22 @@ def _text(value: Any) -> str:
 
 
 def _file_name(value: Any) -> str:
-    """Text usable as a file name in the report directory."""
+    """Text usable as a file name in the report directory and as a cell of
+    the unquoted report CSV."""
     name = _text(value)
-    if name in ("", ".", "..") or "/" in name or "\0" in name:
-        raise ValueError("must be a plain file name: not empty, '.', '..', and no '/' or NUL")
+    if name in ("", ".", "..") or any(c in name for c in '/\0,"\r\n'):
+        raise ValueError("must be a plain file name and CSV cell: not empty, '.', '..', "
+                         "and no '/', NUL, ',', '\"', CR or LF")
     return name
+
+
+def _known(doc: dict[str, Any], keys: Collection[str], prefix: str = "") -> dict[str, Any]:
+    """``doc``; a key outside ``keys`` raises a ScenarioError naming it."""
+    for key in doc:
+        if key not in keys:
+            raise ScenarioError(f"unknown scenario field {prefix}{key} "
+                                f"(expected one of {', '.join(keys)})")
+    return doc
 
 
 def _object(value: Any) -> dict[str, Any]:
@@ -120,6 +131,7 @@ def _parse_policy_params(raw: Any) -> PolicyParams:
     if isinstance(raw, dict):
         if "L_minutes" in raw and "L" in raw:
             raise ScenarioError("give either L (seconds) or L_minutes, not both")
+        _known(raw, _OBJECT_PARAMS, "params.")
         values = {key[0]: _field(raw, key, converter, prefix="params.")  # L_minutes sets L
                   for key, converter in _OBJECT_PARAMS.items() if raw.get(key) is not None}
         return replace(PolicyParams(), **values)
@@ -150,16 +162,21 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, base_dir=path.parent, default_name=path.stem)
 
 
+_FIELDS = ("name", "pbj_trace", "ws_trace", "window", "cpus_per_node", "target_peaks", "regime",
+           "config_size", "params", "pbj_floor", "output_dir")
+
+
 def scenario_from_dict(
     doc: dict[str, Any], base_dir: Path = Path("."), default_name: str = "scenario"
 ) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known(doc, _FIELDS)
     for key in ("pbj_trace", "ws_trace", "regime"):
         if doc.get(key) is None:
             raise ScenarioError(f"missing scenario field {key!r}")
-    window = _field(doc, "window", _object, {})
-    targets = _field(doc, "target_peaks", _object, {})
+    window = _known(_field(doc, "window", _object, {}), ("start_offset", "duration"), "window.")
+    targets = _known(_field(doc, "target_peaks", _object, {}), ("pbj", "ws"), "target_peaks.")
     scenario = Scenario(
         name=_field(doc, "name", _file_name) or convert(default_name, _file_name, "scenario name"),
         pbj_trace=_field(doc, "pbj_trace", _text),

@@ -93,11 +93,10 @@ class JobQueue:
         return self._len
 
     def __iter__(self) -> Iterator[Job]:
-        """Jobs in queue order.
+        """Jobs in queue order, for inspection; the regimes take jobs only
+        through ``first_fit``.
 
-        The keys are distinct, so sorting the pairs never compares two jobs;
-        on a single bucket, which is what EC2RS drains after almost every
-        arrival, the sort is one pass.
+        The keys are distinct, so sorting the pairs never compares two jobs.
         """
         return (job for _, job in sorted(chain.from_iterable(self._buckets.values())))
 
@@ -156,14 +155,6 @@ class JobQueue:
             self._len -= 1
             self.demand -= best_size
         return started
-
-    def drain(self) -> list[Job]:
-        """Remove and return every queued job in queue order."""
-        jobs = list(self)
-        self._buckets.clear()
-        self._sizes.clear()
-        self._len = self.demand = 0
-        return jobs
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyTraceError, TraceParseError
 
@@ -25,8 +26,7 @@ _F_REQUESTED = 7
 _SWF_MIN_FIELDS = 18
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     """One parallel batch job: submit time and runtime in seconds, size in nodes."""
 
     id: int
@@ -37,23 +37,35 @@ class Job:
 
 @dataclass(frozen=True)
 class JobTrace:
-    """An ordered batch-job trace with its peak node demand and time window.
+    """An ordered batch-job trace and its time window.
 
     ``window`` is ``(start_offset, duration)``: the offset of the segment
     within the original log and the segment length, both in seconds.
     """
 
     jobs: tuple[Job, ...]
-    peak_demand: int
     window: tuple[int, int]
+
+    @property
+    def peak_demand(self) -> int:
+        """The largest job size; 0 for an empty trace."""
+        return max((j.size for j in self.jobs), default=0)
 
 
 @dataclass(frozen=True)
 class DemandTrace:
-    """Piecewise-constant web-service node demand: each sample holds until the next."""
+    """Piecewise-constant web-service node demand: each sample holds until the next.
+
+    The peak covers every sample, including any after the simulated window's
+    end, so scaling and the reported peak see the whole file.
+    """
 
     samples: tuple[tuple[int, int], ...]
-    peak_demand: int
+
+    @property
+    def peak_demand(self) -> int:
+        """The largest demand; 0 for an empty trace."""
+        return max((d for _, d in self.samples), default=0)
 
 
 def _swf_int(token: str, lineno: int, what: str) -> int:
@@ -85,8 +97,7 @@ def parse_swf(text: str) -> JobTrace:
         fields = line.split()
         if len(fields) < _SWF_MIN_FIELDS:
             raise TraceParseError(
-                f"SWF line {lineno}: expected >= {_SWF_MIN_FIELDS} fields, got {len(fields)}"
-            )
+                f"SWF line {lineno}: expected >= {_SWF_MIN_FIELDS} fields, got {len(fields)}")
         job_id = _swf_int(fields[_F_ID], lineno, "job id")
         submit = _swf_int(fields[_F_SUBMIT], lineno, "submit time")
         runtime = _swf_int(fields[_F_RUNTIME], lineno, "run time")
@@ -102,21 +113,17 @@ def parse_swf(text: str) -> JobTrace:
     if not jobs:
         raise EmptyTraceError("SWF trace contains no usable jobs after filtering")
     jobs.sort(key=lambda j: j.submit_time)
-    return JobTrace(
-        jobs=tuple(jobs),
-        peak_demand=max(j.size for j in jobs),
-        window=(0, max(j.submit_time for j in jobs)),
-    )
+    return JobTrace(jobs=tuple(jobs), window=(0, jobs[-1].submit_time))
 
 
 def parse_demand_trace(text: str) -> DemandTrace:
     """Parse "time,demand" CSV text into a DemandTrace.
 
-    A single optional header line "time,demand" is accepted. Sample times
-    must be strictly increasing and demands nonnegative integers.
+    An optional "time,demand" header may be the first non-empty line. Sample
+    times must be strictly increasing and demands nonnegative integers.
     """
     samples: list[tuple[int, int]] = []
-    last_time: int | None = None
+    first_line = True  # the only line that may be the header
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -124,10 +131,12 @@ def parse_demand_trace(text: str) -> DemandTrace:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
-        if last_time is None and not samples and not parts[0].lstrip("-").isdigit():
-            if parts[0].lower() == "time" and parts[1].lower() == "demand":
-                continue
-            raise TraceParseError(f"demand line {lineno}: unrecognized header {line!r}")
+        if first_line:
+            first_line = False
+            if not parts[0].lstrip("-").isdigit():
+                if parts[0].lower() == "time" and parts[1].lower() == "demand":
+                    continue
+                raise TraceParseError(f"demand line {lineno}: unrecognized header {line!r}")
         try:
             t, d = int(parts[0]), int(parts[1])
         except ValueError:
@@ -138,15 +147,13 @@ def parse_demand_trace(text: str) -> DemandTrace:
             raise TraceParseError(f"demand line {lineno}: negative demand {d}")
         if t < 0:
             raise TraceParseError(f"demand line {lineno}: negative time {t}")
-        if last_time is not None and t <= last_time:
+        if samples and t <= samples[-1][0]:
             raise TraceParseError(
-                f"demand line {lineno}: time {t} not greater than previous {last_time}"
-            )
-        last_time = t
+                f"demand line {lineno}: time {t} not greater than previous {samples[-1][0]}")
         samples.append((t, d))
     if not samples:
         raise EmptyTraceError("demand trace contains no samples")
-    return DemandTrace(samples=tuple(samples), peak_demand=max(d for _, d in samples))
+    return DemandTrace(samples=tuple(samples))
 
 
 def window(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:
@@ -154,20 +161,12 @@ def window(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:
     if duration <= 0:
         raise ValueError("window duration must be positive")
     end = start_offset + duration
-    kept = [
-        Job(id=j.id, submit_time=j.submit_time - start_offset, runtime=j.runtime, size=j.size)
-        for j in trace.jobs
-        if start_offset <= j.submit_time < end
-    ]
+    kept = tuple(j._replace(submit_time=j.submit_time - start_offset)
+                 for j in trace.jobs if start_offset <= j.submit_time < end)
     if not kept:
         raise EmptyTraceError(
-            f"no jobs in window [{start_offset}, {end}) of trace with window {trace.window}"
-        )
-    return JobTrace(
-        jobs=tuple(kept),
-        peak_demand=max(j.size for j in kept),
-        window=(trace.window[0] + start_offset, duration),
-    )
+            f"no jobs in window [{start_offset}, {end}) of trace with window {trace.window}")
+    return JobTrace(jobs=kept, window=(trace.window[0] + start_offset, duration))
 
 
 def normalize_cpus(trace: JobTrace, cpus_per_node: int) -> JobTrace:
@@ -177,16 +176,8 @@ def normalize_cpus(trace: JobTrace, cpus_per_node: int) -> JobTrace:
     """
     if cpus_per_node < 1:
         raise ValueError("cpus_per_node must be >= 1")
-    jobs = tuple(
-        Job(
-            id=j.id,
-            submit_time=j.submit_time,
-            runtime=j.runtime,
-            size=-(-j.size // cpus_per_node),
-        )
-        for j in trace.jobs
-    )
-    return JobTrace(jobs=jobs, peak_demand=max(j.size for j in jobs), window=trace.window)
+    jobs = tuple(j._replace(size=-(-j.size // cpus_per_node)) for j in trace.jobs)
+    return JobTrace(jobs=jobs, window=trace.window)
 
 
 def _scale_value(value: int, target_peak: int, peak: int, minimum: int) -> int:
@@ -205,23 +196,16 @@ def scale_to_peak(trace, target_peak: int):
     if target_peak < 1:
         raise ValueError("target_peak must be >= 1")
     if isinstance(trace, JobTrace):
-        if trace.peak_demand <= 0:
+        peak = trace.peak_demand
+        if peak <= 0:
             raise ValueError("cannot scale a job trace with zero peak demand")
-        jobs = tuple(
-            Job(
-                id=j.id,
-                submit_time=j.submit_time,
-                runtime=j.runtime,
-                size=_scale_value(j.size, target_peak, trace.peak_demand, 1),
-            )
-            for j in trace.jobs
-        )
-        return JobTrace(jobs=jobs, peak_demand=target_peak, window=trace.window)
+        jobs = tuple(j._replace(size=_scale_value(j.size, target_peak, peak, 1))
+                     for j in trace.jobs)
+        return JobTrace(jobs=jobs, window=trace.window)
     if isinstance(trace, DemandTrace):
-        if trace.peak_demand <= 0:
+        peak = trace.peak_demand
+        if peak <= 0:
             raise ValueError("cannot scale a demand trace with zero peak demand")
-        samples = tuple(
-            (t, _scale_value(d, target_peak, trace.peak_demand, 0)) for t, d in trace.samples
-        )
-        return DemandTrace(samples=samples, peak_demand=target_peak)
+        samples = tuple((t, _scale_value(d, target_peak, peak, 0)) for t, d in trace.samples)
+        return DemandTrace(samples=samples)
     raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")

@@ -41,12 +41,8 @@ def baseline_params():
 
 def make_jobs(specs, duration):
     """JobTrace from (id, submit, runtime, size) tuples."""
-    jobs = tuple(Job(*spec) for spec in specs)
-    peak = max((j.size for j in jobs), default=0)
-    return JobTrace(jobs=jobs, peak_demand=peak, window=(0, duration))
+    return JobTrace(jobs=tuple(Job(*spec) for spec in specs), window=(0, duration))
 
 
 def make_demand(samples):
-    return DemandTrace(
-        samples=tuple(samples), peak_demand=max((d for _, d in samples), default=0)
-    )
+    return DemandTrace(samples=tuple(samples))

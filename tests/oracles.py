@@ -218,9 +218,7 @@ def random_micro_scenario(seed):
         jobs.append(Job(i, t, rng.randint(5, duration), rng.randint(1, 12)))
     if not jobs:
         jobs = [Job(1, 0, rng.randint(5, duration), rng.randint(1, 12))]
-    job_trace = JobTrace(
-        jobs=tuple(jobs), peak_demand=max(j.size for j in jobs), window=(0, duration)
-    )
+    job_trace = JobTrace(jobs=tuple(jobs), window=(0, duration))
     samples = []
     t = 0
     last = None
@@ -230,7 +228,7 @@ def random_micro_scenario(seed):
             samples.append((t, d))
             last = d
         t += rng.randint(60, duration // 3)
-    demand = DemandTrace(samples=tuple(samples), peak_demand=max(d for _, d in samples))
+    demand = DemandTrace(samples=tuple(samples))
     return job_trace, demand
 
 

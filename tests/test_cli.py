@@ -153,6 +153,7 @@ class TestRunCommand:
         ("--window-start", "1e400", "window.start_offset"),
         ("--cpus-per-node", "1e400", "cpus_per_node"),
         ("--name", "../escaped", "name"),
+        ("--name", "a,b", "scenario field name='a,b'"),
     ])
     def test_adhoc_flag_checked_as_its_field(self, workspace, capsys, flag, value, field):
         code = main([
@@ -207,6 +208,14 @@ MALFORMED_FIELDS = [
     ("params.B", {"params": {"B": 2**63}}),
     ("config_size", {"regime": "FB", "config_size": 2**63, "params": {"L_minutes": 1}}),
     ("window.start_offset", {"window": {"start_offset": -5000, "duration": 600}}),
+    ("unknown scenario field target_peak", {"target_peak": {"pbj": 4, "ws": 2}}),
+    ("unknown scenario field window.start", {"window": {"start": 3600, "duration": 600}}),
+    ("unknown scenario field target_peaks.wss", {"target_peaks": {"pbj": 4, "ws": 2, "wss": 3}}),
+    ("unknown scenario field params.L_minute", {"params": {"L_minute": 30}}),
+    ("scenario field name", {"name": "a,b"}),
+    ("scenario field name", {"name": 'a"b'}),
+    ("scenario field name", {"name": "a\nb"}),
+    ("scenario field name", {"name": "a\rb"}),
 ]
 
 # Scenario names that are not a plain file name in the report directory.
@@ -248,6 +257,16 @@ class TestMalformedScenario:
         code = main(["run", str(path), "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         assert "scenario name='.'" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
+    def test_csv_breaking_file_stem_as_name_exits_invalid(self, workspace, capsys):
+        # The report CSV is unquoted, so a comma in the name would add a cell.
+        doc = json.loads(write_scenario(workspace).read_text())
+        path = workspace / "a,b.json"
+        path.write_text(json.dumps({key: v for key, v in doc.items() if key != "name"}))
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        assert "scenario name='a,b'" in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("params", [{"U": float("nan")}, {"V": float("nan")},
@@ -427,6 +446,14 @@ class TestTraceErrors:
         err = capsys.readouterr().err
         assert "trace error" in err and "2**63" in err
         assert ("line 1" if trace == "jobs.swf" else "line 3") in err
+
+    def test_second_demand_header_exits_invalid(self, workspace, capsys):
+        (workspace / "demand.csv").write_text("time,demand\ntime,demand\n0,5\n")
+        path = write_scenario(workspace)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trace error" in err and "demand line 2" in err
 
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"]])
     def test_zero_peak_demand_with_target_peaks_exits_invalid(self, workspace, capsys, command):

@@ -21,7 +21,7 @@ from oracles import (
     replay_consumption,
 )
 
-ZERO_WS = DemandTrace(samples=((0, 0),), peak_demand=0)
+ZERO_WS = DemandTrace(samples=((0, 0),))
 
 
 class TestConsumptionCurve:

@@ -125,7 +125,7 @@ class TestJobQueueProperty:
             assert len(queue) == len(reference)
             assert queue.demand == sum(job.size for job in reference)
             assert queue.biggest == max((job.size for job in reference), default=0)
-        assert queue.drain() == reference
+        assert queue.first_fit(queue.demand) == reference
         assert len(queue) == queue.demand == queue.biggest == 0 and list(queue) == []
 
 

@@ -112,8 +112,7 @@ def tile(jobs, demand, copies):
                        for k in range(copies) for j in jobs.jobs)
     samples = tuple((t + k * span, d) for k in range(copies)
                     for t, d in demand.samples if t < span)
-    return (JobTrace(tiled_jobs, jobs.peak_demand, (0, copies * span)),
-            DemandTrace(samples, demand.peak_demand))
+    return JobTrace(tiled_jobs, (0, copies * span)), DemandTrace(samples)
 
 
 def test_event_heap_is_flat_in_trace_length(monkeypatch):

@@ -21,7 +21,7 @@ from oracles import (
     replay_consumption,
 )
 
-ZERO_WS = DemandTrace(samples=((0, 0),), peak_demand=0)
+ZERO_WS = DemandTrace(samples=((0, 0),))
 
 
 def serialize_events(events):
@@ -30,7 +30,7 @@ def serialize_events(events):
 
 class TestEventOrder:
     def test_negative_submit_time_is_time_regression(self):
-        jobs = JobTrace(jobs=(Job(1, -5, 10, 1),), peak_demand=1, window=(0, 100))
+        jobs = JobTrace(jobs=(Job(1, -5, 10, 1),), window=(0, 100))
         with pytest.raises(KernelError, match="time regression"):
             run(jobs, ZERO_WS, "DCS", PolicyParams())
 
@@ -57,7 +57,7 @@ class TestRunBasics:
         assert m.incomplete_jobs == 0
 
     def test_no_workload_no_adjustments_any_regime(self):
-        empty = JobTrace(jobs=(), peak_demand=0, window=(0, 1000))
+        empty = JobTrace(jobs=(), window=(0, 1000))
         for regime in ("DCS", "FB", "FLB_NUB", "EC2RS"):
             kwargs = {"config_size": 4} if regime == "FB" else {}
             result = run(empty, ZERO_WS, regime, PolicyParams(B=0, L=100), **kwargs)
@@ -239,7 +239,8 @@ class TestTraceOrder:
             # A second sample at an existing time, and samples past the window end.
             samples = list(demand.samples) + [(rng.choice(demand.samples)[0],
                                                rng.choice(demand.samples)[1])]
-            samples += [(end + rng.randint(1, 600), rng.randint(0, 9)) for _ in range(3)]
+            samples += [(end + rng.randint(1, 600), rng.randint(0, demand.peak_demand))
+                        for _ in range(3)]
             rng.shuffle(samples)
             unsorted_jobs = replace(jobs, jobs=tuple(shuffled_jobs))
             unsorted_demand = replace(demand, samples=tuple(samples))

@@ -15,6 +15,24 @@ from provsim.trace import (
 )
 
 
+class TestDerivedPeak:
+    """A trace stores only its entries; its peak cannot disagree with them."""
+
+    def test_job_peak_is_largest_size(self):
+        jobs = (Job(1, 0, 100, 4), Job(2, 5, 10, 2))
+        assert JobTrace(jobs=jobs, window=(0, 100)).peak_demand == 4
+        assert JobTrace(jobs=(), window=(0, 100)).peak_demand == 0
+
+    def test_demand_peak_covers_every_sample(self):
+        assert DemandTrace(samples=((0, 3), (10, 9), (20, 1))).peak_demand == 9
+        assert DemandTrace(samples=()).peak_demand == 0
+
+    def test_job_is_a_named_tuple(self):
+        job = Job(id=1, submit_time=2, runtime=3, size=4)
+        assert Job._fields == ("id", "submit_time", "runtime", "size")
+        assert job == Job(1, 2, 3, 4) and job._replace(size=5).size == 5
+
+
 def swf_line(job_id, submit, runtime, alloc, requested):
     fields = [job_id, submit, -1, runtime, alloc, -1, -1, requested] + [-1] * 10
     return " ".join(str(f) for f in fields)
@@ -102,6 +120,11 @@ class TestParseDemandTrace:
         with pytest.raises(TraceParseError, match="header"):
             parse_demand_trace("when,how_much\n0,1")
 
+    def test_header_only_on_first_non_empty_line(self):
+        assert parse_demand_trace("\ntime,demand\n0,1").samples == ((0, 1),)
+        with pytest.raises(TraceParseError, match="line 2"):
+            parse_demand_trace("time,demand\ntime,demand\n0,5\n")
+
     def test_nonmonotonic_time(self):
         with pytest.raises(TraceParseError, match="line 3"):
             parse_demand_trace("0,1\n10,2\n10,3")
@@ -134,13 +157,13 @@ class TestParseDemandTrace:
                      min_size=len(times), max_size=len(times))
         )
         text = "time,demand\n" + "".join(f"{t},{d}\n" for t, d in zip(times, demands))
-        trace = DemandTrace(samples=tuple(zip(times, demands)), peak_demand=max(demands))
+        trace = DemandTrace(samples=tuple(zip(times, demands)))
         assert parse_demand_trace(text) == trace
 
 
 def jobs_at(times, size=1, runtime=10):
     jobs = tuple(Job(i + 1, t, runtime, size) for i, t in enumerate(times))
-    return JobTrace(jobs=jobs, peak_demand=size, window=(0, max(times) if times else 0))
+    return JobTrace(jobs=jobs, window=(0, max(times) if times else 0))
 
 
 class TestWindow:
@@ -194,7 +217,7 @@ class TestNormalizeCpus:
 
     def test_peak_recomputed(self):
         jobs = (Job(1, 0, 10, 9), Job(2, 1, 10, 16))
-        trace = JobTrace(jobs=jobs, peak_demand=16, window=(0, 1))
+        trace = JobTrace(jobs=jobs, window=(0, 1))
         assert normalize_cpus(trace, 8).peak_demand == 2
 
     @given(
@@ -203,30 +226,30 @@ class TestNormalizeCpus:
     )
     def test_never_produces_zero_size(self, sizes, divisor):
         jobs = tuple(Job(i + 1, i, 10, s) for i, s in enumerate(sizes))
-        trace = JobTrace(jobs=jobs, peak_demand=max(sizes), window=(0, len(sizes)))
+        trace = JobTrace(jobs=jobs, window=(0, len(sizes)))
         assert all(j.size >= 1 for j in normalize_cpus(trace, divisor).jobs)
 
 
 class TestScaleToPeak:
     def test_factor_two(self):
         jobs = (Job(1, 0, 10, 2), Job(2, 1, 10, 4))
-        trace = JobTrace(jobs=jobs, peak_demand=4, window=(0, 1))
+        trace = JobTrace(jobs=jobs, window=(0, 1))
         scaled = scale_to_peak(trace, 8)
         assert [j.size for j in scaled.jobs] == [4, 8]
         assert scaled.peak_demand == 8
 
     def test_identity_when_target_equals_peak(self):
         jobs = (Job(1, 0, 10, 3), Job(2, 1, 10, 7))
-        trace = JobTrace(jobs=jobs, peak_demand=7, window=(0, 1))
+        trace = JobTrace(jobs=jobs, window=(0, 1))
         assert scale_to_peak(trace, 7).jobs == trace.jobs
 
     def test_job_sizes_floored_at_one(self):
         jobs = (Job(1, 0, 10, 1), Job(2, 1, 10, 100))
-        trace = JobTrace(jobs=jobs, peak_demand=100, window=(0, 1))
+        trace = JobTrace(jobs=jobs, window=(0, 1))
         assert scale_to_peak(trace, 10).jobs[0].size == 1
 
     def test_zero_peak_rejected(self):
-        demand = DemandTrace(samples=((0, 0),), peak_demand=0)
+        demand = DemandTrace(samples=((0, 0),))
         with pytest.raises(ValueError):
             scale_to_peak(demand, 5)
 
@@ -247,7 +270,7 @@ class TestScaleToPeak:
         if max(demands) == 0:
             return
         samples = tuple((i, d) for i, d in enumerate(demands))
-        trace = DemandTrace(samples=samples, peak_demand=max(demands))
+        trace = DemandTrace(samples=samples)
         scaled = scale_to_peak(trace, target)
         assert max(d for _, d in scaled.samples) == target
         assert scaled.peak_demand == target
@@ -259,7 +282,7 @@ class TestScaleToPeak:
     @settings(max_examples=200)
     def test_scaled_job_peak_is_exact_and_positive(self, sizes, target):
         jobs = tuple(Job(i + 1, i, 10, s) for i, s in enumerate(sizes))
-        trace = JobTrace(jobs=jobs, peak_demand=max(sizes), window=(0, len(sizes)))
+        trace = JobTrace(jobs=jobs, window=(0, len(sizes)))
         scaled = scale_to_peak(trace, target)
         assert max(j.size for j in scaled.jobs) == target
         assert all(1 <= j.size <= target for j in scaled.jobs)
