@@ -27,7 +27,7 @@ from .policies import (
     parse_params,
     ws_instance_controller,
 )
-from .scenario import Scenario, load_scenario, run_scenario_obj, scenario_from_dict
+from .scenario import Scenario, load_scenario, load_traces, run_scenario_obj, scenario_from_dict
 from .simkernel import AdjustmentLog, ClusterState, Event, SimResult, run
 from .trace import (
     DemandTrace,

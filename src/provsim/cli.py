@@ -30,9 +30,12 @@ from .scenario import (
     Scenario,
     apply_axis,
     load_scenario,
+    load_traces,
     peak_pair,
     read_input,
+    read_traces,
     run_scenario_obj,
+    scale_traces,
     scenario_from_dict,
 )
 from .simkernel import write_event_log
@@ -126,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "ad hoc runs need --pbj-trace, --ws-trace, --regime and --duration"
             )
         scenario = _scenario_from_flags(args)
-    result = run_scenario_obj(scenario, record_events=args.event_log)
+    result = run_scenario_obj(scenario, load_traces(scenario), record_events=args.event_log)
     out_dir = _output_dir(args.output_dir, scenario)
     written = _write_reports(scenario, result, out_dir)
     report = result.metrics
@@ -148,9 +151,19 @@ def _point_failed(point: Scenario, exc: Exception) -> SweepError:
     return SweepError(f"sweep point {point.name} failed: {detail}")
 
 
-def _run_sweep_point(point: Scenario) -> tuple[str, str]:
-    result = run_scenario_obj(point)
-    return point.name, report_to_csv_row(result.metrics, {"name": point.name, **result.columns})
+_shaped_traces: dict[tuple, tuple] = {}  # a sweep's shaped traces by peak tuple
+
+
+def _share_traces(shaped: dict[tuple, tuple]) -> None:
+    """Keep a sweep's shaped traces for this process's points. The pool's initializer:
+    forked workers inherit ``shaped``, spawned ones unpickle it once each."""
+    global _shaped_traces
+    _shaped_traces = shaped
+
+
+def _run_sweep_point(point: Scenario) -> str:
+    result = run_scenario_obj(point, _shaped_traces[point.prc_pbj, point.prc_ws])
+    return report_to_csv_row(result.metrics, {"name": point.name, **result.columns})
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -159,32 +172,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = load_scenario(args.scenario)
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
-        raise ScenarioError("sweep needs at least one value")
+        raise ScenarioError("sweep --values needs at least one value")
     points = [apply_axis(base, args.axis, value) for value in values]
+    # Points differ at most in their peak tuple: read once, scale once per tuple.
+    read = read_traces(base)
+    by_peaks = {(p.prc_pbj, p.prc_ws): p for p in points}
+    shaped = {peaks: scale_traces(p, read) for peaks, p in by_peaks.items()}
     rows: dict[str, str] = {}
     # The pool forks all its workers at once: never more than there are
     # points to run or CPUs to run them on.
     workers = min(args.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_share_traces, initargs=(shaped,)) as pool:
             futures = {pool.submit(_run_sweep_point, p): p for p in points}
             for future in concurrent.futures.as_completed(futures):
                 point = futures[future]
                 try:
-                    name, row = future.result()
+                    rows[point.name] = future.result()
                 except Exception as exc:  # also a dead worker (BrokenProcessPool)
                     raise _point_failed(point, exc) from exc  # keeps the worker's traceback
-                rows[name] = row
     else:
+        _share_traces(shaped)
         for point in points:
             try:
-                rows[point.name] = _run_sweep_point(point)[1]
+                rows[point.name] = _run_sweep_point(point)
             except ProvsimError as exc:
                 raise _point_failed(point, exc) from None
     out_dir = _output_dir(args.output_dir, base)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"
-    lines = [csv_header()]
-    lines.extend(rows[point.name] for point in points)  # merged in given-value order
+    lines = [csv_header(), *(rows[point.name] for point in points)]  # in given-value order
     with _report_dir(out_dir):
         merged.write_text("\n".join(lines) + "\n")
     print(f"{base.name}: swept {args.axis} over {len(points)} points")

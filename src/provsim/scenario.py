@@ -26,6 +26,8 @@ from .policies import (
 )
 from .simkernel import SimResult, run
 
+Traces = tuple[trace_mod.JobTrace, trace_mod.DemandTrace]
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -196,8 +198,8 @@ def scenario_from_dict(
     return scenario.validate()
 
 
-def load_traces(scenario: Scenario) -> tuple[trace_mod.JobTrace, trace_mod.DemandTrace]:
-    """Load and shape both traces: window, then CPU-normalize, then peak-scale."""
+def read_traces(scenario: Scenario) -> Traces:
+    """Read both traces: parse, window, then CPU-normalize; no peak scaling."""
     pbj_path = (scenario.base_dir / scenario.pbj_trace).resolve()
     ws_path = (scenario.base_dir / scenario.ws_trace).resolve()
     pbj_text = read_input(pbj_path, "batch-job trace", decode_error=TraceParseError)
@@ -206,29 +208,32 @@ def load_traces(scenario: Scenario) -> tuple[trace_mod.JobTrace, trace_mod.Deman
     jobs = trace_mod.window(jobs, scenario.window_start, scenario.window_duration)
     if scenario.cpus_per_node > 1:
         jobs = trace_mod.normalize_cpus(jobs, scenario.cpus_per_node)
-    demand = trace_mod.parse_demand_trace(ws_text)
-    if scenario.prc_pbj is not None:
-        if demand.peak_demand == 0:
-            raise ScenarioError(f"demand trace {ws_path} peaks at 0, so it cannot be scaled "
-                                f"to target_peaks.ws={scenario.prc_ws}")
-        jobs = trace_mod.scale_to_peak(jobs, scenario.prc_pbj)
-        demand = trace_mod.scale_to_peak(demand, scenario.prc_ws)
-    return jobs, demand
+    return jobs, trace_mod.parse_demand_trace(ws_text)
 
 
-def run_scenario_obj(scenario: Scenario, record_events: bool = False) -> SimResult:
-    """Load traces and execute one scenario (building its event log only
-    with ``record_events``)."""
-    jobs, demand = load_traces(scenario)
-    return run(
-        jobs,
-        demand,
-        scenario.regime,
-        scenario.params,
-        config_size=scenario.config_size,
-        pbj_floor=scenario.pbj_floor,
-        record_events=record_events,
-    )
+def scale_traces(scenario: Scenario, traces: Traces) -> Traces:
+    """Read traces peak-scaled to the scenario's target_peaks, if it gives any."""
+    if scenario.prc_pbj is None:
+        return traces
+    jobs, demand = traces
+    if demand.peak_demand == 0:
+        ws_path = (scenario.base_dir / scenario.ws_trace).resolve()
+        raise ScenarioError(f"demand trace {ws_path} peaks at 0, so it cannot be scaled "
+                            f"to target_peaks.ws={scenario.prc_ws}")
+    return (trace_mod.scale_to_peak(jobs, scenario.prc_pbj),
+            trace_mod.scale_to_peak(demand, scenario.prc_ws))
+
+
+def load_traces(scenario: Scenario) -> Traces:
+    """Load and shape both traces: window, then CPU-normalize, then peak-scale."""
+    return scale_traces(scenario, read_traces(scenario))
+
+
+def run_scenario_obj(scenario: Scenario, traces: Traces, record_events: bool = False) -> SimResult:
+    """Execute one scenario on its shaped ``traces`` (see ``load_traces``),
+    building its event log only with ``record_events``."""
+    return run(*traces, scenario.regime, scenario.params, config_size=scenario.config_size,
+               pbj_floor=scenario.pbj_floor, record_events=record_events)
 
 
 SWEEP_AXES = (*PARAM_CONVERTERS, "tuple")

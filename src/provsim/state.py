@@ -5,8 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from .trace import Job
 
@@ -91,14 +90,6 @@ class JobQueue:
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self) -> Iterator[Job]:
-        """Jobs in queue order, for inspection; the regimes take jobs only
-        through ``first_fit``.
-
-        The keys are distinct, so sorting the pairs never compares two jobs.
-        """
-        return (job for _, job in sorted(chain.from_iterable(self._buckets.values())))
 
     @property
     def biggest(self) -> int:

@@ -8,6 +8,7 @@ paths with the implementation under test.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from provsim.policies import PolicyParams
 from provsim.trace import DemandTrace, Job, JobTrace
@@ -111,6 +112,14 @@ def check_conservation(events, regime, *, config_size=None, pbj_floor=0, pool_si
             assert s["pbj_pool"] + s["ws_pool"] <= pool_size, r
             assert 0 <= s["pbj_pool"] <= s["pbj_owned"], r
             assert 0 <= s["ws_pool"] <= s["ws_held"], r
+
+
+def queue_order(queue):
+    """The jobs of a `JobQueue` in queue order, read from its size buckets.
+
+    The order keys are distinct, so sorting the pairs never compares two jobs.
+    """
+    return [job for _, job in sorted(chain.from_iterable(queue._buckets.values()))]
 
 
 def first_fit_reference(queue, pbj_idle):

@@ -15,7 +15,7 @@ import pytest
 
 from provsim import PolicyParams, parse_demand_trace, parse_swf, run, scale_to_peak, window
 from provsim.policies import fb_force_release, ws_instance_controller
-from provsim.scenario import apply_axis, load_scenario, run_scenario_obj
+from provsim.scenario import apply_axis, load_scenario, load_traces, run_scenario_obj
 from provsim.state import AdjustmentLog, ClusterState, RunningJob
 from provsim.trace import Job
 
@@ -189,9 +189,10 @@ class TestCriterion5MonotoneSweeps:
             Path(__file__).resolve().parent.parent
             / "scenarios" / "synthetic" / "synthetic_flb_baseline.json"
         )
+        traces = load_traces(base)  # neither axis changes the traces
         totals, turnarounds = [], []
         for b in (13, 25, 51, 102):
-            m = run_scenario_obj(apply_axis(base, "B", b)).metrics
+            m = run_scenario_obj(apply_axis(base, "B", b), traces).metrics
             totals.append(m.total_consumption_node_seconds)
             turnarounds.append(m.avg_turnaround_time)
         b_ok = all(a <= b for a, b in zip(totals, totals[1:])) and all(
@@ -199,7 +200,7 @@ class TestCriterion5MonotoneSweeps:
         )
         adjustments = []
         for minutes in (15, 30, 60, 120, 240):
-            m = run_scenario_obj(apply_axis(base, "L", minutes)).metrics
+            m = run_scenario_obj(apply_axis(base, "L", minutes), traces).metrics
             adjustments.append(m.adjustment_count)
         l_ok = all(a >= b for a, b in zip(adjustments, adjustments[1:]))
         report(

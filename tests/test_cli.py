@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import re
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -292,6 +293,29 @@ FRACTIONAL_FIELDS = [
 ]
 
 
+class TestInputErrorsNameTheField:
+    """Input errors that exit 2 and name the field; ``edit`` turns the tiny
+    scenario's JSON document into the one the command reads."""
+
+    @pytest.mark.parametrize("command, edit, field", [
+        (["sweep", "--axis", "B", "--values", ","], dict, "--values"),
+        (["run"], lambda doc: {**doc, "params": {"L": 60, "L_minutes": 1}}, "L_minutes"),
+        (["run"], lambda doc: {**doc, "params": ["B4"]}, "params"),
+        (["run", "--pbj-trace", "jobs.swf"], dict, "--pbj-trace"),
+        (["run"], lambda doc: [doc], "scenario document"),
+        (["run"], lambda doc: {k: v for k, v in doc.items() if k != "pbj_trace"}, "pbj_trace"),
+    ], ids=["sweep-empty-values", "params-L-twice", "params-list", "scenario-and-flags",
+            "document-not-object", "no-pbj_trace"])
+    def test_exits_invalid_naming_the_field(self, workspace, capsys, command, edit, field):
+        path = write_scenario(workspace)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code = main([command[0], str(path), *command[1:], "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+
 class TestFractionalFields:
     @pytest.mark.parametrize("field, overrides", FRACTIONAL_FIELDS,
                              ids=[json.dumps(o) for _, o in FRACTIONAL_FIELDS])
@@ -455,7 +479,8 @@ class TestTraceErrors:
         err = capsys.readouterr().err
         assert "trace error" in err and "demand line 2" in err
 
-    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"]])
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "B", "--values", "4"],
+                                         ["sweep", "--axis", "tuple", "--values", "8:4"]])
     def test_zero_peak_demand_with_target_peaks_exits_invalid(self, workspace, capsys, command):
         (workspace / "demand.csv").write_text("time,demand\n0,0\n200,0\n")
         path = write_scenario(workspace, target_peaks={"pbj": 4, "ws": 2})
@@ -464,14 +489,35 @@ class TestTraceErrors:
         err = capsys.readouterr().err
         assert "demand.csv" in err and "target_peaks.ws" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_trace_error_fails_before_any_point(self, workspace, capsys, monkeypatch,
+                                                      recording_executor, workers):
+        lines = TINY_SWF.splitlines()
+        lines[2] = "2 30 -1 sixty 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1"
+        (workspace / "jobs.swf").write_text("\n".join(lines) + "\n")
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario_obj", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trace error" in err and "SWF line 3" in err and "Traceback" not in err
+        assert runs == [] and recording_executor == []
+        assert not (workspace / "out").exists()
+
 
 class RecordingExecutor:
-    """Stand-in for ProcessPoolExecutor: records max_workers, runs calls inline."""
+    """Stand-in for ProcessPoolExecutor: records max_workers, runs the
+    initializer and then every call inline."""
 
     created = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         RecordingExecutor.created.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -601,6 +647,70 @@ class TestSweepCommand:
         assert code == EXIT_OK
         header, row = (workspace / "tup" / "tiny.sweep_tuple.csv").read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["config_size"] == "12"
+
+
+# A base with every FLB_NUB parameter and a peak tuple, and two values per sweep axis.
+BASE_PARAMS = {"B": 4, "U": 1.2, "V": 0.2, "G": 0.5, "L_minutes": 5}
+AXIS_VALUES = {"B": "2,8", "U": "1.1,1.5", "V": "0.1,0.4", "G": "0.25,0.75", "L": "1,10",
+               "tuple": "8:4,3:16"}
+
+
+def point_fields(axis, value):
+    """The scenario fields that the sweep point at ``value`` on ``axis`` overrides."""
+    if axis == "tuple":
+        pbj, ws = map(int, value.split(":"))
+        return {"target_peaks": {"pbj": pbj, "ws": ws}}
+    return {"params": {**BASE_PARAMS, "L_minutes" if axis == "L" else axis: json.loads(value)}}
+
+
+class TestSweepEqualsRun:
+    """Each merged sweep row is the `provsim run` row of its point, on every
+    axis, serially and from a real process pool, with and without CPU
+    normalization."""
+
+    @pytest.mark.parametrize("cpus_per_node", [1, 2])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("axis", AXIS_VALUES)
+    def test_every_row_equals_its_run(self, workspace, monkeypatch, axis, workers,
+                                      cpus_per_node):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two points: two workers
+        base = {"cpus_per_node": cpus_per_node, "params": BASE_PARAMS,
+                "target_peaks": {"pbj": 4, "ws": 3}}
+        path = write_scenario(workspace, **base)
+        assert main(["sweep", str(path), "--axis", axis, "--values", AXIS_VALUES[axis],
+                     "--workers", workers, "--output-dir", str(workspace / "swept")]) == EXIT_OK
+        rows = (workspace / "swept" / f"tiny.sweep_{axis}.csv").read_text().splitlines()[1:]
+        values = AXIS_VALUES[axis].split(",")
+        assert len(rows) == len(values)
+        for value, row in zip(values, rows):
+            point = write_scenario(workspace, name="point", **{**base, **point_fields(axis, value)})
+            assert main(["run", str(point), "--output-dir", str(workspace / "run")]) == EXIT_OK
+            run_row = (workspace / "run" / "point.report.csv").read_text().splitlines()[1]
+            assert row.split(",")[1:] == run_row.split(",")[1:], value
+
+
+class TestSweepReadsTracesOnce:
+    @pytest.mark.parametrize("axis, values, scalings", [("L", "1,2,5", 1), ("tuple", "8:4,16:8", 2)])
+    def test_parse_and_scale_counts(self, workspace, monkeypatch, axis, values, scalings):
+        """Each trace is parsed once per sweep, and scaled once per distinct peak tuple."""
+        from provsim import trace
+
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[fn.__name__, type(args[0]).__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("parse_swf", "parse_demand_trace", "scale_to_peak"):
+            monkeypatch.setattr(trace, name, counted(getattr(trace, name)))
+        path = write_scenario(workspace, target_peaks={"pbj": 4, "ws": 3})
+        assert main(["sweep", str(path), "--axis", axis, "--values", values,
+                     "--workers", "1", "--output-dir", str(workspace / "out")]) == EXIT_OK
+        assert calls == {("parse_swf", "str"): 1, ("parse_demand_trace", "str"): 1,
+                         ("scale_to_peak", "JobTrace"): scalings,
+                         ("scale_to_peak", "DemandTrace"): scalings}
 
 
 class TestReportColumns:

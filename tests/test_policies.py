@@ -23,7 +23,7 @@ from provsim.policies import (
 from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue, RunningJob
 from provsim.trace import Job
 
-from oracles import first_fit_reference, greedy_kill_reference
+from oracles import first_fit_reference, greedy_kill_reference, queue_order
 
 
 class TestPolicyParams:
@@ -121,12 +121,12 @@ class TestJobQueueProperty:
                 for job in expected:
                     reference.remove(job)
                 assert first_fit_schedule(queue, arg) == expected
-            assert list(queue) == reference
+            assert queue_order(queue) == reference
             assert len(queue) == len(reference)
             assert queue.demand == sum(job.size for job in reference)
             assert queue.biggest == max((job.size for job in reference), default=0)
         assert queue.first_fit(queue.demand) == reference
-        assert len(queue) == queue.demand == queue.biggest == 0 and list(queue) == []
+        assert len(queue) == queue.demand == queue.biggest == 0 and queue_order(queue) == []
 
 
 def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj_bound=None):
@@ -166,7 +166,7 @@ class TestFbForceRelease:
         assert [k.job_id for k in kills] == [3]
         assert kills[0].nodes_released == 2
         assert state.pbj_owned == 6
-        assert list(state.queue)[0].id == 3  # victim requeued at the head
+        assert queue_order(state.queue)[0].id == 3  # victim requeued at the head
         assert state.attempts == {3: 1}  # kept until the victim restarts
 
     def test_exact_tie_kills_the_job_started_second(self):
@@ -202,7 +202,7 @@ class TestFbForceRelease:
             )
         log = AdjustmentLog()
         fb_force_release(state, 6, log)
-        assert [j.id for j in state.queue] == [2, 5, 9, 7]
+        assert [j.id for j in queue_order(state.queue)] == [2, 5, 9, 7]
 
     def test_needed_beyond_holdings_is_kernel_error(self):
         state = fb_state(config=4, idle=2, ws=0, free=2)
