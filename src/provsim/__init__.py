@@ -20,7 +20,6 @@ from .errors import (
 )
 from .metrics import MetricsReport, finalize
 from .policies import (
-    KillRecord,
     PolicyParams,
     ec2_job_lifecycle,
     first_fit_schedule,

@@ -200,12 +200,11 @@ def _parse_agreement_xml(text: str) -> REAgreement:
 
 
 def _parse_agreement_json(text: str) -> REAgreement:
+    """Text that starts with "{" decodes to an object or not at all."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AgreementError(f"invalid agreement JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise AgreementError("agreement JSON must be an object")
     fields: dict[str, Optional[str]] = {"setup_policy": "NOOP"}
     for key, name in _JSON_ELEMENTS.items():
         if key in obj:  # a value is read as the text of its element: true as "True"

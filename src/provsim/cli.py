@@ -174,31 +174,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise ScenarioError("sweep --values needs at least one value")
     points = [apply_axis(base, args.axis, value) for value in values]
+    distinct = list(dict.fromkeys(points))  # a value given twice runs once
     # Points differ at most in their peak tuple: read once, scale once per tuple.
     read = read_traces(base)
-    by_peaks = {(p.prc_pbj, p.prc_ws): p for p in points}
+    by_peaks = {(p.prc_pbj, p.prc_ws): p for p in distinct}
     shaped = {peaks: scale_traces(p, read) for peaks, p in by_peaks.items()}
     rows: dict[str, str] = {}
     # The pool forks all its workers at once: never more than there are
     # points to run or CPUs to run them on.
-    workers = min(args.workers, len(points), os.cpu_count() or 1)
+    workers = min(args.workers, len(distinct), os.cpu_count() or 1)
+    # Either way, any failure of a point (also a dead worker, BrokenProcessPool)
+    # exits as a SweepError naming it; the cause keeps the worker's traceback.
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_share_traces, initargs=(shaped,)) as pool:
-            futures = {pool.submit(_run_sweep_point, p): p for p in points}
+            futures = {pool.submit(_run_sweep_point, p): p for p in distinct}
             for future in concurrent.futures.as_completed(futures):
                 point = futures[future]
                 try:
                     rows[point.name] = future.result()
-                except Exception as exc:  # also a dead worker (BrokenProcessPool)
-                    raise _point_failed(point, exc) from exc  # keeps the worker's traceback
+                except Exception as exc:
+                    raise _point_failed(point, exc) from exc
     else:
         _share_traces(shaped)
-        for point in points:
+        for point in distinct:
             try:
                 rows[point.name] = _run_sweep_point(point)
-            except ProvsimError as exc:
-                raise _point_failed(point, exc) from None
+            except Exception as exc:
+                raise _point_failed(point, exc) from exc
     out_dir = _output_dir(args.output_dir, base)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"
     lines = [csv_header(), *(rows[point.name] for point in points)]  # in given-value order

@@ -46,8 +46,9 @@ class PolicyParams:
     def validate(self) -> "PolicyParams":
         if self.B < 0:
             raise ScenarioError(f"pool size B must be >= 0, got {self.B}")
-        if not 0 < self.U < math.inf:
-            raise ScenarioError(f"threshold ratio U must be finite and > 0, got {self.U}")
+        # Below 1, R > U fires while the queue fits the holdings, and DR1 <= 0.
+        if not 1 <= self.U < math.inf:
+            raise ScenarioError(f"threshold ratio U must be finite and >= 1, got {self.U}")
         if not 0 < self.V < math.inf:
             raise ScenarioError(f"threshold ratio V must be finite and > 0, got {self.V}")
         if self.V >= self.U:
@@ -123,13 +124,6 @@ def parse_params(compact: str) -> PolicyParams:
     return replace(PolicyParams(), **values)
 
 
-@dataclass(frozen=True)
-class KillRecord:
-    job_id: int
-    kill_time: int
-    nodes_released: int
-
-
 def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> list[Job]:
     """First-fit selection: start the first queued job that fits the idle
     nodes, deduct its size, and repeat from the front until nothing fits.
@@ -144,10 +138,9 @@ def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> list[Job]:
     return queue.first_fit(pbj_idle)
 
 
-def fb_force_release(
-    state: ClusterState, needed: int, log: AdjustmentLog
-) -> list[KillRecord]:
-    """Surrender `needed` nodes from the batch RE to the provision service.
+def fb_force_release(state: ClusterState, needed: int, log: AdjustmentLog) -> list[int]:
+    """Surrender `needed` nodes from the batch RE to the provision service,
+    returning the ids of the jobs killed, in kill order.
 
     Idle nodes go first; while short, the running job of minimum size is
     killed (ties: the latest start time, then the job started last, as
@@ -161,7 +154,6 @@ def fb_force_release(
     if needed > state.pbj_owned:
         raise KernelError(f"force release of {needed} exceeds batch holdings {state.pbj_owned}")
     short = needed - state.pbj_idle
-    kills: list[KillRecord] = []
     victims: list[Job] = []
     while short > 0:
         victim = min(reversed(state.running.values()), key=lambda r: (r.job.size, -r.start_time))
@@ -170,21 +162,19 @@ def fb_force_release(
         state.attempts[job.id] = victim.attempt
         state.running_alloc -= job.size
         victims.append(job)
-        kills.append(KillRecord(job_id=job.id, kill_time=state.clock, nodes_released=job.size))
         short -= job.size
     state.pbj_owned -= needed
     state.queue.push_front(sorted(victims, key=lambda j: (j.submit_time, j.id)))
     log.record(state.clock, ACTOR_PBJ, -needed)
-    return kills
+    return [job.id for job in victims]
 
 
-def fb_ws_demand(
-    state: ClusterState, new_demand: int, log: AdjustmentLog
-) -> list[KillRecord]:
+def fb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> list[int]:
     """Apply a web-service demand change under FB: WS demand is absolute.
 
     Demand drops release the surplus to the provision service's free set;
     rises take free nodes first and force the batch RE to release the rest.
+    Returns the ids of the jobs killed, in kill order.
     """
     delta = new_demand - state.ws_held
     shortfall = delta - state.free
@@ -195,13 +185,12 @@ def fb_ws_demand(
     return kills
 
 
-def fb_lease_tick(state: ClusterState, log: AdjustmentLog) -> ClusterState:
+def fb_lease_tick(state: ClusterState, log: AdjustmentLog) -> None:
     """Provision free nodes to the batch RE, up to its agreement bound."""
     grant = min(state.free, state.pbj_bound - state.pbj_owned)
     if grant > 0:
         state.pbj_owned += grant
         log.record(state.clock, ACTOR_PROVISION, grant)
-    return state
 
 
 def _flb_acquire_pbj(state: ClusterState, amount: int) -> None:
@@ -215,7 +204,7 @@ def _flb_release_pbj(state: ClusterState, amount: int) -> None:
     state.pbj_owned -= amount
 
 
-def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> ClusterState:
+def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> None:
     """Track web-service demand exactly: the unbounded provider always grants.
     A rise is charged to the pool while it has room; a fall gives back
     external leases first."""
@@ -227,21 +216,17 @@ def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> C
             state.ws_pool += delta + min(-delta, state.ws_external)
         state.ws_held = new_demand
         log.record(state.clock, ACTOR_WS, delta)
-    return state
 
 
-def flb_lease_tick(state: ClusterState, log: AdjustmentLog) -> ClusterState:
+def flb_lease_tick(state: ClusterState, log: AdjustmentLog) -> None:
     """Provision the coordinated pool's idle capacity to the batch RE."""
     idle_pool = state.pool_room
     if idle_pool > 0:
         _flb_acquire_pbj(state, idle_pool)
         log.record(state.clock, ACTOR_PROVISION, idle_pool)
-    return state
 
 
-def flb_manage_tick(
-    state: ClusterState, params: PolicyParams, log: AdjustmentLog
-) -> ClusterState:
+def flb_manage_tick(state: ClusterState, params: PolicyParams, log: AdjustmentLog) -> None:
     """The batch manager's periodic adjustment decision.
 
     With R = (sum of queued sizes) / owned: request DR1 = queued - owned when
@@ -255,20 +240,19 @@ def flb_manage_tick(
         dr1 = queued - owned
         _flb_acquire_pbj(state, dr1)
         log.record(state.clock, ACTOR_PBJ, dr1)
-        return state
+        return
     biggest = state.queue.biggest
     if biggest > owned:
         dr2 = biggest - state.pbj_idle
         _flb_acquire_pbj(state, dr2)
         log.record(state.clock, ACTOR_PBJ, dr2)
-        return state
+        return
     if queued < params.V * owned:  # R < V
         rss = math.floor(params.G * state.pbj_idle)
         rss = min(rss, owned - state.pbj_floor)
         if rss > 0:
             _flb_release_pbj(state, rss)
             log.record(state.clock, ACTOR_PBJ, -rss)
-    return state
 
 
 def ec2_job_lifecycle(job: Job, params: PolicyParams) -> tuple[int, int]:
@@ -291,8 +275,8 @@ class Regime:
     resolved. The kernel owns the clock and the event queue; the
     regime gives the initial state, its ``timer_kinds`` (fired every
     ``params.L`` seconds from 0), its reactions to demand changes (returning
-    the ids of killed jobs) and timers, admission after every event, and its
-    consumption level in a state.
+    the ids of killed jobs) and timers, admission after every event
+    (returning the jobs started), and its consumption level in a state.
     """
 
     timer_kinds: tuple[str, ...] = ()
@@ -321,15 +305,13 @@ class Regime:
             raise ScenarioError(f"{self.name} has no pool lower-bound share; omit pbj_floor")
         return None
 
-    def admit(self, kernel) -> Sequence[int]:
-        """First fit on the batch side's idle nodes."""
+    def admit(self, kernel) -> list[Job]:
+        """First fit on the batch side's idle nodes; returns the jobs started."""
         state = kernel.state
         started = first_fit_schedule(state.queue, state.pbj_idle)
-        if not started:
-            return started
         for job in started:
             kernel.start_job(job, state.clock)
-        return [job.id for job in started]
+        return started
 
     def consumption(self, state: ClusterState) -> int:
         """Bounded regimes consume their whole configuration at all times."""
@@ -377,9 +359,9 @@ class FB(Regime):
 
     def resolve_config(self, config_size: Optional[int]) -> int:
         if config_size is None:
-            raise ScenarioError("FB requires an explicit configuration size")
+            raise ScenarioError("FB requires an explicit configuration size (config_size)")
         if config_size < 1:
-            raise ScenarioError(f"configuration size must be >= 1, got {config_size}")
+            raise ScenarioError(f"configuration size (config_size) must be >= 1, got {config_size}")
         if self.prc_ws > config_size:
             raise InfeasibleScenarioError(f"WS peak demand {self.prc_ws} exceeds "
                                           f"configuration size {config_size}")
@@ -389,7 +371,7 @@ class FB(Regime):
         return ClusterState(capacity=self.config_size, pbj_bound=self.prc_pbj)
 
     def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
-        return [kill.job_id for kill in fb_ws_demand(state, demand, log)]
+        return fb_ws_demand(state, demand, log)
 
     def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
         fb_lease_tick(state, log)
@@ -410,7 +392,7 @@ class FLB_NUB(Regime):
             total_peak = self.prc_pbj + self.prc_ws
             pbj_floor = B * self.prc_pbj // total_peak if total_peak else 0
         if not 0 <= pbj_floor <= B:
-            raise ScenarioError(f"batch lower-bound share {pbj_floor} outside [0, B={B}]")
+            raise ScenarioError(f"lower-bound share pbj_floor={pbj_floor} outside [0, B={B}]")
         return pbj_floor
 
     def initial_state(self) -> ClusterState:
@@ -460,22 +442,22 @@ class EC2RS(Regime):
         state.pbj_owned -= nodes
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
-    def admit(self, kernel) -> Sequence[int]:
-        """Lease nodes for every queued job and start it at once.
+    def admit(self, kernel) -> list[Job]:
+        """Lease nodes for every queued job and start it at once; returns the
+        jobs started.
 
         First fit given the whole queued demand takes every job in queue
         order: the idle count left always equals the demand left.
         """
         state = kernel.state
-        started_ids = []
-        for job in state.queue.first_fit(state.queue.demand):
+        started = state.queue.first_fit(state.queue.demand)
+        for job in started:
             start, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
             kernel.start_job(job, start)
             kernel.push(release, KIND_LEASE_TICK, {"job_id": job.id, "nodes": job.size})
             kernel.log.record(state.clock, ACTOR_PBJ, job.size)
-            started_ids.append(job.id)
-        return started_ids
+        return started
 
     def consumption(self, state: ClusterState) -> int:
         """Every active job lease plus the web-service demand."""

@@ -107,7 +107,7 @@ class _Kernel:
         self.state.running_alloc += job.size
         self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
-    def _record(self, event: Event, started: Sequence[int], killed: Sequence[int],
+    def _record(self, event: Event, started: list[Job], killed: Sequence[int],
                 adjustments_from: int, snapshot: dict[str, int]) -> None:
         payload: dict[str, Any]
         if event.kind == KIND_JOB_ARRIVAL:
@@ -128,7 +128,7 @@ class _Kernel:
         record: dict[str, Any] = {"time": event.time, "kind": KIND_NAMES[event.kind],
                                   "payload": payload}
         if started:
-            record["started"] = started
+            record["started"] = [job.id for job in started]
         if killed:
             record["killed"] = killed
         new_adjustments = self.log.entries[adjustments_from:]

@@ -248,7 +248,7 @@ class TestCriterion6KillOrderProperty:
                     [(jid, size, start, i + 1) for i, (jid, size, start) in enumerate(running)],
                     shortfall,
                 )
-                assert [k.job_id for k in kills] == expected
+                assert kills == expected
                 assert released >= shortfall
                 assert state.pbj_idle == released - shortfall  # overshoot retained
             else:

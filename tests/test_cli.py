@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from provsim import cli
-from provsim.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
-from provsim.scenario import load_scenario
+from provsim.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from provsim.errors import KernelError, ScenarioError
+from provsim.scenario import apply_axis, load_scenario
 from provsim.trace import parse_demand_trace, parse_swf
 
 TINY_SWF = "\n".join(
@@ -90,6 +91,22 @@ class TestRunCommand:
         path = write_scenario(workspace, output_dir="results")
         assert main(["run", str(path)]) == EXIT_OK
         assert (workspace / "results" / "tiny.report.json").exists()
+
+    def test_reports_default_to_the_working_directory(self, workspace, monkeypatch):
+        monkeypatch.delenv("PROVSIM_OUTPUT_DIR", raising=False)
+        (workspace / "cwd").mkdir()
+        monkeypatch.chdir(workspace / "cwd")
+        assert main(["run", str(write_scenario(workspace))]) == EXIT_OK
+        assert (workspace / "cwd" / "tiny.report.json").exists()
+
+    def test_other_provsim_error_exits_one(self, workspace, monkeypatch, capsys):
+        def broken_run(*args, **kwargs):
+            raise KernelError("time regression")
+
+        monkeypatch.setattr(cli, "run_scenario_obj", broken_run)
+        path = write_scenario(workspace)
+        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_ERROR
+        assert "provsim: error: time regression" in capsys.readouterr().err
 
     def test_zero_duration_rejected(self, workspace, capsys):
         path = write_scenario(workspace, window={"start_offset": 0, "duration": 0})
@@ -304,15 +321,51 @@ class TestInputErrorsNameTheField:
         (["run", "--pbj-trace", "jobs.swf"], dict, "--pbj-trace"),
         (["run"], lambda doc: [doc], "scenario document"),
         (["run"], lambda doc: {k: v for k, v in doc.items() if k != "pbj_trace"}, "pbj_trace"),
+        (["run"], lambda doc: {**doc, "regime": "FB"}, "config_size"),
+        (["run"], lambda doc: {**doc, "regime": "FB", "config_size": 0}, "config_size"),
+        (["run"], lambda doc: {**doc, "pbj_floor": -1}, "pbj_floor"),
+        (["run"], lambda doc: {**doc, "pbj_floor": 5}, "pbj_floor"),  # B is 4
+        (["run"], lambda doc: {**doc, "cpus_per_node": 0}, "cpus_per_node"),
+        (["run"], lambda doc: json.dumps(doc)[:-1], "invalid scenario JSON"),
     ], ids=["sweep-empty-values", "params-L-twice", "params-list", "scenario-and-flags",
-            "document-not-object", "no-pbj_trace"])
+            "document-not-object", "no-pbj_trace", "FB-no-config_size", "config_size-0",
+            "pbj_floor-negative", "pbj_floor-above-B", "cpus_per_node-0", "not-JSON"])
     def test_exits_invalid_naming_the_field(self, workspace, capsys, command, edit, field):
         path = write_scenario(workspace)
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        doc = edit(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = main([command[0], str(path), *command[1:], "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+
+class TestThresholdU:
+    """Below 1, R > U fires while the queue fits the holdings; U must be >= 1."""
+
+    @pytest.mark.parametrize("u", ["0.5", "0.9"])
+    def test_u_below_one_exits_invalid(self, workspace, capsys, u):
+        path = write_scenario(workspace, params=f"B4/U{u}/V0.2/G0.5/L5")
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "threshold ratio U" in err and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    def test_u_of_one_runs(self, workspace):
+        path = write_scenario(workspace, params="B4/U1.0/V0.2/G0.5/L5")
+        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("values", ["0.5", "0.5,1.2"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_u_below_one_exits_invalid(self, workspace, capsys, values, workers):
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "U", "--values", values,
+                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "sweep point tiny_U0.5" in err and "threshold ratio U" in err
         assert not (workspace / "out").exists()
 
 
@@ -471,6 +524,18 @@ class TestTraceErrors:
         assert "trace error" in err and "2**63" in err
         assert ("line 1" if trace == "jobs.swf" else "line 3") in err
 
+    @pytest.mark.parametrize("text, named", [
+        ("time,demand\n0,1\n200,3,4\n", "demand line 3: expected 'time,demand'"),
+        ("time,demand\n0,1\n-200,3\n", "demand line 3: negative time -200"),
+    ], ids=["three-fields", "negative-time"])
+    def test_malformed_demand_line_exits_invalid(self, workspace, capsys, text, named):
+        (workspace / "demand.csv").write_text(text)
+        path = write_scenario(workspace)
+        code = main(["run", str(path), "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "trace error" in err and named in err and "Traceback" not in err
+
     def test_second_demand_header_exits_invalid(self, workspace, capsys):
         (workspace / "demand.csv").write_text("time,demand\ntime,demand\n0,5\n")
         path = write_scenario(workspace)
@@ -577,15 +642,25 @@ class FailingExecutor(RecordingExecutor):
 
 
 class TestSweepWorkerFailures:
-    @pytest.mark.parametrize("error", [BrokenProcessPool("a worker died"), RuntimeError("boom")],
-                             ids=["BrokenProcessPool", "RuntimeError"])
-    def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, error):
+    """A failing point exits the same way whether a pool or the serial loop ran it."""
+
+    @pytest.mark.parametrize("error, workers", [
+        (BrokenProcessPool("a worker died"), "2"), (RuntimeError("boom"), "2"),
+        (RuntimeError("boom"), "1"),
+    ], ids=["BrokenProcessPool", "RuntimeError", "RuntimeError-serial"])
+    def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, error,
+                                            workers):
         FailingExecutor.error = error
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FailingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+
+        def failing_run(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_scenario_obj", failing_run)
         path = write_scenario(workspace)
         code = main(["sweep", str(path), "--axis", "L", "--values", "1,2",
-                     "--workers", "2", "--output-dir", str(workspace / "out")])
+                     "--workers", workers, "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "sweep error" in err and "sweep point tiny_L" in err
@@ -627,6 +702,35 @@ class TestSweepCommand:
                      "--output-dir", str(workspace / "bad")])
         assert code == EXIT_INVALID
         assert "tiny_B-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers, pools", [("1", []), ("3", [2])])
+    def test_repeated_value_runs_once(self, workspace, recording_executor, monkeypatch,
+                                      workers, pools):
+        """A value given twice is simulated once, its row written twice, and
+        the pool is capped at the distinct points."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        runs = []
+        run_scenario_obj = cli.run_scenario_obj
+
+        def counted(point, *args, **kwargs):
+            runs.append(point.name)
+            return run_scenario_obj(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario_obj", counted)
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "tuple", "--values", "8:4,16:8,16:8",
+                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        assert code == EXIT_OK
+        assert runs == ["tiny_8x4", "tiny_16x8"]
+        assert recording_executor == pools
+        rows = (workspace / "out" / "tiny.sweep_tuple.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["tiny_8x4", "tiny_16x8", "tiny_16x8"]
+        assert rows[1] == rows[2]
+
+    def test_unknown_axis_rejected(self, workspace):
+        # The CLI offers only the known axes; apply_axis checks on its own.
+        with pytest.raises(ScenarioError, match="unknown sweep axis 'X'"):
+            apply_axis(load_scenario(write_scenario(workspace)), "X", "1")
 
     def test_tuple_axis(self, workspace):
         path = write_scenario(workspace)
@@ -784,6 +888,29 @@ class TestValidateCommand:
         assert outputs[0] == outputs[1]
         if expected is not None:
             assert json.loads(outputs[0])[key] == expected
+
+    # (agreement text, what the error must name)
+    @pytest.mark.parametrize("text, named", [
+        (AGREEMENT_XML.replace("RE_agreement", "agreement"), "RE_agreement root"),
+        (AGREEMENT_XML.replace("</granularity>", "</gran>"), "mismatched element tags"),
+        ('{"relationship": "same",', "invalid agreement JSON"),
+        (AGREEMENT_XML.replace('<lower_bound_size="13">', "<lower_bound_size=null>"),
+         "lower_bound_size"),
+        (AGREEMENT_XML.replace("FLB_NUB", "FB"), "FB model requires a defined upper bound"),
+        (AGREEMENT_XML.replace('"WIPE"', '""'), "setup policy"),
+        (AGREEMENT_XML.replace('<coordinated_RE="Yes">', '<coordinated_RE="maybe">'),
+         "coordinated_RE"),
+        # Only text that starts with "{" is read as JSON, and such text is an
+        # object or invalid JSON; any other document has no RE_agreement root.
+        ("[1]", "RE_agreement root"),
+    ], ids=["no-root", "mismatched-tags", "invalid-JSON", "null-lower-bound",
+            "FB-no-upper-bound", "empty-setup-policy", "coordinated_RE-maybe", "JSON-not-object"])
+    def test_agreement_error_exits_invalid(self, tmp_path, capsys, text, named):
+        path = tmp_path / "re.txt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "invalid input" in err and named in err and "Traceback" not in err
 
     def test_json_agreement_accepted(self, tmp_path):
         path = tmp_path / "re.json"

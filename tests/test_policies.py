@@ -34,6 +34,12 @@ class TestPolicyParams:
     def test_compact_defaults(self):
         assert parse_params("B51").B == 51
 
+    def test_empty_token_skipped(self):
+        assert parse_params("B25//L60") == parse_params("B25/L60")
+
+    def test_u_of_one_accepted(self):
+        assert PolicyParams(U=1.0, V=0.2).validate().U == 1.0
+
     def test_bad_token(self):
         with pytest.raises(ScenarioError, match="X9"):
             parse_params("B25/X9")
@@ -62,6 +68,8 @@ class TestPolicyParams:
             dict(U=0.0),
             dict(L=0),
             dict(B=-1),
+            dict(U=0.5),
+            dict(U=0.999),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -158,13 +166,13 @@ class TestFbForceRelease:
         assert state.free == 3
 
     def test_min_size_latest_start_victim(self):
-        state = fb_state(
-            config=8, running=[(1, 4, 10), (2, 2, 20), (3, 2, 30)], ws=0, free=0
-        )
+        running = [(1, 4, 10), (2, 2, 20), (3, 2, 30)]
+        state = fb_state(config=8, running=running, ws=0, free=0)
         log = AdjustmentLog()
         kills = fb_force_release(state, 2, log)
-        assert [k.job_id for k in kills] == [3]
-        assert kills[0].nodes_released == 2
+        assert kills == [3]
+        # All of job 3's nodes, its size in `running`, are released.
+        assert state.running_alloc == sum(size for _, size, _ in running) - running[2][1]
         assert state.pbj_owned == 6
         assert queue_order(state.queue)[0].id == 3  # victim requeued at the head
         assert state.attempts == {3: 1}  # kept until the victim restarts
@@ -175,14 +183,14 @@ class TestFbForceRelease:
         for first, second in ((1, 2), (2, 1)):
             state = fb_state(config=4, running=[(first, 2, 10), (second, 2, 10)])
             kills = fb_force_release(state, 1, AdjustmentLog())
-            assert [k.job_id for k in kills] == [second]
+            assert kills == [second]
             assert list(state.running) == [first]
 
     def test_overshoot_stays_as_idle(self):
         state = fb_state(config=4, running=[(1, 4, 10)], ws=0, free=0)
         log = AdjustmentLog()
         kills = fb_force_release(state, 3, log)
-        assert [k.job_id for k in kills] == [1]
+        assert kills == [1]
         assert state.free == 3
         assert state.pbj_idle == 1
         assert state.pbj_owned == 1
@@ -204,6 +212,11 @@ class TestFbForceRelease:
         fb_force_release(state, 6, log)
         assert [j.id for j in queue_order(state.queue)] == [2, 5, 9, 7]
 
+    def test_nonpositive_need_is_kernel_error(self):
+        state = fb_state(config=4, idle=2, ws=0, free=2)
+        with pytest.raises(KernelError, match="positive amount"):
+            fb_force_release(state, 0, AdjustmentLog())
+
     def test_needed_beyond_holdings_is_kernel_error(self):
         state = fb_state(config=4, idle=2, ws=0, free=2)
         with pytest.raises(KernelError):
@@ -217,8 +230,9 @@ class TestFbForceRelease:
         expected, released = greedy_kill_reference(
             [(jid, size, start, i + 1) for i, (jid, size, start) in enumerate(running)], 5
         )
-        assert [k.job_id for k in kills] == expected
-        assert sum(k.nodes_released for k in kills) == released >= 5
+        assert kills == expected
+        sizes = {jid: size for jid, size, _ in running}
+        assert sum(sizes[jid] for jid in kills) == released >= 5
 
 
 class TestFbWsDemand:
@@ -247,11 +261,12 @@ class TestFbWsDemand:
         kills = fb_ws_demand(state, 128, log)
         assert state.ws_held == 128
         assert state.pbj_owned == 0
-        assert sum(k.nodes_released for k in kills) == 128
+        sizes = {jid: size for jid, size, _ in running}
+        assert sum(sizes[jid] for jid in kills) == 128
         expected, _ = greedy_kill_reference(
             [(jid, size, start, i + 1) for i, (jid, size, start) in enumerate(running)], 128
         )
-        assert [k.job_id for k in kills] == expected
+        assert kills == expected
 
     def test_demand_above_config_infeasible(self):
         # The demand trace's peak is the highest demand FB ever sees.
@@ -429,6 +444,13 @@ class TestWsInstanceController:
         # edges themselves trigger no action.
         assert ws_instance_controller([0.80], 4) == 0
         assert ws_instance_controller([0.8 * 1 / 2], 2) == 0
+
+    def test_empty_window_no_change(self):
+        assert ws_instance_controller([], 4) == 0
+
+    def test_instance_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="instance count"):
+            ws_instance_controller([0.5], 0)
 
     def test_hysteresis_thresholds_strictly_ordered(self):
         for n in range(2, 65):

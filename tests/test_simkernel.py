@@ -8,7 +8,7 @@ from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.metrics import IDENT_COLUMNS
 from provsim.policies import PolicyParams
 from provsim.simkernel import run
-from provsim.state import REGIMES
+from provsim.state import ACTOR_PBJ, REGIMES, AdjustmentLog
 from provsim.trace import DemandTrace, Job, JobTrace
 
 from conftest import make_demand, make_jobs
@@ -47,6 +47,15 @@ class TestEventOrder:
 
 
 class TestRunBasics:
+    def test_empty_demand_trace_rejected(self):
+        jobs = make_jobs([(1, 0, 100, 4)], duration=200)
+        with pytest.raises(ScenarioError, match="demand trace is empty"):
+            run(jobs, make_demand([]), "DCS", PolicyParams())
+
+    def test_zero_adjustment_rejected(self):
+        with pytest.raises(ValueError, match="nonzero delta"):
+            AdjustmentLog().record(0, ACTOR_PBJ, 0)
+
     def test_single_job_completes(self):
         jobs = make_jobs([(1, 0, 100, 4)], duration=200)
         result = run(jobs, ZERO_WS, "DCS", PolicyParams())

@@ -230,6 +230,26 @@ class TestNormalizeCpus:
         assert all(j.size >= 1 for j in normalize_cpus(trace, divisor).jobs)
 
 
+class TestLibraryGuards:
+    """Arguments the CLI path rejects before they get here, passed directly."""
+
+    def test_cpus_per_node_below_one(self):
+        with pytest.raises(ValueError, match="cpus_per_node"):
+            normalize_cpus(jobs_at([0], size=8), 0)
+
+    def test_target_peak_below_one(self):
+        with pytest.raises(ValueError, match="target_peak"):
+            scale_to_peak(jobs_at([0], size=8), 0)
+
+    def test_zero_peak_job_trace(self):
+        with pytest.raises(ValueError, match="job trace with zero peak"):
+            scale_to_peak(JobTrace(jobs=(), window=(0, 1)), 4)
+
+    def test_not_a_trace(self):
+        with pytest.raises(TypeError, match="JobTrace or DemandTrace"):
+            scale_to_peak([(0, 1)], 4)
+
+
 class TestScaleToPeak:
     def test_factor_two(self):
         jobs = (Job(1, 0, 10, 2), Job(2, 1, 10, 4))
