@@ -246,8 +246,8 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
         params = replace(scenario.params, **{axis: number})
         if axis == "L":  # labelled in minutes, as given
             label = number // 60 if number % 60 == 0 else number / 60
-        else:
-            label = number if axis == "B" else value
+        else:  # B as read; U, V and G as an int when integral, else as the float
+            label = int(number) if axis != "B" and number.is_integer() else number
         return replace(scenario, params=params, name=f"{scenario.name}_{axis}{label}")
     if axis == "tuple":
         pbj, ws = peak_pair(value, "tuple axis value")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import EmptyTraceError, TraceParseError
@@ -24,6 +25,8 @@ _F_RUNTIME = 3
 _F_ALLOC = 4
 _F_REQUESTED = 7
 _SWF_MIN_FIELDS = 18
+_SIZE = itemgetter(3)  # a Job's size
+_SUBMIT = _DEMAND = itemgetter(1)  # a Job's submit time, a demand sample's demand
 
 
 class Job(NamedTuple):
@@ -49,7 +52,7 @@ class JobTrace:
     @property
     def peak_demand(self) -> int:
         """The largest job size; 0 for an empty trace."""
-        return max((j.size for j in self.jobs), default=0)
+        return max(map(_SIZE, self.jobs), default=0)
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class DemandTrace:
     @property
     def peak_demand(self) -> int:
         """The largest demand; 0 for an empty trace."""
-        return max((d for _, d in self.samples), default=0)
+        return max(map(_DEMAND, self.samples), default=0)
 
 
 def _swf_int(token: str, lineno: int, what: str) -> int:
@@ -85,42 +88,47 @@ def parse_swf(text: str) -> JobTrace:
     Comment lines start with ';'. Data lines must carry at least 18
     whitespace-separated fields. Job size is the allocated-processor count,
     falling back to the requested count when allocation is missing (<= 0).
-    Jobs with non-positive runtime or size are dropped. Submit times keep
-    their original offsets; re-basing to zero is `window`'s job.
+    Jobs with non-positive runtime or size or a negative submit time are
+    dropped. Submit times keep their original offsets; re-basing is `window`'s job.
     """
     jobs: list[Job] = []
     seen_ids: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
+        fields = raw.split()
+        if not fields or fields[0].startswith(";"):
             continue
-        fields = line.split()
         if len(fields) < _SWF_MIN_FIELDS:
             raise TraceParseError(
                 f"SWF line {lineno}: expected >= {_SWF_MIN_FIELDS} fields, got {len(fields)}")
-        job_id = _swf_int(fields[_F_ID], lineno, "job id")
-        submit = _swf_int(fields[_F_SUBMIT], lineno, "submit time")
-        runtime = _swf_int(fields[_F_RUNTIME], lineno, "run time")
-        alloc = _swf_int(fields[_F_ALLOC], lineno, "allocated processors")
-        requested = _swf_int(fields[_F_REQUESTED], lineno, "requested processors")
+        try:  # below 2**53, int(token) reads what _swf_int reads
+            job_id, submit, runtime, alloc, requested = (int(fields[_F_ID]), int(fields[_F_SUBMIT]),
+                int(fields[_F_RUNTIME]), int(fields[_F_ALLOC]), int(fields[_F_REQUESTED]))
+            if max(abs(job_id), abs(submit), abs(runtime), abs(alloc), abs(requested)) >= 2**53:
+                raise ValueError
+        except ValueError:  # "1.0", "1e3", "inf", 2**53 or more: _swf_int reads or names each
+            job_id = _swf_int(fields[_F_ID], lineno, "job id")
+            submit = _swf_int(fields[_F_SUBMIT], lineno, "submit time")
+            runtime = _swf_int(fields[_F_RUNTIME], lineno, "run time")
+            alloc = _swf_int(fields[_F_ALLOC], lineno, "allocated processors")
+            requested = _swf_int(fields[_F_REQUESTED], lineno, "requested processors")
         size = alloc if alloc > 0 else requested
         if runtime <= 0 or size <= 0 or submit < 0:
             continue
         if job_id in seen_ids:
             raise TraceParseError(f"SWF line {lineno}: duplicate job id {job_id}")
         seen_ids.add(job_id)
-        jobs.append(Job(id=job_id, submit_time=submit, runtime=runtime, size=size))
+        jobs.append(Job(job_id, submit, runtime, size))
     if not jobs:
         raise EmptyTraceError("SWF trace contains no usable jobs after filtering")
-    jobs.sort(key=lambda j: j.submit_time)
+    jobs.sort(key=_SUBMIT)
     return JobTrace(jobs=tuple(jobs), window=(0, jobs[-1].submit_time))
 
 
 def parse_demand_trace(text: str) -> DemandTrace:
     """Parse "time,demand" CSV text into a DemandTrace.
 
-    An optional "time,demand" header may be the first non-empty line. Sample
-    times must be strictly increasing and demands nonnegative integers.
+    The first non-empty line is a "time,demand" header if its first field is no integer.
+    Sample times must be strictly increasing and demands nonnegative integers.
     """
     samples: list[tuple[int, int]] = []
     first_line = True  # the only line that may be the header
@@ -128,15 +136,18 @@ def parse_demand_trace(text: str) -> DemandTrace:
         line = raw.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")  # int() ignores the whitespace around a field
         if len(parts) != 2:
             raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
         if first_line:
             first_line = False
-            if not parts[0].lstrip("-").isdigit():
-                if parts[0].lower() == "time" and parts[1].lower() == "demand":
+            try:
+                int(parts[0])
+            except ValueError:
+                if parts[0].strip().lower() == "time" and parts[1].strip().lower() == "demand":
                     continue
-                raise TraceParseError(f"demand line {lineno}: unrecognized header {line!r}")
+                raise TraceParseError(
+                    f"demand line {lineno}: unrecognized header {line!r}") from None
         try:
             t, d = int(parts[0]), int(parts[1])
         except ValueError:
@@ -161,8 +172,9 @@ def window(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:
     if duration <= 0:
         raise ValueError("window duration must be positive")
     end = start_offset + duration
-    kept = tuple(j._replace(submit_time=j.submit_time - start_offset)
-                 for j in trace.jobs if start_offset <= j.submit_time < end)
+    kept = tuple(j for j in trace.jobs if start_offset <= j.submit_time < end)
+    if start_offset:
+        kept = tuple(Job(i, t - start_offset, r, z) for i, t, r, z in kept)
     if not kept:
         raise EmptyTraceError(
             f"no jobs in window [{start_offset}, {end}) of trace with window {trace.window}")
@@ -176,7 +188,8 @@ def normalize_cpus(trace: JobTrace, cpus_per_node: int) -> JobTrace:
     """
     if cpus_per_node < 1:
         raise ValueError("cpus_per_node must be >= 1")
-    jobs = tuple(j._replace(size=-(-j.size // cpus_per_node)) for j in trace.jobs)
+    nodes = {s: -(-s // cpus_per_node) for s in set(map(_SIZE, trace.jobs))}
+    jobs = tuple(Job(i, t, r, nodes[s]) for i, t, r, s in trace.jobs)
     return JobTrace(jobs=jobs, window=trace.window)
 
 
@@ -199,13 +212,15 @@ def scale_to_peak(trace, target_peak: int):
         peak = trace.peak_demand
         if peak <= 0:
             raise ValueError("cannot scale a job trace with zero peak demand")
-        jobs = tuple(j._replace(size=_scale_value(j.size, target_peak, peak, 1))
-                     for j in trace.jobs)
+        sizes = {s: _scale_value(s, target_peak, peak, 1) for s in set(map(_SIZE, trace.jobs))}
+        jobs = tuple(Job(i, t, r, sizes[s]) for i, t, r, s in trace.jobs)
         return JobTrace(jobs=jobs, window=trace.window)
     if isinstance(trace, DemandTrace):
         peak = trace.peak_demand
         if peak <= 0:
             raise ValueError("cannot scale a demand trace with zero peak demand")
-        samples = tuple((t, _scale_value(d, target_peak, peak, 0)) for t, d in trace.samples)
+        demands = {d: _scale_value(d, target_peak, peak, 0)
+                   for d in set(map(_DEMAND, trace.samples))}
+        samples = tuple((t, demands[d]) for t, d in trace.samples)
         return DemandTrace(samples=samples)
     raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")

@@ -7,11 +7,13 @@ paths with the implementation under test.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import chain
 
+from provsim.errors import EmptyTraceError, TraceParseError
 from provsim.policies import PolicyParams
-from provsim.trace import DemandTrace, Job, JobTrace
+from provsim.trace import INT_LIMIT, DemandTrace, Job, JobTrace
 
 
 def replay_consumption(events, regime, *, config_size=None, pool_size=0, duration=0,
@@ -259,3 +261,143 @@ def random_fuzz_setup(regime, seed):
         high = jobs.peak_demand + demand.peak_demand
         kwargs["config_size"] = max(1, rng.randint(min(low, high), max(low, high)))
     return jobs, demand, params, kwargs
+
+
+# The trace layer as it was before its per-entry fast paths, kept as the
+# reference that tests/test_trace_differential.py compares the library with:
+# the same values, or the same exception type and message. Only the demand
+# header rule differs from that version: the first line is a header when its
+# first field does not read with int().
+
+def _swf_int(token: str, lineno: int, what: str) -> int:
+    try:
+        value = int(float(token))
+        if abs(value) < INT_LIMIT:
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise TraceParseError(
+        f"SWF line {lineno}: {what} field is not a finite number below 2**63: {token!r}")
+
+
+def parse_swf_reference(text: str) -> JobTrace:
+    jobs: list[Job] = []
+    seen_ids: set[int] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        fields = line.split()
+        if len(fields) < 18:
+            raise TraceParseError(
+                f"SWF line {lineno}: expected >= 18 fields, got {len(fields)}")
+        job_id = _swf_int(fields[0], lineno, "job id")
+        submit = _swf_int(fields[1], lineno, "submit time")
+        runtime = _swf_int(fields[3], lineno, "run time")
+        alloc = _swf_int(fields[4], lineno, "allocated processors")
+        requested = _swf_int(fields[7], lineno, "requested processors")
+        size = alloc if alloc > 0 else requested
+        if runtime <= 0 or size <= 0 or submit < 0:
+            continue
+        if job_id in seen_ids:
+            raise TraceParseError(f"SWF line {lineno}: duplicate job id {job_id}")
+        seen_ids.add(job_id)
+        jobs.append(Job(id=job_id, submit_time=submit, runtime=runtime, size=size))
+    if not jobs:
+        raise EmptyTraceError("SWF trace contains no usable jobs after filtering")
+    jobs.sort(key=lambda j: j.submit_time)
+    return JobTrace(jobs=tuple(jobs), window=(0, jobs[-1].submit_time))
+
+
+def _reads_as_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_demand_trace_reference(text: str) -> DemandTrace:
+    samples: list[tuple[int, int]] = []
+    first_line = True  # the only line that may be the header
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
+        if first_line:
+            first_line = False
+            if not _reads_as_int(parts[0]):
+                if parts[0].lower() == "time" and parts[1].lower() == "demand":
+                    continue
+                raise TraceParseError(f"demand line {lineno}: unrecognized header {line!r}")
+        try:
+            t, d = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise TraceParseError(f"demand line {lineno}: non-integer field in {line!r}") from None
+        if max(t, d) >= INT_LIMIT:  # negative values are rejected below
+            raise TraceParseError(f"demand line {lineno}: field not below 2**63 in {line!r}")
+        if d < 0:
+            raise TraceParseError(f"demand line {lineno}: negative demand {d}")
+        if t < 0:
+            raise TraceParseError(f"demand line {lineno}: negative time {t}")
+        if samples and t <= samples[-1][0]:
+            raise TraceParseError(
+                f"demand line {lineno}: time {t} not greater than previous {samples[-1][0]}")
+        samples.append((t, d))
+    if not samples:
+        raise EmptyTraceError("demand trace contains no samples")
+    return DemandTrace(samples=tuple(samples))
+
+
+def window_reference(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:
+    if duration <= 0:
+        raise ValueError("window duration must be positive")
+    end = start_offset + duration
+    kept = tuple(j._replace(submit_time=j.submit_time - start_offset)
+                 for j in trace.jobs if start_offset <= j.submit_time < end)
+    if not kept:
+        raise EmptyTraceError(
+            f"no jobs in window [{start_offset}, {end}) of trace with window {trace.window}")
+    return JobTrace(jobs=kept, window=(trace.window[0] + start_offset, duration))
+
+
+def normalize_cpus_reference(trace: JobTrace, cpus_per_node: int) -> JobTrace:
+    if cpus_per_node < 1:
+        raise ValueError("cpus_per_node must be >= 1")
+    jobs = tuple(j._replace(size=-(-j.size // cpus_per_node)) for j in trace.jobs)
+    return JobTrace(jobs=jobs, window=trace.window)
+
+
+def peak_reference(trace) -> int:
+    """A JobTrace's largest size or a DemandTrace's largest demand; 0 when empty."""
+    if isinstance(trace, JobTrace):
+        return max((j.size for j in trace.jobs), default=0)
+    return max((d for _, d in trace.samples), default=0)
+
+
+def _scale_value(value: int, target_peak: int, peak: int, minimum: int) -> int:
+    # value * target_peak is exact in int; round half up, clamp into range.
+    scaled = math.floor(value * target_peak / peak + 0.5)
+    return min(target_peak, max(minimum, scaled))
+
+
+def scale_to_peak_reference(trace, target_peak: int):
+    if target_peak < 1:
+        raise ValueError("target_peak must be >= 1")
+    if isinstance(trace, JobTrace):
+        peak = peak_reference(trace)
+        if peak <= 0:
+            raise ValueError("cannot scale a job trace with zero peak demand")
+        jobs = tuple(j._replace(size=_scale_value(j.size, target_peak, peak, 1))
+                     for j in trace.jobs)
+        return JobTrace(jobs=jobs, window=trace.window)
+    if isinstance(trace, DemandTrace):
+        peak = peak_reference(trace)
+        if peak <= 0:
+            raise ValueError("cannot scale a demand trace with zero peak demand")
+        samples = tuple((t, _scale_value(d, target_peak, peak, 0)) for t, d in trace.samples)
+        return DemandTrace(samples=samples)
+    raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")

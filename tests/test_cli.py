@@ -499,6 +499,23 @@ class TestMalformedSweepValues:
         assert f"threshold ratio {axis}" in err
 
 
+class TestDemandHeaderRule:
+    """The first demand line is a header exactly when its first field is no integer."""
+
+    @pytest.mark.parametrize("text, code, named", [
+        ("+0,1\n200,3\n", EXIT_OK, None),
+        ("time,demand\n0,1\n", EXIT_OK, None),
+        ("when,how_much\n0,1\n", EXIT_INVALID, "demand line 1: unrecognized header"),
+        ("0,two\n", EXIT_INVALID, "demand line 1: non-integer field"),
+    ], ids=["signed-data", "header", "unknown-header", "non-integer"])
+    def test_first_line(self, workspace, capsys, text, code, named):
+        (workspace / "demand.csv").write_text(text)
+        path = write_scenario(workspace)
+        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == code
+        if named:
+            assert named in capsys.readouterr().err
+
+
 class TestTraceErrors:
     @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
     def test_infinite_swf_field_exits_invalid(self, workspace, capsys, token):
@@ -726,6 +743,26 @@ class TestSweepCommand:
         rows = (workspace / "out" / "tiny.sweep_tuple.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["tiny_8x4", "tiny_16x8", "tiny_16x8"]
         assert rows[1] == rows[2]
+
+    def test_respelled_value_runs_once(self, workspace, monkeypatch):
+        """U, V and G points are named by the value read, not its spelling,
+        so one value written two ways is one point."""
+        runs = []
+        run_scenario_obj = cli.run_scenario_obj
+
+        def counted(point, *args, **kwargs):
+            runs.append(point.name)
+            return run_scenario_obj(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario_obj", counted)
+        path = write_scenario(workspace)
+        code = main(["sweep", str(path), "--axis", "U", "--values", "1.2,1.20,2.0",
+                     "--output-dir", str(workspace / "out")])
+        assert code == EXIT_OK
+        assert runs == ["tiny_U1.2", "tiny_U2"]
+        rows = (workspace / "out" / "tiny.sweep_U.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["tiny_U1.2", "tiny_U1.2", "tiny_U2"]
+        assert rows[0] == rows[1]
 
     def test_unknown_axis_rejected(self, workspace):
         # The CLI offers only the known axes; apply_axis checks on its own.
