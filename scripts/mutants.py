@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Run tier-1 against each one-line mutant of src/provsim and report which
+mutants it kills.
+
+Copies the source tree (without .git and caches) to a temporary directory,
+checks that tier-1 passes there unmutated, then for each mutant in MUTANTS
+rewrites one line, runs tier-1 with ``-x`` and puts the line back. A mutant
+is killed when some test fails, and survives when tier-1 still passes.
+Standard library only; it is not part of tier-1 and takes up to one tier-1
+run per mutant.
+
+Run from anywhere:  python3 scripts/mutants.py [mutant name ...]
+Exit status: 0 when every mutant run is killed, 1 when some survive, 2 when
+a patch no longer applies or the unmutated copy fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file below src/provsim, source text, mutated text). The source text
+# must occur exactly once in the file and lie within one line.
+MUTANTS = [
+    ("flb-release-at-V", "policies.py",
+     "if queued < params.V * owned:", "if queued <= params.V * owned:"),
+    ("fb-requeue-id-descending", "policies.py",
+     "key=lambda j: (j.submit_time, j.id)", "key=lambda j: (j.submit_time, -j.id)"),
+    ("scale-round-half-down", "trace.py",
+     "math.floor(value * target_peak / peak + 0.5)",
+     "math.ceil(value * target_peak / peak - 0.5)"),
+    ("log-state-fields-swapped", "simkernel.py",
+     '"pbj_pool":%s,"ws_pool":%s', '"ws_pool":%s,"pbj_pool":%s'),
+    ("log-started-dropped", "simkernel.py",
+     """line += ',"started":[%s]' % ",".join([str(job.id) for job in started])""", "pass"),
+]
+
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                 "*.egg-info", ".work", ".traces")
+
+
+def tier1(tree: Path) -> tuple[int, str]:
+    """Tier-1 in ``tree``, stopping at the first failure: (exit status, the
+    first failure's summary line, or "")."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=tree, env=env, capture_output=True, text=True)
+    failures = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return done.returncode, failures[0] if failures else ""
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {name for name, *_ in MUTANTS}
+    if unknown:
+        print(f"mutants: unknown mutant {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    with tempfile.TemporaryDirectory(prefix="provsim-mutants-") as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        status, failure = tier1(tree)
+        if status != 0:
+            print(f"mutants: tier-1 fails without a mutant (exit {status}) {failure}")
+            return 2
+        survivors = 0
+        for name, file, source, mutated in chosen:
+            path = tree / "src" / "provsim" / file
+            original = path.read_text()
+            if original.count(source) != 1 or "\n" in source:
+                print(f"{name}: patch does not apply to {file}")
+                return 2
+            path.write_text(original.replace(source, mutated))
+            try:
+                status, failure = tier1(tree)
+            finally:
+                path.write_text(original)
+            if status == 0:
+                survivors += 1
+                print(f"{name}: SURVIVED ({file}: {source!r} -> {mutated!r})")
+            else:
+                print(f"{name}: killed by {failure or f'exit {status}'}")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

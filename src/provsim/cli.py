@@ -91,10 +91,10 @@ def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
     with _report_dir(out_dir):
         json_path.write_text(report_to_json(result.metrics, ident))
         csv_path.write_text(csv_header() + "\n" + report_to_csv_row(result.metrics, ident) + "\n")
-        if result.events is not None:
+        if result.records is not None:
             log_path = out_dir / f"{scenario.name}.events.jsonl"
             with log_path.open("w") as stream:
-                write_event_log(result.events, stream)
+                write_event_log(result, stream)
             written.append(log_path)
     return written
 

@@ -231,7 +231,7 @@ def load_traces(scenario: Scenario) -> Traces:
 
 def run_scenario_obj(scenario: Scenario, traces: Traces, record_events: bool = False) -> SimResult:
     """Execute one scenario on its shaped ``traces`` (see ``load_traces``),
-    building its event log only with ``record_events``."""
+    keeping its raw event records only with ``record_events``."""
     return run(*traces, scenario.regime, scenario.params, config_size=scenario.config_size,
                pbj_floor=scenario.pbj_floor, record_events=record_events)
 

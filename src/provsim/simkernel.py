@@ -8,10 +8,10 @@ reaction rules fire, then the regime admits queued jobs. The regime's rules
 live in one ``policies.Regime`` subclass. The heap holds only pending
 events: each seeded stream (arrivals, demand samples, each timer kind)
 keeps one event in it and feeds the next when that one pops. The kernel
-tallies completions and integrates consumption as it goes, so the
-per-event log is built only when a run asks for it.
-Virtual time is integer seconds; identical inputs produce byte-identical
-event logs.
+tallies completions and integrates consumption as it goes. Only a run that
+asks for its event log keeps one raw record per event; ``write_event_log``
+encodes each as a line from its kind's template when the log is written.
+Virtual time is integer seconds; identical inputs give byte-identical logs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import heapq
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import IO, Any, Iterator, Optional, Sequence
 
@@ -50,12 +51,22 @@ __all__ = [
 ]
 
 
+# One processed event: the event, the jobs it started, the ids it killed, the
+# [from, to) slice of the adjustment log it added, and the state after it.
+Record = tuple[Event, list[Job], Sequence[int], int, int, dict[str, int]]
+
+
 @dataclass
 class SimResult:
     metrics: MetricsReport
     adjustments: AdjustmentLog
     columns: dict[str, Any]  # the report's identification columns, from the regime
-    events: Optional[list[dict[str, Any]]] = None  # None unless recorded
+    records: Optional[list[Record]] = None  # None unless recorded
+
+    @cached_property
+    def events(self) -> Optional[list[dict[str, Any]]]:
+        """The event log's lines decoded once, one dict per record; None unless recorded."""
+        return None if self.records is None else json.loads("[%s]" % ",".join(_lines(self)))
 
 
 class _Kernel:
@@ -72,7 +83,7 @@ class _Kernel:
         self.job_trace = job_trace
         self.state = regime.initial_state()
         self.log = AdjustmentLog()
-        self.events: Optional[list[dict[str, Any]]] = [] if record_events else None
+        self.records: Optional[list[Record]] = [] if record_events else None
         self._heap: list[Event] = []
         self._seq = itertools.count()
         # Each kind's seeded stream of (time, payload) pairs; None for the
@@ -107,36 +118,6 @@ class _Kernel:
         self.state.running_alloc += job.size
         self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
-    def _record(self, event: Event, started: list[Job], killed: Sequence[int],
-                adjustments_from: int, snapshot: dict[str, int]) -> None:
-        payload: dict[str, Any]
-        if event.kind == KIND_JOB_ARRIVAL:
-            job = event.payload
-            payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
-                       "submit": job.submit_time}
-        elif event.kind == KIND_JOB_COMPLETION:
-            job, attempt = event.payload
-            payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
-                       "submit": job.submit_time, "attempt": attempt,
-                       "turnaround": event.time - job.submit_time}
-        elif event.kind == KIND_WS_DEMAND_CHANGE:
-            payload = {"demand": event.payload}
-        elif event.kind == KIND_LEASE_TICK and isinstance(event.payload, dict):
-            payload = dict(event.payload)
-        else:
-            payload = {}
-        record: dict[str, Any] = {"time": event.time, "kind": KIND_NAMES[event.kind],
-                                  "payload": payload}
-        if started:
-            record["started"] = [job.id for job in started]
-        if killed:
-            record["killed"] = killed
-        new_adjustments = self.log.entries[adjustments_from:]
-        if new_adjustments:
-            record["adjustments"] = [[a, d] for _, a, d in new_adjustments]
-        record["state"] = snapshot
-        self.events.append(record)
-
     def execute(self) -> SimResult:
         """Process every event up to the window end, dispatching each on its
         kind once: a completion frees its nodes, a demand change or timer
@@ -146,12 +127,12 @@ class _Kernel:
         and turnaround sums. The consumption level after each event is
         integrated into node-seconds as time moves on. A later level at the
         same time replaces the earlier one, so a level enters the peak only
-        once time moves past it or the window ends. Event records are built
+        once time moves past it or the window ends. Raw records are kept
         only when asked for.
         """
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
         heappop, streams, feed, duration = heapq.heappop, self._streams, self._feed, self.duration
-        record = self.events is not None
+        records = self.records
         completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = regime.consumption(state), 0, 0, 0
         while heap:
@@ -186,8 +167,8 @@ class _Kernel:
             # Taken also when not recorded: perfbench/tracer.py derives its
             # queue-length figures from one snapshot call per processed event.
             snapshot = state.snapshot()
-            if record:
-                self._record(event, started, killed, adjustments_from, snapshot)
+            if records is not None:
+                records.append((event, started, killed, adjustments_from, log.count, snapshot))
             new_level = regime.consumption(state)
             if new_level != level:
                 if time != since:
@@ -212,7 +193,7 @@ class _Kernel:
             adjustment_count=log.count,
         )
         return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
-                         events=self.events)
+                         records=self.records)
 
 
 def run(
@@ -227,8 +208,8 @@ def run(
     """Simulate one scenario and return its metrics, adjustment log, report
     identification columns and event log.
 
-    The event log is built only with ``record_events``; otherwise
-    ``SimResult.events`` is None. An empty job trace is accepted (the
+    Raw event records are kept only with ``record_events``; otherwise
+    ``SimResult.records`` is None. An empty job trace is accepted (the
     degenerate nothing-ever-runs case); the demand trace must carry at least
     one sample.
     """
@@ -241,10 +222,44 @@ def run(
 
 
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# A line is its kind's head (time, kind, payload), the lists present, then the
+# state in ``ClusterState.snapshot``'s key order. Numbers print as in JSON.
+_HEADS = ['{"time":%%s,"kind":"%s","payload":{}' % name for name in KIND_NAMES]
+_ARRIVAL = '{"time":%s,"kind":"job_arrival","payload":{"job_id":%s,"size":%s,"runtime":%s,"submit":%s}'
+_COMPLETION = ('{"time":%s,"kind":"job_completion","payload":{"job_id":%s,"size":%s,"runtime":%s,'
+               '"submit":%s,"attempt":%s,"turnaround":%s}')
+_DEMAND = '{"time":%s,"kind":"ws_demand_change","payload":{"demand":%s}'
+_LEASE = '{"time":%s,"kind":"lease_tick","payload":{"job_id":%s,"nodes":%s}'
+_STATE = (',"state":{"pbj_owned":%s,"pbj_idle":%s,"running_alloc":%s,"ws_held":%s,"free":%s,'
+          '"pbj_pool":%s,"ws_pool":%s,"pbj_external":%s,"ws_external":%s,"queue_len":%s,'
+          '"queued_demand":%s}}\n')
 
 
-def write_event_log(events: list[dict[str, Any]], stream: IO[str]) -> None:
-    """Emit the event log as line-delimited JSON records {time, kind, payload, ...}."""
-    encode = _EVENT_ENCODER.encode
-    for record in events:
-        stream.write(encode(record) + "\n")
+def _lines(result: SimResult) -> Iterator[str]:
+    """The event log's lines, one compact JSON object per record."""
+    entries, encode = result.adjustments.entries, _EVENT_ENCODER.encode
+    for (time, kind, _, payload), started, killed, first, end, snapshot in result.records:
+        if kind == KIND_JOB_ARRIVAL:
+            job_id, submit, runtime, size = payload
+            line = _ARRIVAL % (time, job_id, size, runtime, submit)
+        elif kind == KIND_JOB_COMPLETION:
+            (job_id, submit, runtime, size), attempt = payload
+            line = _COMPLETION % (time, job_id, size, runtime, submit, attempt, time - submit)
+        elif kind == KIND_WS_DEMAND_CHANGE:
+            line = _DEMAND % (time, payload)
+        elif kind == KIND_LEASE_TICK and payload is not None:
+            line = _LEASE % (time, payload["job_id"], payload["nodes"])
+        else:
+            line = _HEADS[kind] % time
+        if started:
+            line += ',"started":[%s]' % ",".join([str(job.id) for job in started])
+        if killed:
+            line += ',"killed":[%s]' % ",".join(map(str, killed))
+        if end > first:
+            line += ',"adjustments":' + encode([[a, d] for _, a, d in entries[first:end]])
+        yield line + _STATE % tuple(snapshot.values())
+
+
+def write_event_log(result: SimResult, stream: IO[str]) -> None:
+    """Write a recorded run's event log, one JSON record {time, kind, payload, ...} a line."""
+    stream.writelines(_lines(result))

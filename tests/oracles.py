@@ -7,12 +7,15 @@ paths with the implementation under test.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import chain
 
 from provsim.errors import EmptyTraceError, TraceParseError
 from provsim.policies import PolicyParams
+from provsim.state import (KIND_JOB_ARRIVAL, KIND_JOB_COMPLETION, KIND_LEASE_TICK, KIND_NAMES,
+                           KIND_WS_DEMAND_CHANGE)
 from provsim.trace import INT_LIMIT, DemandTrace, Job, JobTrace
 
 
@@ -401,3 +404,49 @@ def scale_to_peak_reference(trace, target_peak: int):
         samples = tuple((t, _scale_value(d, target_peak, peak, 0)) for t, d in trace.samples)
         return DemandTrace(samples=samples)
     raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")
+
+
+# The event log as the kernel built it before its per-kind templates: one dict
+# per processed event, encoded by JSONEncoder. tests/test_event_log_differential.py
+# checks that ``write_event_log`` writes these exact bytes.
+
+def event_dicts_reference(result) -> list[dict]:
+    """The event-log records of a recorded run, built as dicts from its raw
+    records (event, started, killed, adjustment slice, snapshot)."""
+    events = []
+    for event, started, killed, first, end, snapshot in result.records:
+        if event.kind == KIND_JOB_ARRIVAL:
+            job = event.payload
+            payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
+                       "submit": job.submit_time}
+        elif event.kind == KIND_JOB_COMPLETION:
+            job, attempt = event.payload
+            payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
+                       "submit": job.submit_time, "attempt": attempt,
+                       "turnaround": event.time - job.submit_time}
+        elif event.kind == KIND_WS_DEMAND_CHANGE:
+            payload = {"demand": event.payload}
+        elif event.kind == KIND_LEASE_TICK and isinstance(event.payload, dict):
+            payload = dict(event.payload)
+        else:
+            payload = {}
+        record = {"time": event.time, "kind": KIND_NAMES[event.kind], "payload": payload}
+        if started:
+            record["started"] = [job.id for job in started]
+        if killed:
+            record["killed"] = killed
+        new_adjustments = result.adjustments.entries[first:end]
+        if new_adjustments:
+            record["adjustments"] = [[a, d] for _, a, d in new_adjustments]
+        record["state"] = snapshot
+        events.append(record)
+    return events
+
+
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def write_event_log_reference(events, stream) -> None:
+    encode = _EVENT_ENCODER.encode
+    for record in events:
+        stream.write(encode(record) + "\n")

@@ -212,6 +212,18 @@ class TestFbForceRelease:
         fb_force_release(state, 6, log)
         assert [j.id for j in queue_order(state.queue)] == [2, 5, 9, 7]
 
+    def test_same_submit_victims_requeued_in_id_order(self):
+        # Job 4 started last and is killed first; both were submitted at 5, so
+        # the requeue puts the lower id first, and it is the first to restart.
+        state = fb_state(config=4, running=[(3, 2, 10), (4, 2, 20)])
+        for job_id in (3, 4):
+            record = state.running[job_id]
+            state.running[job_id] = RunningJob(job=Job(job_id, 5, 1000, 2),
+                                               start_time=record.start_time, attempt=1)
+        assert fb_force_release(state, 4, AdjustmentLog()) == [4, 3]
+        assert [j.id for j in queue_order(state.queue)] == [3, 4]
+        assert [j.id for j in first_fit_schedule(state.queue, 2)] == [3]
+
     def test_nonpositive_need_is_kernel_error(self):
         state = fb_state(config=4, idle=2, ws=0, free=2)
         with pytest.raises(KernelError, match="positive amount"):
@@ -349,6 +361,14 @@ class TestFlbManageTick:
         log = AdjustmentLog()
         flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
         assert log.entries == [(0, "pbj_manager", 5)]
+
+    def test_no_release_when_ratio_equals_release_threshold(self):
+        # R = 2 / 10 is exactly V: release only when R < V.
+        state = flb_state(B=25, owned=10, idle=8, queue=jobs_of_sizes([2]))
+        log = AdjustmentLog()
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
+        assert log.count == 0
+        assert state.pbj_owned == 10
 
     def test_dead_band_between_thresholds(self):
         state = flb_state(B=25, owned=100, idle=50, queue=jobs_of_sizes([50]))
