@@ -39,6 +39,13 @@ MUTANTS = [
      '"pbj_pool":%s,"ws_pool":%s', '"ws_pool":%s,"pbj_pool":%s'),
     ("log-started-dropped", "simkernel.py",
      """line += ',"started":[%s]' % ",".join([str(job.id) for job in started])""", "pass"),
+    ("kernel-stale-completion-kept", "simkernel.py",
+     "if running is None or running.attempt != attempt:", "if running is None or False:"),
+    ("kernel-adjustments-from-after-handling", "simkernel.py",
+     "records.append((event, started, killed, first, len(entries), snapshot))",
+     "records.append((event, started, killed, len(entries), len(entries), snapshot))"),
+    ("kernel-same-time-level-committed", "simkernel.py",
+     "if time != since:", "if True:"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -72,9 +72,13 @@ def whole(value: Any) -> int:
     """An integer given as an int, a whole float or a numeric string with a
     whole value ("4.0", "1e3"); a fraction, nan or inf raises ValueError
     instead of being truncated, and so does a magnitude of 2**63 or more."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        number = value  # exact, however large
-    else:
+    number = value
+    if isinstance(value, str):
+        try:  # exact, where a float would round above 2**53
+            number = int(value)
+        except ValueError:
+            pass
+    if not isinstance(number, int) or isinstance(number, bool):
         number = real(value)
         if not number.is_integer():
             raise ValueError(f"{value!r} is not a whole number")
@@ -308,7 +312,7 @@ class Regime:
     def admit(self, kernel) -> list[Job]:
         """First fit on the batch side's idle nodes; returns the jobs started."""
         state = kernel.state
-        started = first_fit_schedule(state.queue, state.pbj_idle)
+        started = first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)
         for job in started:
             kernel.start_job(job, state.clock)
         return started
@@ -373,7 +377,7 @@ class FB(Regime):
     def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
         return fb_ws_demand(state, demand, log)
 
-    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
+    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
         fb_lease_tick(state, log)
 
 
@@ -405,8 +409,8 @@ class FLB_NUB(Regime):
         flb_ws_demand(state, demand, log)
         return ()
 
-    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
-        if event.kind == KIND_LEASE_TICK:
+    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
+        if kind == KIND_LEASE_TICK:
             flb_lease_tick(state, log)
         else:
             flb_manage_tick(state, self.params, log)
@@ -436,9 +440,10 @@ class EC2RS(Regime):
             log.record(state.clock, ACTOR_WS, delta)
         return ()
 
-    def on_tick(self, state: ClusterState, event, log: AdjustmentLog) -> None:
-        """A job's lease expires and its nodes go back to the provider."""
-        nodes = event.payload["nodes"]
+    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
+        """A job's lease expires and its nodes go back to the provider; the
+        payload is (job id, nodes)."""
+        nodes = payload[1]
         state.pbj_owned -= nodes
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
@@ -455,7 +460,7 @@ class EC2RS(Regime):
             start, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
             kernel.start_job(job, start)
-            kernel.push(release, KIND_LEASE_TICK, {"job_id": job.id, "nodes": job.size})
+            kernel.push(release, KIND_LEASE_TICK, (job.id, job.size))
             kernel.log.record(state.clock, ACTOR_PBJ, job.size)
         return started
 

@@ -1,16 +1,21 @@
 """Deterministic virtual-time discrete-event engine.
 
 A run replays one consolidated scenario: batch-job arrivals, web-service
-demand changes, and the regime's periodic timers. Kinds are numbered in
-their tie order, so events order as plain tuples by (time, kind, seq), and
-the heap holds the events themselves. After every event the regime's
+demand changes, and the regime's periodic timers. An event is a plain
+``(time, kind, seq, payload)`` tuple; kinds are numbered in their tie order
+and seqs are distinct, so the heap orders events by (time, kind, seq) and
+never compares payloads. Within one kind, seq keeps events in the order of
+their seeded stream or of their ``push`` calls. After every event the regime's
 reaction rules fire, then the regime admits queued jobs. The regime's rules
 live in one ``policies.Regime`` subclass. The heap holds only pending
 events: each seeded stream (arrivals, demand samples, each timer kind)
 keeps one event in it and feeds the next when that one pops. The kernel
 tallies completions and integrates consumption as it goes. Only a run that
-asks for its event log keeps one raw record per event; ``write_event_log``
-encodes each as a line from its kind's template when the log is written.
+asks for its event log keeps one raw record per event, with the state as
+``ClusterState.snapshot``'s tuple; ``write_event_log`` encodes each as a line
+from its kind's template when the log is written. A metrics-only run still
+takes the snapshot (``perfbench`` counts queue length at that call) but
+does no other recording work.
 Virtual time is integer seconds; identical inputs give byte-identical logs.
 """
 
@@ -36,7 +41,6 @@ from .state import (
     KIND_WS_DEMAND_CHANGE,
     AdjustmentLog,
     ClusterState,
-    Event,
     RunningJob,
 )
 from .trace import DemandTrace, Job, JobTrace
@@ -47,13 +51,14 @@ __all__ = [
     "write_event_log",
     "ClusterState",
     "AdjustmentLog",
-    "Event",
 ]
 
 
+# A pending event: (time, kind, seq, payload).
+Event = tuple[int, int, int, Any]
 # One processed event: the event, the jobs it started, the ids it killed, the
 # [from, to) slice of the adjustment log it added, and the state after it.
-Record = tuple[Event, list[Job], Sequence[int], int, int, dict[str, int]]
+Record = tuple[Event, list[Job], Sequence[int], int, int, tuple[int, ...]]
 
 
 @dataclass
@@ -102,7 +107,7 @@ class _Kernel:
     # -- event plumbing ----------------------------------------------------
 
     def push(self, time: int, kind: int, payload: Any = None) -> None:
-        heapq.heappush(self._heap, Event(time, kind, next(self._seq), payload))
+        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
 
     def _feed(self, kind: int) -> None:
         """Push the next event of the seeded stream of ``kind``, if any."""
@@ -114,7 +119,7 @@ class _Kernel:
 
     def start_job(self, job: Job, now: int) -> None:
         attempt = self.state.attempts.pop(job.id, 0) + 1
-        self.state.running[job.id] = RunningJob(job=job, start_time=now, attempt=attempt)
+        self.state.running[job.id] = RunningJob(job, now, attempt)
         self.state.running_alloc += job.size
         self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
 
@@ -132,9 +137,10 @@ class _Kernel:
         """
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
         heappop, streams, feed, duration = heapq.heappop, self._streams, self._feed, self.duration
-        records = self.records
+        consumption, admit = regime.consumption, regime.admit
+        entries, records = log.entries, self.records
         completed = runtime_sum = turnaround_sum = 0
-        level, since, peak, total = regime.consumption(state), 0, 0, 0
+        level, since, peak, total = consumption(state), 0, 0, 0
         while heap:
             event = heappop(heap)
             time, kind, _, payload = event
@@ -145,7 +151,8 @@ class _Kernel:
             state.clock = time
             if streams[kind] is not None:
                 feed(kind)
-            adjustments_from = log.count
+            if records is not None:
+                first = len(entries)
             killed: Sequence[int] = ()
             if kind == KIND_JOB_COMPLETION:
                 job, attempt = payload
@@ -162,14 +169,14 @@ class _Kernel:
             elif kind == KIND_JOB_ARRIVAL:
                 state.queue.append(payload)
             else:
-                regime.on_tick(state, event, log)
-            started = regime.admit(self)
+                regime.on_tick(state, kind, payload, log)
+            started = admit(self)
             # Taken also when not recorded: perfbench/tracer.py derives its
             # queue-length figures from one snapshot call per processed event.
             snapshot = state.snapshot()
             if records is not None:
-                records.append((event, started, killed, adjustments_from, log.count, snapshot))
-            new_level = regime.consumption(state)
+                records.append((event, started, killed, first, len(entries), snapshot))
+            new_level = consumption(state)
             if new_level != level:
                 if time != since:
                     if level > peak:
@@ -190,7 +197,7 @@ class _Kernel:
             duration=duration,
             regime=regime.name,
             total_jobs=len(self.job_trace.jobs),
-            adjustment_count=log.count,
+            adjustment_count=len(entries),
         )
         return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
                          records=self.records)
@@ -223,7 +230,7 @@ def run(
 
 _EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 # A line is its kind's head (time, kind, payload), the lists present, then the
-# state in ``ClusterState.snapshot``'s key order. Numbers print as in JSON.
+# state in ``ClusterState.snapshot``'s field order. Numbers print as in JSON.
 _HEADS = ['{"time":%%s,"kind":"%s","payload":{}' % name for name in KIND_NAMES]
 _ARRIVAL = '{"time":%s,"kind":"job_arrival","payload":{"job_id":%s,"size":%s,"runtime":%s,"submit":%s}'
 _COMPLETION = ('{"time":%s,"kind":"job_completion","payload":{"job_id":%s,"size":%s,"runtime":%s,'
@@ -248,7 +255,7 @@ def _lines(result: SimResult) -> Iterator[str]:
         elif kind == KIND_WS_DEMAND_CHANGE:
             line = _DEMAND % (time, payload)
         elif kind == KIND_LEASE_TICK and payload is not None:
-            line = _LEASE % (time, payload["job_id"], payload["nodes"])
+            line = _LEASE % (time, *payload)
         else:
             line = _HEADS[kind] % time
         if started:
@@ -257,7 +264,7 @@ def _lines(result: SimResult) -> Iterator[str]:
             line += ',"killed":[%s]' % ",".join(map(str, killed))
         if end > first:
             line += ',"adjustments":' + encode([[a, d] for _, a, d in entries[first:end]])
-        yield line + _STATE % tuple(snapshot.values())
+        yield line + _STATE % snapshot
 
 
 def write_event_log(result: SimResult, stream: IO[str]) -> None:

@@ -1,11 +1,16 @@
-"""Shared state records for the simulation kernel and the provisioning policies."""
+"""Shared state records for the simulation kernel and the provisioning policies.
+
+Events are plain ``(time, kind, seq, payload)`` tuples of the kernel, with
+the kinds numbered below. ``ClusterState.snapshot`` is a plain 11-tuple in
+the event log's ``"state"`` key order, so taking one builds no dict.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .trace import Job
 
@@ -28,21 +33,6 @@ KIND_NAMES = ("job_completion", "ws_demand_change", "lease_tick", "pbj_manage_ti
               "job_arrival")
 
 
-class Event(NamedTuple):
-    """A scheduled simulation event, ordered as a plain tuple by (time, kind,
-    seq); seqs are distinct, so the payload is never compared.
-
-    Within one kind, events come either from one seeded stream, numbered as
-    it is fed in index order, or from ``push`` calls, numbered in push order.
-    So seq keeps same-time events of one kind in their stream or push order.
-    """
-
-    time: int
-    kind: int
-    seq: int
-    payload: Any = None
-
-
 @dataclass
 class RunningJob:
     job: Job  # holds job.size nodes while it runs
@@ -55,10 +45,6 @@ class AdjustmentLog:
     """Every dynamic request/release/provisioning of resources, in event order."""
 
     entries: list[tuple[int, str, int]] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
 
     def record(self, time: int, actor: str, delta: int) -> None:
         if delta == 0:
@@ -201,20 +187,12 @@ class ClusterState:
     def ws_external(self) -> int:
         return self.ws_held - self.ws_pool
 
-    def snapshot(self) -> dict[str, int]:
-        """Post-event accounting snapshot embedded in the event log."""
+    def snapshot(self) -> tuple[int, ...]:
+        """Post-event accounting snapshot embedded in the event log: pbj_owned,
+        pbj_idle, running_alloc, ws_held, free, pbj_pool, ws_pool,
+        pbj_external, ws_external, queue_len and queued_demand, in that order."""
         owned, running, ws = self.pbj_owned, self.running_alloc, self.ws_held
         pbj_pool, ws_pool, capacity, queue = self.pbj_pool, self.ws_pool, self.capacity, self.queue
-        return {
-            "pbj_owned": owned,
-            "pbj_idle": owned - running,
-            "running_alloc": running,
-            "ws_held": ws,
-            "free": 0 if capacity is None else capacity - owned - ws,
-            "pbj_pool": pbj_pool,
-            "ws_pool": ws_pool,
-            "pbj_external": owned - pbj_pool,
-            "ws_external": ws - ws_pool,
-            "queue_len": len(queue),
-            "queued_demand": queue.demand,
-        }
+        return (owned, owned - running, running, ws,
+                0 if capacity is None else capacity - owned - ws, pbj_pool, ws_pool,
+                owned - pbj_pool, ws - ws_pool, len(queue), queue.demand)

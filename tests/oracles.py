@@ -410,27 +410,35 @@ def scale_to_peak_reference(trace, target_peak: int):
 # per processed event, encoded by JSONEncoder. tests/test_event_log_differential.py
 # checks that ``write_event_log`` writes these exact bytes.
 
+# The "state" keys in event-log order, written out here rather than read from
+# provsim, so a change to the kernel's own order fails the differential test.
+STATE_KEYS = ("pbj_owned", "pbj_idle", "running_alloc", "ws_held", "free", "pbj_pool", "ws_pool",
+              "pbj_external", "ws_external", "queue_len", "queued_demand")
+
+
 def event_dicts_reference(result) -> list[dict]:
     """The event-log records of a recorded run, built as dicts from its raw
-    records (event, started, killed, adjustment slice, snapshot)."""
+    records ((time, kind, seq, payload), started, killed, adjustment slice,
+    snapshot tuple)."""
     events = []
-    for event, started, killed, first, end, snapshot in result.records:
-        if event.kind == KIND_JOB_ARRIVAL:
-            job = event.payload
+    for (time, kind, _, event_payload), started, killed, first, end, snapshot in result.records:
+        if kind == KIND_JOB_ARRIVAL:
+            job = event_payload
             payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
                        "submit": job.submit_time}
-        elif event.kind == KIND_JOB_COMPLETION:
-            job, attempt = event.payload
+        elif kind == KIND_JOB_COMPLETION:
+            job, attempt = event_payload
             payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,
                        "submit": job.submit_time, "attempt": attempt,
-                       "turnaround": event.time - job.submit_time}
-        elif event.kind == KIND_WS_DEMAND_CHANGE:
-            payload = {"demand": event.payload}
-        elif event.kind == KIND_LEASE_TICK and isinstance(event.payload, dict):
-            payload = dict(event.payload)
+                       "turnaround": time - job.submit_time}
+        elif kind == KIND_WS_DEMAND_CHANGE:
+            payload = {"demand": event_payload}
+        elif kind == KIND_LEASE_TICK and event_payload is not None:
+            job_id, nodes = event_payload
+            payload = {"job_id": job_id, "nodes": nodes}
         else:
             payload = {}
-        record = {"time": event.time, "kind": KIND_NAMES[event.kind], "payload": payload}
+        record = {"time": time, "kind": KIND_NAMES[kind], "payload": payload}
         if started:
             record["started"] = [job.id for job in started]
         if killed:
@@ -438,7 +446,7 @@ def event_dicts_reference(result) -> list[dict]:
         new_adjustments = result.adjustments.entries[first:end]
         if new_adjustments:
             record["adjustments"] = [[a, d] for _, a, d in new_adjustments]
-        record["state"] = snapshot
+        record["state"] = dict(zip(STATE_KEYS, snapshot))
         events.append(record)
     return events
 

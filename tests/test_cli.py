@@ -434,6 +434,27 @@ class TestOneRulePerField:
         assert dict(zip(header.split(","), row.split(",")))[column] == str(expected)
 
 
+class TestWholeNumbersBeyondFloatPrecision:
+    """A compact parameter or sweep value is read as an integer before as a
+    float, so it stays exact above 2**53 and is accepted up to 2**63 - 1."""
+
+    @pytest.mark.parametrize("form", ["compact", "sweep axis"])
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**63 - 1, 2**63],
+                             ids=["2**53+1", "2**63-1", "2**63"])
+    def test_integer_text_read_exactly(self, workspace, capsys, form, value):
+        arguments, column = SPELLING_FORMS[form]
+        out = workspace / "out"
+        code = main([*arguments(workspace, value, str(value)), "--output-dir", str(out)])
+        if value >= 2**63:
+            assert code == EXIT_INVALID
+            assert "not below 2**63" in capsys.readouterr().err
+            return
+        assert code == EXIT_OK
+        [report] = out.glob("*.csv")
+        header, row = report.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))[column] == str(value)
+
+
 class TestInputEncoding:
     """Input files that are not UTF-8 exit 2 with a message, not a traceback."""
 

@@ -55,6 +55,13 @@ class TestPolicyParams:
             with pytest.raises(ValueError, match="2\\*\\*63"):
                 whole(value)
 
+    def test_integer_strings_read_exactly(self):
+        assert whole("9007199254740993") == 2**53 + 1 and whole("-9007199254740993") == -(2**53) - 1
+        assert parse_params("B9223372036854775807").B == 2**63 - 1
+        assert whole("4.0") == 4 and whole("1e3") == 1000
+        with pytest.raises(ScenarioError, match="not below 2\\*\\*63"):
+            parse_params("B9223372036854775808")
+
     def test_lease_minutes_in_whole_seconds(self):
         assert parse_params("L1.5").L == 90
         assert parse_params("B4.0/L0.1").B == 4 and parse_params("L0.1").L == 6
@@ -291,7 +298,7 @@ class TestFbLeaseTick:
         state = fb_state(config=10, idle=10)
         log = AdjustmentLog()
         fb_lease_tick(state, log)
-        assert log.count == 0
+        assert log.entries == []
 
     def test_free_nodes_move_to_batch(self):
         state = fb_state(config=10, idle=3, free=7, pbj_bound=10)
@@ -354,7 +361,7 @@ class TestFlbManageTick:
         state = flb_state(B=25, owned=0, idle=0, floor=0)
         log = AdjustmentLog()
         flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.count == 0
+        assert log.entries == []
 
     def test_zero_owned_with_queue_requests_dr1(self):
         state = flb_state(B=25, owned=0, idle=0, floor=0, queue=jobs_of_sizes([5]))
@@ -367,14 +374,14 @@ class TestFlbManageTick:
         state = flb_state(B=25, owned=10, idle=8, queue=jobs_of_sizes([2]))
         log = AdjustmentLog()
         flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.count == 0
+        assert log.entries == []
         assert state.pbj_owned == 10
 
     def test_dead_band_between_thresholds(self):
         state = flb_state(B=25, owned=100, idle=50, queue=jobs_of_sizes([50]))
         log = AdjustmentLog()
         flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.count == 0  # R = 0.5 sits between V and U; biggest fits
+        assert log.entries == []  # R = 0.5 sits between V and U; biggest fits
 
 
 class TestFlbLeaseTick:
@@ -382,7 +389,7 @@ class TestFlbLeaseTick:
         state = flb_state(B=25, owned=15, idle=15, ws=10, pbj_pool=15, ws_pool=10)
         log = AdjustmentLog()
         flb_lease_tick(state, log)
-        assert log.count == 0
+        assert log.entries == []
 
     def test_idle_pool_capacity_provisioned(self):
         state = flb_state(B=25, owned=0, idle=0, ws=5, pbj_pool=0, ws_pool=5)
@@ -395,7 +402,7 @@ class TestFlbLeaseTick:
         state = flb_state(B=0, owned=0, idle=0)
         log = AdjustmentLog()
         flb_lease_tick(state, log)
-        assert log.count == 0
+        assert log.entries == []
 
 
 class TestFlbWsDemand:
