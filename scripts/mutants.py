@@ -46,6 +46,10 @@ MUTANTS = [
      "records.append((event, started, killed, len(entries), len(entries), snapshot))"),
     ("kernel-same-time-level-committed", "simkernel.py",
      "if time != since:", "if True:"),
+    ("kernel-arrival-before-same-time-event", "simkernel.py",
+     "if heap[0][0] <= submits[index]:", "if heap[0][0] < submits[index]:"),
+    ("kernel-constant-level-for-every-regime", "simkernel.py",
+     "varying = regime.config_size is None", "varying = False"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

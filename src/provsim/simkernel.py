@@ -5,11 +5,12 @@ demand changes, and the regime's periodic timers. An event is a plain
 ``(time, kind, seq, payload)`` tuple; kinds are numbered in their tie order
 and seqs are distinct, so the heap orders events by (time, kind, seq) and
 never compares payloads. Within one kind, seq keeps events in the order of
-their seeded stream or of their ``push`` calls. After every event the regime's
+their trace or of their ``push`` calls. After every event the regime's
 reaction rules fire, then the regime admits queued jobs. The regime's rules
-live in one ``policies.Regime`` subclass. The heap holds only pending
-events: each seeded stream (arrivals, demand samples, each timer kind)
-keeps one event in it and feeds the next when that one pops. The kernel
+live in one ``policies.Regime`` subclass. Arrivals, the last kind at any
+time, are walked in submit order beside the heap, which holds only pending
+events: each other seeded stream (demand samples, each timer kind) keeps
+one event in it and feeds the next when that one pops. The kernel
 tallies completions and integrates consumption as it goes. Only a run that
 asks for its event log keeps one raw record per event, with the state as
 ``ClusterState.snapshot``'s tuple; ``write_event_log`` encodes each as a line
@@ -89,31 +90,22 @@ class _Kernel:
         self.state = regime.initial_state()
         self.log = AdjustmentLog()
         self.records: Optional[list[Record]] = [] if record_events else None
-        self._heap: list[Event] = []
+        # The stop event, one second past the window end, keeps the heap from
+        # emptying; every later event comes after it and is never taken.
+        self._heap: list[Event] = [(self.duration + 1, KIND_JOB_COMPLETION, -1, None)]
         self._seq = itertools.count()
-        # Each kind's seeded stream of (time, payload) pairs; None for the
-        # kinds that only ``push`` schedules. Samples past the window end
-        # pop after every event inside it, and the run stops there.
-        jobs = sorted(job_trace.jobs, key=attrgetter("submit_time"))
+        # Each seeded stream of (time, payload) pairs but arrivals; None for the
+        # kinds that only ``push`` schedules.
         ticks = range(0, self.duration + 1, regime.params.L)
-        streams = {KIND_JOB_ARRIVAL: ((job.submit_time, job) for job in jobs),
-                   KIND_WS_DEMAND_CHANGE: iter(sorted(demand_trace.samples, key=itemgetter(0))),
-                   **{kind: ((t, None) for t in ticks) for kind in regime.timer_kinds}}
-        self._streams: list[Optional[Iterator[tuple[int, Any]]]] = [
-            streams.get(kind) for kind in range(len(KIND_NAMES))]
-        for kind in streams:
-            self._feed(kind)
-
-    # -- event plumbing ----------------------------------------------------
+        streams = {KIND_WS_DEMAND_CHANGE: iter(sorted(demand_trace.samples, key=itemgetter(0))),
+                   **{kind: zip(ticks, itertools.repeat(None)) for kind in regime.timer_kinds}}
+        self._streams = [streams.get(kind) for kind in range(len(KIND_NAMES))]
+        for kind, stream in streams.items():
+            for time, payload in itertools.islice(stream, 1):
+                self.push(time, kind, payload)
 
     def push(self, time: int, kind: int, payload: Any = None) -> None:
         heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
-
-    def _feed(self, kind: int) -> None:
-        """Push the next event of the seeded stream of ``kind``, if any."""
-        entry = next(self._streams[kind], None)
-        if entry is not None:
-            self.push(entry[0], kind, entry[1])
 
     # -- per-event processing ----------------------------------------------
 
@@ -121,7 +113,8 @@ class _Kernel:
         attempt = self.state.attempts.pop(job.id, 0) + 1
         self.state.running[job.id] = RunningJob(job, now, attempt)
         self.state.running_alloc += job.size
-        self.push(now + job.runtime, KIND_JOB_COMPLETION, (job, attempt))
+        heapq.heappush(self._heap, (now + job.runtime, KIND_JOB_COMPLETION, next(self._seq),
+                                    (job, attempt)))
 
     def execute(self) -> SimResult:
         """Process every event up to the window end, dispatching each on its
@@ -136,21 +129,34 @@ class _Kernel:
         only when asked for.
         """
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
-        heappop, streams, feed, duration = heapq.heappop, self._streams, self._feed, self.duration
-        consumption, admit = regime.consumption, regime.admit
+        heappop, heappush, seq, streams = heapq.heappop, heapq.heappush, self._seq, self._streams
+        consumption, admit, duration = regime.consumption, regime.admit, self.duration
         entries, records = log.entries, self.records
-        completed = runtime_sum = turnaround_sum = 0
+        varying = regime.config_size is None  # a bounded regime always consumes its size
+        # Arrivals in submit order; the last submit time is the stop event's.
+        jobs = sorted(self.job_trace.jobs, key=attrgetter("submit_time"))
+        submits = [job.submit_time for job in jobs] + [duration + 1]
+        index = completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = consumption(state), 0, 0, 0
-        while heap:
-            event = heappop(heap)
+        while True:
+            # A heap event at the next arrival's time goes first: arrivals are
+            # the last kind at any time.
+            if heap[0][0] <= submits[index]:
+                event = heappop(heap)
+            else:
+                event = (submits[index], KIND_JOB_ARRIVAL, index, jobs[index])
+                index += 1
             time, kind, _, payload = event
             if time > duration:
                 break
             if time < state.clock:
                 raise KernelError(f"time regression: event at {time} before clock {state.clock}")
             state.clock = time
-            if streams[kind] is not None:
-                feed(kind)
+            stream = streams[kind]
+            if stream is not None:
+                entry = next(stream, None)
+                if entry is not None:
+                    heappush(heap, (entry[0], kind, next(seq), entry[1]))
             if records is not None:
                 first = len(entries)
             killed: Sequence[int] = ()
@@ -176,14 +182,15 @@ class _Kernel:
             snapshot = state.snapshot()
             if records is not None:
                 records.append((event, started, killed, first, len(entries), snapshot))
-            new_level = consumption(state)
-            if new_level != level:
-                if time != since:
-                    if level > peak:
-                        peak = level
-                    total += level * (time - since)
-                    since = time
-                level = new_level
+            if varying:
+                new_level = consumption(state)
+                if new_level != level:
+                    if time != since:
+                        if level > peak:
+                            peak = level
+                        total += level * (time - since)
+                        since = time
+                    level = new_level
         if level > peak:
             peak = level
         if since < duration:

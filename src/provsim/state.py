@@ -58,24 +58,24 @@ class JobQueue:
     Jobs sit in one deque of ``(order key, job)`` pairs per distinct size,
     and ``_sizes`` lists the sizes present in ascending order. Tail appends
     take increasing keys and head requeues decreasing ones, so queue order
-    is key order and every deque is sorted. The length, ``demand`` (the sum
+    is key order and every deque is sorted. ``length``, ``demand`` (the sum
     of queued sizes) and ``biggest`` are read without a scan.
     """
 
-    __slots__ = ("_buckets", "_sizes", "_head", "_tail", "_len", "demand")
+    __slots__ = ("_buckets", "_sizes", "_head", "_tail", "length", "demand")
 
     def __init__(self, jobs: Iterable[Job] = ()):
         self._buckets: dict[int, deque[tuple[int, Job]]] = {}
         self._sizes: list[int] = []
         self._head = 0  # key of the current head requeue; the next one is lower
         self._tail = 0  # key of the next tail append
-        self._len = 0
+        self.length = 0
         self.demand = 0
         for job in jobs:
             self.append(job)
 
     def __len__(self) -> int:
-        return self._len
+        return self.length
 
     @property
     def biggest(self) -> int:
@@ -92,7 +92,7 @@ class JobQueue:
     def append(self, job: Job) -> None:
         self._bucket(job.size).append((self._tail, job))
         self._tail += 1
-        self._len += 1
+        self.length += 1
         self.demand += job.size
 
     def push_front(self, jobs: Sequence[Job]) -> None:
@@ -100,7 +100,7 @@ class JobQueue:
         for job in reversed(jobs):
             self._head -= 1
             self._bucket(job.size).appendleft((self._head, job))
-            self._len += 1
+            self.length += 1
             self.demand += job.size
 
     def first_fit(self, idle: int) -> list[Job]:
@@ -129,7 +129,7 @@ class JobQueue:
                 del buckets[best_size]
                 sizes.remove(best_size)
             idle -= best_size
-            self._len -= 1
+            self.length -= 1
             self.demand -= best_size
         return started
 
@@ -195,4 +195,4 @@ class ClusterState:
         pbj_pool, ws_pool, capacity, queue = self.pbj_pool, self.ws_pool, self.capacity, self.queue
         return (owned, owned - running, running, ws,
                 0 if capacity is None else capacity - owned - ws, pbj_pool, ws_pool,
-                owned - pbj_pool, ws - ws_pool, len(queue), queue.demand)
+                owned - pbj_pool, ws - ws_pool, queue.length, queue.demand)

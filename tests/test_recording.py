@@ -4,8 +4,9 @@ replayed from a recorded log (`oracles.replay_completions`).
 
 `run` builds event records only with `record_events=True`; the metrics come
 from completion tallies and the consumption peak and integral the kernel
-keeps as it goes. Its event heap holds only pending events, so its length
-and the run's memory do not grow with the trace length.
+keeps as it goes. Arrivals are walked in submit order beside its event
+heap, which holds only pending events, so the heap's length and the run's
+memory do not grow with the trace length.
 """
 
 import hashlib
@@ -116,9 +117,9 @@ def tile(jobs, demand, copies):
 
 
 def test_event_heap_is_flat_in_trace_length(monkeypatch):
-    # Arrivals, demand samples and timers each keep one entry in the heap,
-    # so its longest length does not grow when the trace is four times as
-    # long (measured: 49 at both lengths).
+    # Arrivals are walked in submit order beside the heap, and demand samples
+    # and timers each keep one entry in it, so its longest length does not
+    # grow when the trace is four times as long (measured: 49 at both lengths).
     scenario = load_scenario(FB_152)
     jobs, demand = load_traces(scenario)
     push = heapq.heappush

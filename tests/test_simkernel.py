@@ -1,12 +1,16 @@
+import cProfile
 import json
+import pstats
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.metrics import IDENT_COLUMNS
 from provsim.policies import PolicyParams
+from provsim.scenario import load_scenario, load_traces, run_scenario_obj
 from provsim.simkernel import run
 from provsim.state import ACTOR_PBJ, REGIMES, AdjustmentLog
 from provsim.trace import DemandTrace, Job, JobTrace
@@ -22,6 +26,7 @@ from oracles import (
 )
 
 ZERO_WS = DemandTrace(samples=((0, 0),))
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios" / "synthetic"
 
 
 def serialize_events(events):
@@ -44,6 +49,40 @@ class TestEventOrder:
         assert [r["kind"] for r in at_10] == ["job_completion", "ws_demand_change", "lease_tick",
                                               "pbj_manage_tick", "job_arrival", "job_arrival"]
         assert [r["payload"]["job_id"] for r in at_10 if r["kind"] == "job_arrival"] == [5, 4]
+
+    def test_arrival_after_same_second_completion_demand_change_and_lease_tick(self):
+        # At t=10 job 1 completes, demand changes and FB's lease timer fires.
+        # Job 2 arrives in the same second and comes after all three, so it
+        # starts on the nodes job 1 freed.
+        jobs = make_jobs([(1, 0, 10, 4), (2, 10, 5, 4)], duration=100)
+        demand = make_demand([(0, 2), (10, 4)])
+        result = run(jobs, demand, "FB", PolicyParams(L=10), config_size=8, record_events=True)
+        at_10 = [r for r in result.events if r["time"] == 10]
+        assert [r["kind"] for r in at_10] == ["job_completion", "ws_demand_change", "lease_tick",
+                                              "job_arrival"]
+        assert at_10[-1]["started"] == [2]
+
+    def test_job_submitted_after_window_end_is_never_processed(self):
+        jobs = make_jobs([(1, 0, 10, 1), (2, 101, 5, 1), (3, 100, 5, 1)], duration=100)
+        result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
+        arrivals = [(r["time"], r["payload"]["job_id"]) for r in result.events
+                    if r["kind"] == "job_arrival"]
+        assert arrivals == [(0, 1), (100, 3)]
+        assert result.events[-1]["time"] == 100
+        assert (result.metrics.completed_jobs, result.metrics.incomplete_jobs) == (1, 2)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_empty_job_trace_runs_to_window_end(self, regime):
+        empty = JobTrace(jobs=(), window=(0, 100))
+        demand = make_demand([(0, 1), (100, 3), (101, 5)])
+        kwargs = {"config_size": 8} if regime == "FB" else {}
+        result = run(empty, demand, regime, PolicyParams(B=2, L=50), record_events=True, **kwargs)
+        changes = [(r["time"], r["payload"]["demand"]) for r in result.events
+                   if r["kind"] == "ws_demand_change"]
+        assert changes == [(0, 1), (100, 3)]
+        assert result.events[-1]["time"] == 100
+        ticks = [r["time"] for r in result.events if r["kind"] == "lease_tick"]
+        assert ticks == ([] if regime in ("DCS", "EC2RS") else [0, 50, 100])
 
 
 class TestRunBasics:
@@ -260,3 +299,25 @@ class TestTraceOrder:
             b = run(sorted_jobs, sorted_demand, regime, params, record_events=True, **kwargs)
             assert serialize_events(a.events) == serialize_events(b.events), seed
             assert a.metrics == b.metrics, seed
+
+
+class TestCallBudget:
+    """The kernel's fixed cost per event, as Python calls counted by cProfile:
+    exact, so unlike a timing it does not vary between runs. Each ceiling is
+    the count measured on two days of a shipped scenario plus 0.5 (DCS 10.76,
+    FB 12.06, FLB_NUB 13.53, EC2RS 12.05), so a change that adds a call per
+    event fails here."""
+
+    CEILINGS = {"synthetic_dcs_256": 11.26, "synthetic_fb_152": 12.56,
+                "synthetic_flb_baseline": 14.03, "synthetic_ec2rs": 12.55}
+
+    @pytest.mark.parametrize("stem", sorted(CEILINGS))
+    def test_calls_per_event_within_ceiling(self, stem):
+        path = SCENARIOS / f"{stem}.json"
+        scenario = replace(load_scenario(path), window_duration=2 * 86400)
+        traces = load_traces(scenario)
+        events = len(run_scenario_obj(scenario, traces, record_events=True).records)
+        profile = cProfile.Profile()
+        profile.runcall(run_scenario_obj, scenario, traces)
+        calls = pstats.Stats(profile).total_calls
+        assert calls / events <= self.CEILINGS[stem], (calls, events)
