@@ -1,24 +1,33 @@
 #!/usr/bin/env python3
 """Count the Python calls per simulated event of each scenario of a
-perfbench workload, with cProfile.
+perfbench workload, with cProfile, and the garbage collector's passes
+during each run.
 
 Builds the workload's seeded inputs as ``perfbench/run.py`` does, then for
-each scenario runs ``simkernel.run`` once with its event log (for the event
-count) and once without, under cProfile, and prints the profiled run's
-total calls divided by the events. The count is exact: unlike a timing, it
-is the same on every run of the same code under the same Python version.
-Standard library only.
+each scenario the workload times (each point of a sweep) runs
+``simkernel.run`` once with its event log (for the event count) and once
+without, under cProfile, and prints the profiled run's total calls divided
+by the events. With ``--record`` it profiles the recorded run instead, as
+``congested`` times it. It also prints, per generation, the garbage
+collector's passes during one unprofiled run of the same kind, from
+``gc.get_stats()`` before and after it, starting from an empty young
+generation. Both counts are exact: unlike a timing, they are the same on
+every run of the same code under the same Python version. Standard library
+only.
 
-Run from anywhere:  python3 scripts/calls_per_event.py [--workload long] [--seed 1]
+Run from anywhere:
+    python3 scripts/calls_per_event.py [--workload long|congested|sweep] [--seed 1] [--record]
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,24 +38,41 @@ from provsim.scenario import load_scenario, load_traces  # noqa: E402
 from provsim.simkernel import run  # noqa: E402
 
 
+def collections() -> list[int]:
+    """The collector's passes so far, per generation. ``gc.get_stats`` copies
+    them before it allocates, and nothing is allocated before it is called,
+    so a pass that the reading itself triggers is not counted."""
+    stats = gc.get_stats()
+    return [generation["collections"] for generation in stats]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="long", choices=["long", "congested"])
+    parser.add_argument("--workload", default="long", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--record", action="store_true",
+                        help="profile the run that keeps its event log")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="provsim-calls-") as work:
-        workloads.prepare(args.workload, args.seed, Path(work))
-        for path in sorted(Path(work).glob("*.json")):
-            scenario = load_scenario(path)
+        plan = workloads.prepare(args.workload, args.seed, Path(work))
+        for name in sorted(plan.job_counts):
+            scenario = load_scenario(Path(work) / f"{name}.json")
             jobs, demand = load_traces(scenario)
-            kwargs = {"config_size": scenario.config_size, "pbj_floor": scenario.pbj_floor}
-            events = len(run(jobs, demand, scenario.regime, scenario.params,
-                             record_events=True, **kwargs).records)
+            call = partial(run, jobs, demand, scenario.regime, scenario.params,
+                           config_size=scenario.config_size, pbj_floor=scenario.pbj_floor)
+            gc.collect()  # the young generation starts empty
+            before = collections()
+            result = call(record_events=args.record)
+            after = collections()
+            passes = [end - start for end, start in zip(after, before)]
+            events = len((result if args.record else call(record_events=True)).records)
+            del result
             profile = cProfile.Profile()
-            profile.runcall(run, jobs, demand, scenario.regime, scenario.params, **kwargs)
+            profile.runcall(call, record_events=args.record)
             calls = pstats.Stats(profile).total_calls
-            print(f"{path.stem:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
-                  f"per event {calls / events:.2f}")
+            print(f"{name:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
+                  f"per event {calls / events:.2f}  "
+                  f"collector passes {'/'.join(map(str, passes))}")
     return 0
 
 

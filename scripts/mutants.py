@@ -50,6 +50,8 @@ MUTANTS = [
      "if heap[0][0] <= submits[index]:", "if heap[0][0] < submits[index]:"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
+    ("kernel-collector-left-paused", "simkernel.py", "gc.enable()", "pass"),
+    ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

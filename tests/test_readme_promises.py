@@ -1,7 +1,8 @@
 """README's promises about running provsim, run as tests: its library
-example works on the shipped traces, and a sweep writes the same bytes with
-spawned workers as with one. Spawned workers take the pickling path of the
-pool's initializer; forked ones inherit the traces instead.
+example works on the shipped traces, a run writes the same bytes under any
+hash seed, and a sweep writes the same bytes with spawned workers as with
+one. Spawned workers take the pickling path of the pool's initializer;
+forked ones inherit the traces instead.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from provsim.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 TRACES = ROOT / "traces"
 FLB_BASELINE = ROOT / "scenarios" / "synthetic" / "synthetic_flb_baseline.json"
+FB_152 = ROOT / "scenarios" / "synthetic" / "synthetic_fb_152.json"
 # The command line under the ``spawn`` start method; a single-CPU host runs
 # the points serially instead.
 SPAWN_MAIN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
@@ -37,14 +39,33 @@ def test_readme_library_example_runs_on_shipped_traces():
     assert result.metrics.regime == "FLB_NUB" and result.metrics.completed_jobs > 0
 
 
+def _env(**extra) -> dict[str, str]:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_recorded_run_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
+    # Both runs at once: each takes about 0.3 s, mostly start-up.
+    runs = {seed: subprocess.Popen(
+        [sys.executable, "-m", "provsim.cli", "run", str(FB_152), "--event-log",
+         "--output-dir", str(tmp_path / seed)],
+        env=_env(PYTHONHASHSEED=seed), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True) for seed in ("0", "12345")}
+    for proc in runs.values():
+        assert proc.wait() == 0, proc.stderr.read()
+        proc.stderr.close()
+    for suffix in ("report.json", "report.csv", "events.jsonl"):
+        name = f"{FB_152.stem}.{suffix}"
+        assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "12345" / name).read_bytes()
+
+
 def test_sweep_with_spawned_workers_writes_the_serial_bytes(tmp_path):
     sweep = ["sweep", str(FLB_BASELINE), "--axis", "L", "--values", "30,60"]
     assert main([*sweep, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == 0
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", SPAWN_MAIN, *sweep, "--workers", "2",
          "--output-dir", str(tmp_path / "spawn")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     name = f"{FLB_BASELINE.stem}.sweep_L.csv"
     assert (tmp_path / "spawn" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()

@@ -1,7 +1,9 @@
 import cProfile
+import gc
 import json
 import pstats
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -321,3 +323,75 @@ class TestCallBudget:
         profile.runcall(run_scenario_obj, scenario, traces)
         calls = pstats.Stats(profile).total_calls
         assert calls / events <= self.CEILINGS[stem], (calls, events)
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic garbage collector and restores its prior
+    state. The pause is safe only because a run builds no reference cycles,
+    which the first test pins: with the collector off throughout, a
+    collection after the results are dropped finds nothing."""
+
+    SEEDS = range(100)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "metrics-only"])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_run_builds_no_reference_cycles(self, regime, record, collector_state):
+        setups = [random_fuzz_setup(regime, seed) for seed in self.SEEDS]
+        kills = 0
+        gc.disable()
+        gc.collect()
+        for jobs, demand, params, kwargs in setups:
+            result = run(jobs, demand, regime, params, record_events=record, **kwargs)
+            if record:
+                kills += sum(len(killed) for _, _, killed, *_ in result.records)
+            del result
+        assert gc.collect() == 0
+        if regime == "FB" and record:
+            assert kills > 0  # the cases include FB kills and their requeues
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_restores_the_collector_state_even_on_error(self, enabled, collector_state):
+        (gc.enable if enabled else gc.disable)()
+        run(*random_micro_scenario(0), "DCS", PolicyParams())
+        assert gc.isenabled() == enabled
+        regressing = JobTrace(jobs=(Job(1, -5, 10, 1),), window=(0, 100))
+        with pytest.raises(KernelError, match="time regression"):
+            run(regressing, ZERO_WS, "DCS", PolicyParams())
+        assert gc.isenabled() == enabled
+
+    def test_recorded_fb_152_run_makes_no_collector_pass(self, collector_state):
+        # Two days of the shipped FB scenario, recorded: with the collector
+        # running, its young generation fills several times over.
+        scenario = replace(load_scenario(SCENARIOS / "synthetic_fb_152.json"),
+                           window_duration=2 * 86400)
+        traces = load_traces(scenario)
+        passes = []
+
+        def count(phase, info):
+            # Only a pass that starts inside the kernel counts: under a line
+            # tracer (scripts/reach.py), the tracer's allocations as ``run``
+            # returns may start the resumed collector's first pass.
+            frame = sys._getframe(1)
+            while phase == "start" and frame is not None:
+                code = frame.f_code
+                if code.co_filename == run.__code__.co_filename and code is not run.__code__:
+                    passes.append(info["generation"])
+                    break
+                frame = frame.f_back
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            result = run_scenario_obj(scenario, traces, record_events=True)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(result.records) > 1000
+        assert passes == []
