@@ -33,8 +33,8 @@ MUTANTS = [
     ("fb-requeue-id-descending", "policies.py",
      "key=lambda j: (j.submit_time, j.id)", "key=lambda j: (j.submit_time, -j.id)"),
     ("scale-round-half-down", "trace.py",
-     "math.floor(value * target_peak / peak + 0.5)",
-     "math.ceil(value * target_peak / peak - 0.5)"),
+     "math.floor(v * target_peak / peak + 0.5)",
+     "math.ceil(v * target_peak / peak - 0.5)"),
     ("log-state-fields-swapped", "simkernel.py",
      '"pbj_pool":%s,"ws_pool":%s', '"ws_pool":%s,"pbj_pool":%s'),
     ("log-started-dropped", "simkernel.py",
@@ -52,6 +52,24 @@ MUTANTS = [
      "varying = regime.config_size is None", "varying = False"),
     ("kernel-collector-left-paused", "simkernel.py", "gc.enable()", "pass"),
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
+    ("scale-identity-always", "trace.py",
+     "if list(scaled) == list(scaled.values()):", "if True:"),
+    ("scale-identity-never", "trace.py",
+     "if list(scaled) == list(scaled.values()):", "if False:"),
+    ("window-end-inclusive", "trace.py",
+     "default=0) >= end", "default=0) > end"),
+    ("window-negative-submit-kept", "trace.py",
+     "min(map(_SUBMIT, kept), default=0) < 0", "min(map(_SUBMIT, kept), default=0) < -1"),
+    ("demand-fast-path-equal-time", "trace.py",
+     "if last < t < INT_LIMIT", "if last <= t < INT_LIMIT"),
+    ("demand-fast-path-negative-demand", "trace.py",
+     "and 0 <= d < INT_LIMIT", "and -1 <= d < INT_LIMIT"),
+    ("demand-fast-path-on-first-line", "trace.py",
+     "if not first_line:  # a valid", "if True:  # a valid"),
+    ("swf-exact-guard-skips-submit", "trace.py",
+     "-2**53 < submit < 2**53", "True"),
+    ("swf-comment-whole-field", "trace.py",
+     'if not fields or fields[0][0] == ";":', 'if not fields or fields[0] == ";":'),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -3,8 +3,9 @@
 Two trace kinds drive a simulation: parallel batch job logs in the
 Parallel Workloads Archive's Standard Workload Format (SWF), and
 web-service node-demand traces as two-column CSV. All shaping helpers
-(window, normalize_cpus, scale_to_peak) are pure and return new traces;
-loaded traces are immutable and safe to share between sweep workers.
+(window, normalize_cpus, scale_to_peak) are pure and return new traces, or
+share their input's entries where a step changes nothing: loaded traces are
+immutable, so sharing is safe, also between sweep workers.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def parse_swf(text: str) -> JobTrace:
     seen_ids: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith(";"):
+        if not fields or fields[0][0] == ";":
             continue
         if len(fields) < _SWF_MIN_FIELDS:
             raise TraceParseError(
@@ -103,7 +104,8 @@ def parse_swf(text: str) -> JobTrace:
         try:  # below 2**53, int(token) reads what _swf_int reads
             job_id, submit, runtime, alloc, requested = (int(fields[_F_ID]), int(fields[_F_SUBMIT]),
                 int(fields[_F_RUNTIME]), int(fields[_F_ALLOC]), int(fields[_F_REQUESTED]))
-            if max(abs(job_id), abs(submit), abs(runtime), abs(alloc), abs(requested)) >= 2**53:
+            if not (-2**53 < job_id < 2**53 and -2**53 < submit < 2**53 and -2**53 < runtime < 2**53
+                    and -2**53 < alloc < 2**53 and -2**53 < requested < 2**53):
                 raise ValueError
         except ValueError:  # "1.0", "1e3", "inf", 2**53 or more: _swf_int reads or names each
             job_id = _swf_int(fields[_F_ID], lineno, "job id")
@@ -132,7 +134,18 @@ def parse_demand_trace(text: str) -> DemandTrace:
     """
     samples: list[tuple[int, int]] = []
     first_line = True  # the only line that may be the header
+    last = -1  # the last sample's time
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not first_line:  # a valid "t,d" sample needs no strip: int() ignores whitespace
+            try:
+                t, d = map(int, raw.split(","))
+            except ValueError:  # not two integer fields: the path below names the fault
+                pass
+            else:
+                if last < t < INT_LIMIT and 0 <= d < INT_LIMIT:
+                    samples.append((t, d))
+                    last = t
+                    continue
         line = raw.strip()
         if not line:
             continue
@@ -158,10 +171,10 @@ def parse_demand_trace(text: str) -> DemandTrace:
             raise TraceParseError(f"demand line {lineno}: negative demand {d}")
         if t < 0:
             raise TraceParseError(f"demand line {lineno}: negative time {t}")
-        if samples and t <= samples[-1][0]:
-            raise TraceParseError(
-                f"demand line {lineno}: time {t} not greater than previous {samples[-1][0]}")
+        if t <= last:
+            raise TraceParseError(f"demand line {lineno}: time {t} not greater than previous {last}")
         samples.append((t, d))
+        last = t
     if not samples:
         raise EmptyTraceError("demand trace contains no samples")
     return DemandTrace(samples=tuple(samples))
@@ -172,7 +185,10 @@ def window(trace: JobTrace, start_offset: int, duration: int) -> JobTrace:
     if duration <= 0:
         raise ValueError("window duration must be positive")
     end = start_offset + duration
-    kept = tuple(j for j in trace.jobs if start_offset <= j.submit_time < end)
+    kept = trace.jobs  # shared when the window keeps every job as it is
+    if (start_offset or min(map(_SUBMIT, kept), default=0) < 0
+            or max(map(_SUBMIT, kept), default=0) >= end):
+        kept = tuple(j for j in kept if start_offset <= j.submit_time < end)
     if start_offset:
         kept = tuple(Job(i, t - start_offset, r, z) for i, t, r, z in kept)
     if not kept:
@@ -193,34 +209,28 @@ def normalize_cpus(trace: JobTrace, cpus_per_node: int) -> JobTrace:
     return JobTrace(jobs=jobs, window=trace.window)
 
 
-def _scale_value(value: int, target_peak: int, peak: int, minimum: int) -> int:
-    # value * target_peak is exact in int; round half up, clamp into range.
-    scaled = math.floor(value * target_peak / peak + 0.5)
-    return min(target_peak, max(minimum, scaled))
-
-
 def scale_to_peak(trace, target_peak: int):
     """Rescale a JobTrace or DemandTrace so its peak demand is exactly target_peak.
 
-    Every size/demand is multiplied by target_peak / current peak and rounded
-    to the nearest integer; job sizes are floored at 1, demands at 0, and all
-    values are clamped to target_peak so the resulting peak is exact.
+    Every size/demand is multiplied by target_peak / current peak and rounded to the nearest
+    integer; job sizes are floored at 1, demands at 0, and all values are clamped to target_peak
+    so the resulting peak is exact. A trace whose every value maps to itself is returned as is.
     """
     if target_peak < 1:
         raise ValueError("target_peak must be >= 1")
-    if isinstance(trace, JobTrace):
-        peak = trace.peak_demand
-        if peak <= 0:
-            raise ValueError("cannot scale a job trace with zero peak demand")
-        sizes = {s: _scale_value(s, target_peak, peak, 1) for s in set(map(_SIZE, trace.jobs))}
-        jobs = tuple(Job(i, t, r, sizes[s]) for i, t, r, s in trace.jobs)
-        return JobTrace(jobs=jobs, window=trace.window)
-    if isinstance(trace, DemandTrace):
-        peak = trace.peak_demand
-        if peak <= 0:
-            raise ValueError("cannot scale a demand trace with zero peak demand")
-        demands = {d: _scale_value(d, target_peak, peak, 0)
-                   for d in set(map(_DEMAND, trace.samples))}
-        samples = tuple((t, demands[d]) for t, d in trace.samples)
-        return DemandTrace(samples=samples)
-    raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")
+    if not isinstance(trace, (JobTrace, DemandTrace)):
+        raise TypeError(f"scale_to_peak expects JobTrace or DemandTrace, got {type(trace)!r}")
+    is_jobs = isinstance(trace, JobTrace)
+    entries, value, minimum = (trace.jobs, _SIZE, 1) if is_jobs else (trace.samples, _DEMAND, 0)
+    peak = trace.peak_demand
+    if peak <= 0:
+        kind = "job" if is_jobs else "demand"
+        raise ValueError(f"cannot scale a {kind} trace with zero peak demand")
+    # v * target_peak is exact in int; round half up, clamp into range.
+    scaled = {v: min(target_peak, max(minimum, math.floor(v * target_peak / peak + 0.5)))
+              for v in set(map(value, entries))}
+    if list(scaled) == list(scaled.values()):
+        return trace
+    if is_jobs:
+        return JobTrace(tuple(Job(i, t, r, scaled[s]) for i, t, r, s in entries), trace.window)
+    return DemandTrace(samples=tuple((t, scaled[d]) for t, d in entries))

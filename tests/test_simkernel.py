@@ -325,6 +325,25 @@ class TestCallBudget:
         assert calls / events <= self.CEILINGS[stem], (calls, events)
 
 
+class TestSetupCallBudget:
+    """Trace setup's cost per entry, counted the same way: cProfile's calls in
+    ``load_traces`` on synthetic_fb_152 over its jobs plus demand samples. The
+    ceiling is the measured 5.19 plus 0.5, so a change that adds a call per
+    parsed line, or rebuilds the jobs when scaling leaves their sizes as they
+    are, fails here."""
+
+    CEILING = 5.69
+
+    def test_load_traces_calls_per_entry_within_ceiling(self):
+        scenario = load_scenario(SCENARIOS / "synthetic_fb_152.json")
+        jobs, demand = load_traces(scenario)
+        profile = cProfile.Profile()
+        profile.runcall(load_traces, scenario)
+        calls = pstats.Stats(profile).total_calls
+        entries = len(jobs.jobs) + len(demand.samples)
+        assert calls / entries <= self.CEILING, (calls, entries)
+
+
 @pytest.fixture
 def collector_state():
     """Restore the collector's state after a test that changes it."""

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provsim.errors import EmptyTraceError, TraceParseError
+from provsim.scenario import load_scenario, read_traces, scale_traces
 from provsim.trace import (
     DemandTrace,
     Job,
@@ -129,6 +132,18 @@ class TestParseDemandTrace:
         with pytest.raises(TraceParseError, match="line 3"):
             parse_demand_trace("0,1\n10,2\n10,3")
 
+    def test_samples_after_the_first_line_keep_every_rule(self):
+        """Lines after the first take a shorter path; each rule still holds there."""
+        assert parse_demand_trace("0,1\n 5 ,\t2 \n\n9,0").samples == ((0, 1), (5, 2), (9, 0))
+        for text, message in [("0,1\n5,-1", "line 2: negative demand -1"),
+                              ("0,1\n-5,1", "line 2: negative time -5"),
+                              ("3,1\n\n3,2", "line 3: time 3 not greater than previous 3"),
+                              ("0,1\n5,2,3", "line 2: expected 'time,demand'"),
+                              ("0,1\ntime,demand", "line 2: non-integer field"),
+                              (f"0,1\n{2**63},1", "line 2: field not below 2\\*\\*63")]:
+            with pytest.raises(TraceParseError, match=message):
+                parse_demand_trace(text)
+
     def test_negative_demand(self):
         with pytest.raises(TraceParseError, match="negative demand"):
             parse_demand_trace("0,-1")
@@ -183,6 +198,22 @@ class TestWindow:
         trace = jobs_at([10, 20])
         cut = window(trace, 0, 20)
         assert [j.id for j in cut.jobs] == [1]
+
+    def test_job_at_the_window_end_is_dropped(self):
+        assert [j.id for j in window(jobs_at([0, 10, 20]), 0, 20).jobs] == [1, 2]
+
+    def test_unsorted_jobs_outside_the_window_are_dropped(self):
+        """Jobs need not come sorted: one before 0 and one at the end, neither
+        of them first or last, are dropped at offset 0."""
+        jobs = (Job(1, 5, 10, 1), Job(2, -1, 10, 1), Job(3, 10, 10, 1), Job(4, 0, 10, 1))
+        cut = window(JobTrace(jobs=jobs, window=(0, 10)), 0, 10)
+        assert [j.id for j in cut.jobs] == [1, 4]
+
+    def test_full_span_shares_the_jobs(self, synthetic_pbj_raw):
+        """A window that keeps every job as it is reuses the input's jobs."""
+        cut = window(synthetic_pbj_raw, 0, synthetic_pbj_raw.window[1] + 1)
+        assert cut.jobs is synthetic_pbj_raw.jobs
+        assert cut.window == (0, synthetic_pbj_raw.window[1] + 1)
 
     def test_empty_window_errors(self):
         with pytest.raises(EmptyTraceError):
@@ -261,7 +292,26 @@ class TestScaleToPeak:
     def test_identity_when_target_equals_peak(self):
         jobs = (Job(1, 0, 10, 3), Job(2, 1, 10, 7))
         trace = JobTrace(jobs=jobs, window=(0, 1))
-        assert scale_to_peak(trace, 7).jobs == trace.jobs
+        assert scale_to_peak(trace, 7) is trace
+        demand = DemandTrace(samples=((0, 0), (5, 7), (9, 3)))
+        assert scale_to_peak(demand, 7) is demand
+
+    def test_own_peak_above_2_53_is_not_an_identity(self):
+        """2**53 + 1 times itself over itself rounds to 2**53 in float, so a
+        rescale to its own peak changes it and builds a new trace."""
+        demand = DemandTrace(samples=((0, 3), (5, 2**53 + 1)))
+        assert scale_to_peak(demand, 2**53 + 1).samples == ((0, 3), (5, 2**53))
+
+    def test_shipped_scenario_shaping_shares_the_jobs_it_reads(self):
+        """The synthetic batch trace peaks at its target, 128, so scaling
+        returns the jobs that were read; the demand trace peaks at 64 and is
+        doubled."""
+        scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                                 / "synthetic" / "synthetic_fb_152.json")
+        jobs, demand = read_traces(scenario)
+        scaled_jobs, scaled_demand = scale_traces(scenario, (jobs, demand))
+        assert scaled_jobs.jobs is jobs.jobs
+        assert scaled_demand.samples == tuple((t, 2 * d) for t, d in demand.samples)
 
     def test_job_sizes_floored_at_one(self):
         jobs = (Job(1, 0, 10, 1), Job(2, 1, 10, 100))

@@ -66,6 +66,11 @@ def outcome(function, *args):
     return value
 
 
+def entries(trace):
+    """A trace's jobs or samples tuple."""
+    return trace.jobs if isinstance(trace, JobTrace) else trace.samples
+
+
 EDGES = st.sampled_from(EDGE_TOKENS)
 ONE_IN_20 = st.integers(0, 19)
 
@@ -189,6 +194,28 @@ class TestShapingMatchesReference:
     def test_scale_to_peak(self, trace, target):
         assert (outcome(scale_to_peak, trace, target)
                 == outcome(scale_to_peak_reference, trace, target))
+
+    @derandomized(60)
+    @given(st.one_of(job_traces, demand_traces), st.booleans())
+    def test_scale_to_own_peak(self, trace, huge):
+        """Scaling to the trace's own peak, which above 2**53 is no identity."""
+        if huge and isinstance(trace, DemandTrace):
+            trace = DemandTrace(samples=trace.samples + ((1001, 2**53 + 1),))
+        target = peak_reference(trace)
+        result = outcome(scale_to_peak, trace, target)
+        assert result == outcome(scale_to_peak_reference, trace, target)
+        if result == trace:
+            assert entries(result) is entries(trace)
+
+    @derandomized(60)
+    @given(job_traces, st.integers(0, 2))
+    def test_window_over_whole_span(self, trace, extra):
+        """Offset 0 and a duration that reaches, or just passes, the last submit time."""
+        duration = max([0, *(job.submit_time for job in trace.jobs)]) + extra
+        result = outcome(window, trace, 0, duration)
+        assert result == outcome(window_reference, trace, 0, duration)
+        if isinstance(result, JobTrace) and result.jobs == trace.jobs:
+            assert result.jobs is trace.jobs
 
 
 @derandomized(25)
