@@ -11,9 +11,12 @@ by the events. With ``--record`` it profiles the recorded run instead, as
 ``congested`` times it. It also prints, per generation, the garbage
 collector's passes during one unprofiled run of the same kind, from
 ``gc.get_stats()`` before and after it, starting from an empty young
-generation. Both counts are exact: unlike a timing, they are the same on
-every run of the same code under the same Python version. Standard library
-only.
+generation, and how many young-generation objects a run leaves
+(``gc.get_count()[0]`` before and after a run with the collector held
+off), with the time of the one young-generation pass over them that the
+resumed collector makes. The counts are exact: unlike a timing, they are the
+same on every run of the same code under the same Python version. Standard
+library only.
 
 Run from anywhere:
     python3 scripts/calls_per_event.py [--workload long|congested|sweep] [--seed 1] [--record]
@@ -27,6 +30,7 @@ import gc
 import pstats
 import sys
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -67,12 +71,25 @@ def main(argv: list[str]) -> int:
             passes = [end - start for end, start in zip(after, before)]
             events = len((result if args.record else call(record_events=True)).records)
             del result
+            gc.collect()
+            gc.disable()  # so that reading the count starts no pass
+            try:
+                young = gc.get_count()[0]
+                result = call(record_events=args.record)
+                young = gc.get_count()[0] - young
+            finally:
+                gc.enable()
+            started = time.perf_counter()
+            gc.collect(0)
+            young_pass_ms = (time.perf_counter() - started) * 1e3
+            del result
             profile = cProfile.Profile()
             profile.runcall(call, record_events=args.record)
             calls = pstats.Stats(profile).total_calls
             print(f"{name:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
                   f"per event {calls / events:.2f}  "
-                  f"collector passes {'/'.join(map(str, passes))}")
+                  f"collector passes {'/'.join(map(str, passes))}  "
+                  f"young objects left {young} (pass {young_pass_ms:.1f} ms)")
     return 0
 
 

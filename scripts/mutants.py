@@ -40,16 +40,20 @@ MUTANTS = [
     ("log-started-dropped", "simkernel.py",
      """line += ',"started":[%s]' % ",".join([str(job.id) for job in started])""", "pass"),
     ("kernel-stale-completion-kept", "simkernel.py",
-     "if running is None or running.attempt != attempt:", "if running is None or False:"),
+     "if running is None or running[2] != attempt:", "if running is None or False:"),
     ("kernel-adjustments-from-after-handling", "simkernel.py",
-     "records.append((event, started, killed, first, len(entries), snapshot))",
-     "records.append((event, started, killed, len(entries), len(entries), snapshot))"),
+     "records.append((time, kind, payload, started, killed, first, len(entries),",
+     "records.append((time, kind, payload, started, killed, len(entries), len(entries),"),
     ("kernel-same-time-level-committed", "simkernel.py",
      "if time != since:", "if True:"),
     ("kernel-arrival-before-same-time-event", "simkernel.py",
      "if heap[0][0] <= submits[index]:", "if heap[0][0] < submits[index]:"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
+    ("ec2rs-empty-queue-return-inverted", "policies.py",
+     "if not state.queue.length:", "if state.queue.length:"),
+    ("ec2rs-empty-queue-guard-dropped", "policies.py",
+     "if not state.queue.length:", "if False:"),
     ("kernel-collector-left-paused", "simkernel.py", "gc.enable()", "pass"),
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
     ("scale-identity-always", "trace.py",

@@ -128,7 +128,7 @@ def parse_params(compact: str) -> PolicyParams:
     return replace(PolicyParams(), **values)
 
 
-def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> list[Job]:
+def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> Sequence[Job]:
     """First-fit selection: start the first queued job that fits the idle
     nodes, deduct its size, and repeat from the front until nothing fits.
 
@@ -160,10 +160,9 @@ def fb_force_release(state: ClusterState, needed: int, log: AdjustmentLog) -> li
     short = needed - state.pbj_idle
     victims: list[Job] = []
     while short > 0:
-        victim = min(reversed(state.running.values()), key=lambda r: (r.job.size, -r.start_time))
-        job = victim.job
+        job, _, attempt = min(reversed(state.running.values()), key=lambda r: (r[0].size, -r[1]))
         del state.running[job.id]
-        state.attempts[job.id] = victim.attempt
+        state.attempts[job.id] = attempt
         state.running_alloc -= job.size
         victims.append(job)
         short -= job.size
@@ -309,7 +308,7 @@ class Regime:
             raise ScenarioError(f"{self.name} has no pool lower-bound share; omit pbj_floor")
         return None
 
-    def admit(self, kernel) -> list[Job]:
+    def admit(self, kernel) -> Sequence[Job]:
         """First fit on the batch side's idle nodes; returns the jobs started."""
         state = kernel.state
         started = first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)
@@ -447,14 +446,16 @@ class EC2RS(Regime):
         state.pbj_owned -= nodes
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
-    def admit(self, kernel) -> list[Job]:
+    def admit(self, kernel) -> Sequence[Job]:
         """Lease nodes for every queued job and start it at once; returns the
-        jobs started.
+        jobs started (a shared empty tuple when the queue is empty).
 
         First fit given the whole queued demand takes every job in queue
         order: the idle count left always equals the demand left.
         """
         state = kernel.state
+        if not state.queue.length:
+            return ()
         started = state.queue.first_fit(state.queue.demand)
         for job in started:
             start, release = ec2_job_lifecycle(job, self.params)

@@ -31,7 +31,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import IO, Any, Iterator, Optional, Sequence
 
 from . import policies
@@ -46,9 +46,8 @@ from .state import (
     KIND_WS_DEMAND_CHANGE,
     AdjustmentLog,
     ClusterState,
-    RunningJob,
 )
-from .trace import DemandTrace, Job, JobTrace
+from .trace import _SUBMIT, DemandTrace, Job, JobTrace
 
 __all__ = [
     "SimResult",
@@ -61,9 +60,9 @@ __all__ = [
 
 # A pending event: (time, kind, seq, payload).
 Event = tuple[int, int, int, Any]
-# One processed event: the event, the jobs it started, the ids it killed, the
-# [from, to) slice of the adjustment log it added, and the state after it.
-Record = tuple[Event, list[Job], Sequence[int], int, int, tuple[int, ...]]
+# One processed event: time, kind, payload, the jobs it started, the ids it
+# killed, the [from, to) slice of the adjustment log it added, the state after.
+Record = tuple[int, int, Any, Sequence[Job], Sequence[int], int, int, tuple[int, ...]]
 
 
 @dataclass
@@ -114,10 +113,12 @@ class _Kernel:
     # -- per-event processing ----------------------------------------------
 
     def start_job(self, job: Job, now: int) -> None:
-        attempt = self.state.attempts.pop(job.id, 0) + 1
-        self.state.running[job.id] = RunningJob(job, now, attempt)
-        self.state.running_alloc += job.size
-        heapq.heappush(self._heap, (now + job.runtime, KIND_JOB_COMPLETION, next(self._seq),
+        job_id, _, runtime, size = job
+        state = self.state
+        attempt = state.attempts.pop(job_id, 0) + 1
+        state.running[job_id] = (job, now, attempt)
+        state.running_alloc += size
+        heapq.heappush(self._heap, (now + runtime, KIND_JOB_COMPLETION, next(self._seq),
                                     (job, attempt)))
 
     def execute(self) -> SimResult:
@@ -135,22 +136,22 @@ class _Kernel:
         regime, state, log, heap = self.regime, self.state, self.log, self._heap
         heappop, heappush, seq, streams = heapq.heappop, heapq.heappush, self._seq, self._streams
         consumption, admit, duration = regime.consumption, regime.admit, self.duration
-        entries, records = log.entries, self.records
+        entries, records, running_jobs = log.entries, self.records, state.running
         varying = regime.config_size is None  # a bounded regime always consumes its size
         # Arrivals in submit order; the last submit time is the stop event's.
-        jobs = sorted(self.job_trace.jobs, key=attrgetter("submit_time"))
-        submits = [job.submit_time for job in jobs] + [duration + 1]
+        jobs = sorted(self.job_trace.jobs, key=_SUBMIT)
+        submits = list(map(_SUBMIT, jobs))
+        submits.append(duration + 1)
         index = completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = consumption(state), 0, 0, 0
         while True:
             # A heap event at the next arrival's time goes first: arrivals are
             # the last kind at any time.
             if heap[0][0] <= submits[index]:
-                event = heappop(heap)
+                time, kind, _, payload = heappop(heap)
             else:
-                event = (submits[index], KIND_JOB_ARRIVAL, index, jobs[index])
+                time, kind, payload = submits[index], KIND_JOB_ARRIVAL, jobs[index]
                 index += 1
-            time, kind, _, payload = event
             if time > duration:
                 break
             if time < state.clock:
@@ -165,15 +166,15 @@ class _Kernel:
                 first = len(entries)
             killed: Sequence[int] = ()
             if kind == KIND_JOB_COMPLETION:
-                job, attempt = payload
-                running = state.running.get(job.id)
-                if running is None or running.attempt != attempt:
+                (job_id, submit, runtime, size), attempt = payload
+                running = running_jobs.get(job_id)
+                if running is None or running[2] != attempt:
                     continue  # a killed attempt's completion
-                del state.running[job.id]
-                state.running_alloc -= job.size
+                del running_jobs[job_id]
+                state.running_alloc -= size
                 completed += 1
-                runtime_sum += job.runtime
-                turnaround_sum += time - job.submit_time
+                runtime_sum += runtime
+                turnaround_sum += time - submit
             elif kind == KIND_WS_DEMAND_CHANGE:
                 killed = regime.on_demand(state, payload, log)
             elif kind == KIND_JOB_ARRIVAL:
@@ -185,7 +186,8 @@ class _Kernel:
             # queue-length figures from one snapshot call per processed event.
             snapshot = state.snapshot()
             if records is not None:
-                records.append((event, started, killed, first, len(entries), snapshot))
+                records.append((time, kind, payload, started, killed, first, len(entries),
+                                snapshot))
             if varying:
                 new_level = consumption(state)
                 if new_level != level:
@@ -266,7 +268,7 @@ _STATE = (',"state":{"pbj_owned":%s,"pbj_idle":%s,"running_alloc":%s,"ws_held":%
 def _lines(result: SimResult) -> Iterator[str]:
     """The event log's lines, one compact JSON object per record."""
     entries, encode = result.adjustments.entries, _EVENT_ENCODER.encode
-    for (time, kind, _, payload), started, killed, first, end, snapshot in result.records:
+    for time, kind, payload, started, killed, first, end, snapshot in result.records:
         if kind == KIND_JOB_ARRIVAL:
             job_id, submit, runtime, size = payload
             line = _ARRIVAL % (time, job_id, size, runtime, submit)
@@ -289,5 +291,9 @@ def _lines(result: SimResult) -> Iterator[str]:
 
 
 def write_event_log(result: SimResult, stream: IO[str]) -> None:
-    """Write a recorded run's event log, one JSON record {time, kind, payload, ...} a line."""
+    """Write a recorded run's event log, one JSON record {time, kind, payload, ...} a line.
+
+    A run made without ``record_events=True`` kept no log and raises ValueError."""
+    if result.records is None:
+        raise ValueError("the run was not recorded; run it with record_events=True")
     stream.writelines(_lines(result))

@@ -8,7 +8,7 @@ the event log's ``"state"`` key order, so taking one builds no dict.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -34,13 +34,6 @@ KIND_NAMES = ("job_completion", "ws_demand_change", "lease_tick", "pbj_manage_ti
 
 
 @dataclass
-class RunningJob:
-    job: Job  # holds job.size nodes while it runs
-    start_time: int
-    attempt: int
-
-
-@dataclass
 class AdjustmentLog:
     """Every dynamic request/release/provisioning of resources, in event order."""
 
@@ -55,17 +48,17 @@ class AdjustmentLog:
 class JobQueue:
     """The batch queue in arrival order, indexed by job size for first fit.
 
-    Jobs sit in one deque of ``(order key, job)`` pairs per distinct size,
-    and ``_sizes`` lists the sizes present in ascending order. Tail appends
-    take increasing keys and head requeues decreasing ones, so queue order
-    is key order and every deque is sorted. ``length``, ``demand`` (the sum
-    of queued sizes) and ``biggest`` are read without a scan.
+    Jobs sit in one deque of ``(order key, job)`` pairs per size, kept when
+    it empties, and ``_sizes`` lists the sizes queued in ascending order.
+    Tail appends take increasing keys and head requeues decreasing ones, so
+    queue order is key order and every deque is sorted. ``length``,
+    ``demand`` (the sum of queued sizes) and ``biggest`` are read without a scan.
     """
 
     __slots__ = ("_buckets", "_sizes", "_head", "_tail", "length", "demand")
 
     def __init__(self, jobs: Iterable[Job] = ()):
-        self._buckets: dict[int, deque[tuple[int, Job]]] = {}
+        self._buckets: defaultdict[int, deque[tuple[int, Job]]] = defaultdict(deque)
         self._sizes: list[int] = []
         self._head = 0  # key of the current head requeue; the next one is lower
         self._tail = 0  # key of the next tail append
@@ -82,29 +75,31 @@ class JobQueue:
         """Size of the biggest queued job; 0 when the queue is empty."""
         return self._sizes[-1] if self._sizes else 0
 
-    def _bucket(self, size: int) -> deque[tuple[int, Job]]:
-        bucket = self._buckets.get(size)
-        if bucket is None:
-            bucket = self._buckets[size] = deque()
-            insort(self._sizes, size)
-        return bucket
-
     def append(self, job: Job) -> None:
-        self._bucket(job.size).append((self._tail, job))
+        size = job.size
+        bucket = self._buckets[size]
+        if not bucket:
+            insort(self._sizes, size)
+        bucket.append((self._tail, job))
         self._tail += 1
         self.length += 1
-        self.demand += job.size
+        self.demand += size
 
     def push_front(self, jobs: Sequence[Job]) -> None:
         """Requeue jobs at the head of the queue, keeping their given order."""
         for job in reversed(jobs):
             self._head -= 1
-            self._bucket(job.size).appendleft((self._head, job))
+            size = job.size
+            bucket = self._buckets[size]
+            if not bucket:
+                insort(self._sizes, size)
+            bucket.appendleft((self._head, job))
             self.length += 1
-            self.demand += job.size
+            self.demand += size
 
-    def first_fit(self, idle: int) -> list[Job]:
-        """Remove and return the jobs first fit starts with ``idle`` nodes.
+    def first_fit(self, idle: int) -> Sequence[Job]:
+        """Remove and return the jobs first fit starts with ``idle`` nodes (a
+        shared empty tuple when none fits).
 
         Each step takes the lowest-keyed head among the buckets whose size
         fits the remaining idle nodes, which is the job a scan from the
@@ -113,7 +108,7 @@ class JobQueue:
         """
         sizes = self._sizes
         if not sizes or sizes[0] > idle:
-            return []
+            return ()
         buckets = self._buckets
         started: list[Job] = []
         while sizes and sizes[0] <= idle:
@@ -126,7 +121,6 @@ class JobQueue:
             bucket = buckets[best_size]
             started.append(bucket.popleft()[1])
             if not bucket:
-                del buckets[best_size]
                 sizes.remove(best_size)
             idle -= best_size
             self.length -= 1
@@ -148,8 +142,9 @@ class ClusterState:
     count how much of each RE's holdings is charged to the coordinated pool
     of ``pool_size`` nodes in FLB_NUB (first-come), and ``pool_room`` is the
     uncharged rest; holdings beyond the pool are externally leased.
-    ``running`` is in start order (a killed job re-enters when it restarts),
-    and ``attempts`` holds each killed job's attempt count until then.
+    ``running`` maps each running job's id to its ``(job, start_time,
+    attempt)`` entry, in start order (a killed job re-enters when it
+    restarts), and ``attempts`` holds each killed job's attempt count until then.
     """
 
     pool_size: int = 0
@@ -161,7 +156,7 @@ class ClusterState:
     pbj_pool: int = 0
     ws_pool: int = 0
     clock: int = 0
-    running: dict[int, RunningJob] = field(default_factory=dict)
+    running: dict[int, tuple[Job, int, int]] = field(default_factory=dict)
     running_alloc: int = 0
     queue: JobQueue = field(default_factory=JobQueue)
     attempts: dict[int, int] = field(default_factory=dict)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -50,9 +51,9 @@ class JobTrace:
     jobs: tuple[Job, ...]
     window: tuple[int, int]
 
-    @property
+    @cached_property
     def peak_demand(self) -> int:
-        """The largest job size; 0 for an empty trace."""
+        """The largest job size; 0 for an empty trace. Computed once per trace."""
         return max(map(_SIZE, self.jobs), default=0)
 
 
@@ -66,9 +67,9 @@ class DemandTrace:
 
     samples: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property
     def peak_demand(self) -> int:
-        """The largest demand; 0 for an empty trace."""
+        """The largest demand; 0 for an empty trace. Computed once per trace."""
         return max(map(_DEMAND, self.samples), default=0)
 
 

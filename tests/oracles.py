@@ -418,10 +418,10 @@ STATE_KEYS = ("pbj_owned", "pbj_idle", "running_alloc", "ws_held", "free", "pbj_
 
 def event_dicts_reference(result) -> list[dict]:
     """The event-log records of a recorded run, built as dicts from its raw
-    records ((time, kind, seq, payload), started, killed, adjustment slice,
-    snapshot tuple)."""
+    records (time, kind, payload, started, killed, adjustment slice, snapshot
+    tuple)."""
     events = []
-    for (time, kind, _, event_payload), started, killed, first, end, snapshot in result.records:
+    for time, kind, event_payload, started, killed, first, end, snapshot in result.records:
         if kind == KIND_JOB_ARRIVAL:
             job = event_payload
             payload = {"job_id": job.id, "size": job.size, "runtime": job.runtime,

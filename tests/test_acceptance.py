@@ -16,7 +16,7 @@ import pytest
 from provsim import PolicyParams, parse_demand_trace, parse_swf, run, scale_to_peak, window
 from provsim.policies import fb_force_release, ws_instance_controller
 from provsim.scenario import apply_axis, load_scenario, load_traces, run_scenario_obj
-from provsim.state import AdjustmentLog, ClusterState, RunningJob
+from provsim.state import AdjustmentLog, ClusterState
 from provsim.trace import Job
 
 from conftest import traces_dir
@@ -227,9 +227,7 @@ def random_force_release_instance(rng):
     state = ClusterState(capacity=config, pbj_bound=config, pbj_owned=owned,
                          running_alloc=owned - idle)
     for job_id, size, start in running:
-        state.running[job_id] = RunningJob(
-            job=Job(job_id, rng.randint(0, start), 100, size), start_time=start, attempt=1,
-        )
+        state.running[job_id] = (Job(job_id, rng.randint(0, start), 100, size), start, 1)
     return state, running, idle, needed
 
 

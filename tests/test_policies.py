@@ -20,7 +20,7 @@ from provsim.policies import (
     whole,
     ws_instance_controller,
 )
-from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue, RunningJob
+from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue
 from provsim.trace import Job
 
 from oracles import first_fit_reference, greedy_kill_reference, queue_order
@@ -99,7 +99,7 @@ class TestFirstFit:
         assert len(first_fit_schedule(queue, 3)) == 3
 
     def test_no_idle_starts_nothing(self):
-        assert first_fit_schedule(JobQueue(jobs_of_sizes([1])), 0) == []
+        assert first_fit_schedule(JobQueue(jobs_of_sizes([1])), 0) == ()
 
     def test_front_job_preferred_after_each_start(self):
         started = first_fit_schedule(JobQueue(jobs_of_sizes([4, 3, 2])), 5)
@@ -135,12 +135,12 @@ class TestJobQueueProperty:
                 expected = first_fit_reference(reference, arg)
                 for job in expected:
                     reference.remove(job)
-                assert first_fit_schedule(queue, arg) == expected
+                assert list(first_fit_schedule(queue, arg)) == expected
             assert queue_order(queue) == reference
             assert len(queue) == len(reference)
             assert queue.demand == sum(job.size for job in reference)
             assert queue.biggest == max((job.size for job in reference), default=0)
-        assert queue.first_fit(queue.demand) == reference
+        assert list(queue.first_fit(queue.demand)) == reference
         assert len(queue) == queue.demand == queue.biggest == 0 and queue_order(queue) == []
 
 
@@ -153,9 +153,7 @@ def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj
         clock=clock,
     )
     for job_id, size, start in running:
-        state.running[job_id] = RunningJob(
-            job=Job(job_id, 0, 1000, size), start_time=start, attempt=1,
-        )
+        state.running[job_id] = (Job(job_id, 0, 1000, size), start, 1)
     state.queue = JobQueue(queue)
     state.running_alloc = sum(size for _, size, _ in running)
     state.pbj_owned = idle + state.running_alloc
@@ -210,11 +208,8 @@ class TestFbForceRelease:
         )
         # Make arrival order distinguishable: ids 2 < 5 < 9 submitted in order.
         for job_id, submit in ((5, 20), (9, 30), (2, 10)):
-            record = state.running[job_id]
-            state.running[job_id] = RunningJob(
-                job=Job(job_id, submit, 1000, record.job.size), start_time=record.start_time,
-                attempt=1,
-            )
+            job, start, _ = state.running[job_id]
+            state.running[job_id] = (Job(job_id, submit, 1000, job.size), start, 1)
         log = AdjustmentLog()
         fb_force_release(state, 6, log)
         assert [j.id for j in queue_order(state.queue)] == [2, 5, 9, 7]
@@ -224,9 +219,8 @@ class TestFbForceRelease:
         # the requeue puts the lower id first, and it is the first to restart.
         state = fb_state(config=4, running=[(3, 2, 10), (4, 2, 20)])
         for job_id in (3, 4):
-            record = state.running[job_id]
-            state.running[job_id] = RunningJob(job=Job(job_id, 5, 1000, 2),
-                                               start_time=record.start_time, attempt=1)
+            _, start, _ = state.running[job_id]
+            state.running[job_id] = (Job(job_id, 5, 1000, 2), start, 1)
         assert fb_force_release(state, 4, AdjustmentLog()) == [4, 3]
         assert [j.id for j in queue_order(state.queue)] == [3, 4]
         assert [j.id for j in first_fit_schedule(state.queue, 2)] == [3]

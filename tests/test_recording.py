@@ -11,6 +11,7 @@ memory do not grow with the trace length.
 
 import hashlib
 import heapq
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 
 from provsim.metrics import csv_header, report_to_csv_row, report_to_json
 from provsim.scenario import load_scenario, load_traces
-from provsim.simkernel import run
+from provsim.simkernel import run, write_event_log
 from provsim.state import REGIMES, ClusterState
 from provsim.trace import DemandTrace, Job, JobTrace
 
@@ -86,6 +87,15 @@ def test_default_run_snapshots_once_per_event(monkeypatch):
     plain = run(jobs, demand, "FB", params, **kwargs)
     assert plain.events is None
     assert calls == [r["time"] for r in recorded.events]
+
+
+def test_event_log_of_a_metrics_only_run_is_a_value_error():
+    jobs, demand, params, kwargs = random_fuzz_setup("FB", 7)
+    plain = run(jobs, demand, "FB", params, **kwargs)
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=r"not recorded.*record_events=True"):
+        write_event_log(plain, stream)
+    assert stream.getvalue() == ""
 
 
 def test_metrics_only_run_retains_under_half_the_memory():
