@@ -42,12 +42,18 @@ MUTANTS = [
     ("kernel-stale-completion-kept", "simkernel.py",
      "if running is None or running[2] != attempt:", "if running is None or False:"),
     ("kernel-adjustments-from-after-handling", "simkernel.py",
-     "records.append((time, kind, payload, started, killed, first, len(entries),",
-     "records.append((time, kind, payload, started, killed, len(entries), len(entries),"),
+     "first, end = end, len(entries)", "first = end = len(entries)"),
+    ("kernel-adjustment-carry-off-by-one", "simkernel.py",
+     "first, end = end, len(entries)", "first, end = end - 1, len(entries)"),
+    ("snapshot-built-when-not-recording", "state.py",
+     "if not self.recording:", "if False:"),
+    ("state-not-recording-by-default", "state.py",
+     "recording: bool = True", "recording: bool = False"),
     ("kernel-same-time-level-committed", "simkernel.py",
      "if time != since:", "if True:"),
     ("kernel-arrival-before-same-time-event", "simkernel.py",
-     "if heap[0][0] <= submits[index]:", "if heap[0][0] < submits[index]:"),
+     "if heap[0][0] <= arrival[1]:", "if heap[0][0] < arrival[1]:"),
+    ("kernel-unsorted-trace-kept", "simkernel.py", "jobs = sorted(jobs, key=_SUBMIT)", "pass"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
     ("ec2rs-empty-queue-return-inverted", "policies.py",
@@ -56,6 +62,8 @@ MUTANTS = [
      "if not state.queue.length:", "if False:"),
     ("kernel-collector-left-paused", "simkernel.py", "gc.enable()", "pass"),
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
+    ("cli-collector-resumed-before-reports", "cli.py", "with collector_paused():", "if True:"),
+    ("cli-records-held-when-collector-resumes", "cli.py", "del result", "pass"),
     ("scale-identity-always", "trace.py",
      "if list(scaled) == list(scaled.values()):", "if True:"),
     ("scale-identity-never", "trace.py",

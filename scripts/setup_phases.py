@@ -7,7 +7,11 @@ one new Python process per run on the workload's first scenario by name, with
 import of ``provsim.cli``, ``load_scenario``, the two file reads,
 ``parse_swf``, ``window``, ``normalize_cpus`` (only when the scenario has more
 than one CPU per node), ``parse_demand_trace`` and the peak scaling
-(``scale_traces``), the steps ``load_traces`` takes. It prints each phase's
+(``scale_traces``), the steps ``load_traces`` takes. Then, outside the
+total, it times ``compile`` of the source of every ``src/provsim`` module
+that import loaded: without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``,
+or a tree with no ``__pycache__``), the import pays that much to compile
+them, and compiles them again in every new process. It prints each phase's
 median and quartiles in milliseconds. With ``--against TREE`` it alternates
 the two trees run by run (the first run and every second one after it start
 with TREE) and also prints in how
@@ -40,7 +44,7 @@ CHILD = r"""
 import time
 start = time.perf_counter()
 import provsim.cli
-import json, sys
+import json, pathlib, sys
 from provsim import scenario as S, trace as T
 from provsim.errors import TraceParseError
 phases = {"import": time.perf_counter() - start}
@@ -66,6 +70,12 @@ if scenario.cpus_per_node > 1:
 demand = timed("parse_demand_trace", T.parse_demand_trace, ws_text)
 timed("scale_traces", S.scale_traces, scenario, (jobs, demand))
 phases["total"] = time.perf_counter() - start
+sources = {module.__file__: pathlib.Path(module.__file__).read_text()
+           for name, module in list(sys.modules.items()) if name.split(".")[0] == "provsim"}
+began = time.perf_counter()
+for path, source in sources.items():
+    compile(source, path, "exec")
+phases["compile"] = time.perf_counter() - began
 print(json.dumps(phases))
 """
 

@@ -38,7 +38,7 @@ from .scenario import (
     scale_traces,
     scenario_from_dict,
 )
-from .simkernel import write_event_log
+from .simkernel import collector_paused, write_event_log
 from .state import REGIMES
 
 EXIT_OK = 0
@@ -129,10 +129,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "ad hoc runs need --pbj-trace, --ws-trace, --regime and --duration"
             )
         scenario = _scenario_from_flags(args)
-    result = run_scenario_obj(scenario, load_traces(scenario), record_events=args.event_log)
-    out_dir = _output_dir(args.output_dir, scenario)
-    written = _write_reports(scenario, result, out_dir)
-    report = result.metrics
+    # Paused through the reports, records freed before it resumes: a pass would walk them all.
+    with collector_paused():
+        result = run_scenario_obj(scenario, load_traces(scenario), record_events=args.event_log)
+        written = _write_reports(scenario, result, _output_dir(args.output_dir, scenario))
+        report = result.metrics
+        del result
     exec_s = "-" if report.avg_execution_time is None else f"{report.avg_execution_time:.1f}"
     turn_s = "-" if report.avg_turnaround_time is None else f"{report.avg_turnaround_time:.1f}"
     print(

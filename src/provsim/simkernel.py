@@ -15,12 +15,11 @@ tallies completions and integrates consumption as it goes. Only a run that
 asks for its event log keeps one raw record per event, with the state as
 ``ClusterState.snapshot``'s tuple; ``write_event_log`` encodes each as a line
 from its kind's template when the log is written. A metrics-only run still
-takes the snapshot (``perfbench`` counts queue length at that call) but
-does no other recording work.
-Virtual time is integer seconds; identical inputs give byte-identical logs.
-``run`` pauses the cyclic garbage collector while the kernel executes, and
-restores its prior state even on error: a run builds no reference cycles, so
-a pass over the records it keeps would find nothing and only cost time.
+calls the snapshot once per event (``perfbench`` counts queue length at that
+call), but its state is not ``recording``, so the call returns None. Virtual
+time is integer seconds; identical inputs give byte-identical logs. ``run``
+pauses the cyclic garbage collector (``collector_paused``): a run builds no
+cycles, so a pass over the records it keeps would only cost time.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ __all__ = [
 
 # A pending event: (time, kind, seq, payload).
 Event = tuple[int, int, int, Any]
-# One processed event: time, kind, payload, the jobs it started, the ids it
-# killed, the [from, to) slice of the adjustment log it added, the state after.
+# One processed event: time, kind, payload, the jobs it started, the ids it killed,
+# its [from, to) adjustment-log slice (from is the previous record's to), the state after.
 Record = tuple[int, int, Any, Sequence[Job], Sequence[int], int, int, tuple[int, ...]]
 
 
@@ -91,6 +90,7 @@ class _Kernel:
         self.duration = job_trace.window[1]
         self.job_trace = job_trace
         self.state = regime.initial_state()
+        self.state.recording = record_events
         self.log = AdjustmentLog()
         self.records: Optional[list[Record]] = [] if record_events else None
         # The stop event, one second past the window end, keeps the heap from
@@ -138,20 +138,22 @@ class _Kernel:
         consumption, admit, duration = regime.consumption, regime.admit, self.duration
         entries, records, running_jobs = log.entries, self.records, state.running
         varying = regime.config_size is None  # a bounded regime always consumes its size
-        # Arrivals in submit order; the last submit time is the stop event's.
-        jobs = sorted(self.job_trace.jobs, key=_SUBMIT)
-        submits = list(map(_SUBMIT, jobs))
-        submits.append(duration + 1)
-        index = completed = runtime_sum = turnaround_sum = 0
+        # Arrivals in submit order (sorted only if need be), then a stop job at the stop event.
+        jobs = self.job_trace.jobs
+        if sorted(map(_SUBMIT, jobs)) != list(map(_SUBMIT, jobs)):
+            jobs = sorted(jobs, key=_SUBMIT)
+        arrivals = itertools.chain(jobs, [(None, duration + 1, 0, 0)])
+        arrival = next(arrivals)
+        end = completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = consumption(state), 0, 0, 0
         while True:
             # A heap event at the next arrival's time goes first: arrivals are
             # the last kind at any time.
-            if heap[0][0] <= submits[index]:
+            if heap[0][0] <= arrival[1]:
                 time, kind, _, payload = heappop(heap)
             else:
-                time, kind, payload = submits[index], KIND_JOB_ARRIVAL, jobs[index]
-                index += 1
+                time, kind, payload = arrival[1], KIND_JOB_ARRIVAL, arrival
+                arrival = next(arrivals)
             if time > duration:
                 break
             if time < state.clock:
@@ -162,8 +164,6 @@ class _Kernel:
                 entry = next(stream, None)
                 if entry is not None:
                     heappush(heap, (entry[0], kind, next(seq), entry[1]))
-            if records is not None:
-                first = len(entries)
             killed: Sequence[int] = ()
             if kind == KIND_JOB_COMPLETION:
                 (job_id, submit, runtime, size), attempt = payload
@@ -182,12 +182,12 @@ class _Kernel:
             else:
                 regime.on_tick(state, kind, payload, log)
             started = admit(self)
-            # Taken also when not recorded: perfbench/tracer.py derives its
-            # queue-length figures from one snapshot call per processed event.
+            # Called also when not recorded, and then None: perfbench/tracer.py
+            # derives its queue-length figures from one call per processed event.
             snapshot = state.snapshot()
             if records is not None:
-                records.append((time, kind, payload, started, killed, first, len(entries),
-                                snapshot))
+                first, end = end, len(entries)
+                records.append((time, kind, payload, started, killed, first, end, snapshot))
             if varying:
                 new_level = consumption(state)
                 if new_level != level:
@@ -231,23 +231,27 @@ def run(
     Raw event records are kept only with ``record_events``; otherwise
     ``SimResult.records`` is None. An empty job trace is accepted (the
     degenerate nothing-ever-runs case); the demand trace must carry at least
-    one sample.
-
-    The cyclic garbage collector is paused while the kernel executes and then
-    left as it was found, even on error. A run builds no reference cycles, so
-    the pause holds no extra memory.
+    one sample. The cyclic garbage collector is paused while the kernel executes.
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")
     rules = policies.regime_class(regime)(
         params, job_trace.peak_demand, demand_trace.peak_demand, config_size, pbj_floor
     )
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         return _Kernel(job_trace, demand_trace, rules, record_events).execute()
-    finally:
-        if enabled:
+
+
+class collector_paused:
+    """Pause the cyclic garbage collector in the block; leave it as found, even on error.
+    Not a generator, whose StopIteration would start a pass right as it resumes."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.enabled:
             gc.enable()
 
 

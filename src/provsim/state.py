@@ -2,7 +2,7 @@
 
 Events are plain ``(time, kind, seq, payload)`` tuples of the kernel, with
 the kinds numbered below. ``ClusterState.snapshot`` is a plain 11-tuple in
-the event log's ``"state"`` key order, so taking one builds no dict.
+the event log's ``"state"`` key order, or None when the state is not ``recording``.
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ class ClusterState:
     running_alloc: int = 0
     queue: JobQueue = field(default_factory=JobQueue)
     attempts: dict[int, int] = field(default_factory=dict)
+    recording: bool = True  # the kernel clears it for a metrics-only run
 
     @property
     def pbj_idle(self) -> int:
@@ -182,10 +183,12 @@ class ClusterState:
     def ws_external(self) -> int:
         return self.ws_held - self.ws_pool
 
-    def snapshot(self) -> tuple[int, ...]:
-        """Post-event accounting snapshot embedded in the event log: pbj_owned,
-        pbj_idle, running_alloc, ws_held, free, pbj_pool, ws_pool,
-        pbj_external, ws_external, queue_len and queued_demand, in that order."""
+    def snapshot(self) -> Optional[tuple[int, ...]]:
+        """Post-event accounting snapshot embedded in the event log, or None (and
+        nothing built) unless ``recording``: pbj_owned, pbj_idle, running_alloc, ws_held,
+        free, pbj_pool, ws_pool, pbj_external, ws_external, queue_len, queued_demand."""
+        if not self.recording:
+            return None
         owned, running, ws = self.pbj_owned, self.running_alloc, self.ws_held
         pbj_pool, ws_pool, capacity, queue = self.pbj_pool, self.ws_pool, self.capacity, self.queue
         return (owned, owned - running, running, ws,

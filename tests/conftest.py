@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from provsim import PolicyParams, parse_demand_trace, parse_swf, scale_to_peak, window
@@ -10,6 +12,14 @@ def traces_dir():
     from pathlib import Path
 
     return Path(__file__).resolve().parent.parent / "traces"
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 import re
 from collections import Counter
@@ -244,6 +245,77 @@ UNUSABLE_NAMES = ["", ".", "..", "a/b", "a\u0000b", "../escaped"]
 def test_shipped_scenario_loads(path):
     # Loading reads no trace, so the archive scenarios load without their traces.
     assert load_scenario(path).name
+
+
+def fb_152_two_days(tmp_path):
+    """The shipped FB 152 scenario cut to two days, as a file in ``tmp_path``."""
+    shipped = next(path for path in SCENARIOS if path.stem == "synthetic_fb_152")
+    doc = json.loads(shipped.read_text())
+    doc["window"]["duration"] = 2 * 86400
+    for key in ("pbj_trace", "ws_trace"):
+        doc[key] = str((shipped.parent / doc[key]).resolve())
+    path = tmp_path / "fb_152_two_days.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestRunPausesTheCollector:
+    """`provsim run` keeps the cyclic collector paused from reading the traces
+    until its reports are written, and frees the run's records before it
+    resumes, then leaves it as it found it. A recorded run keeps one record
+    per event; a pass made while they are held would walk them all, and find
+    no cycle."""
+
+    def test_no_pass_walks_the_records(self, tmp_path, monkeypatch, collector_state):
+        path = fb_152_two_days(tmp_path)
+        window = []  # True once the traces are read, False once the reports are written
+        passes = []
+        walked_after = []  # objects in the generation of each pass after the reports
+        load_traces, write_reports = cli.load_traces, cli._write_reports
+
+        def loading(scenario):
+            window.append(True)
+            return load_traces(scenario)
+
+        def writing(*args):
+            written = write_reports(*args)
+            window.append(False)
+            return written
+
+        def count(phase, info):
+            if phase == "start" and window and window[-1]:
+                passes.append(info["generation"])
+            elif phase == "start" and window:
+                walked_after.append(len(gc.get_objects(info["generation"])))
+
+        monkeypatch.setattr(cli, "load_traces", loading)
+        monkeypatch.setattr(cli, "_write_reports", writing)
+        gc.collect()  # the young generation then holds only what the command makes
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            code = main(["run", str(path), "--event-log", "--output-dir", str(tmp_path)])
+        finally:
+            gc.callbacks.remove(count)
+        assert code == EXIT_OK and window == [True, False]
+        events = (tmp_path / "synthetic_fb_152.events.jsonl").read_text().count("\n")
+        assert events > 1000  # the young generation would fill several times over
+        assert passes == []
+        # The resumed collector's first pass comes before the command returns.
+        assert walked_after and walked_after[0] < events, (walked_after, events)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_prior_state_comes_back_on_success_and_on_error(self, tmp_path, enabled,
+                                                            collector_state):
+        path = fb_152_two_days(tmp_path)
+        not_a_directory = tmp_path / "file"
+        not_a_directory.write_text("")
+        (gc.enable if enabled else gc.disable)()
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert gc.isenabled() == enabled
+        # The reports' directory cannot be made: exit 2 from inside the pause.
+        assert main(["run", str(path), "--output-dir", str(not_a_directory)]) == EXIT_INVALID
+        assert gc.isenabled() == enabled
 
 
 class TestMalformedScenario:

@@ -15,8 +15,19 @@ job queue, arrival order, the cached trace peaks) independently of both.
   releases ``floor(G * idle)`` nodes and its default lower-bound share is
   ``B * prc_pbj // (prc_pbj + prc_ws)``, and neither floor commutes with
   multiplying by k.
+- **A repeated demand** (every regime): adding a demand sample equal to the
+  demand in force at its time leaves the report unchanged.
+- **A job after the window** (every regime): adding a job submitted after
+  the window end adds 1 to ``incomplete_jobs`` and changes nothing else in
+  the report. The job is no bigger than the trace's largest, since the
+  trace's peak sets each regime's scaling and bounds. At the window end itself
+  the relation holds for DCS, FB and FLB_NUB. It fails for EC2RS, which
+  leases nodes for a job that arrives exactly at the window end: the
+  adjustment count rises by one. ``trace.window`` keeps only jobs submitted
+  before the end, so only a trace given to ``run`` directly can show it.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -100,3 +111,36 @@ def test_node_scaling(regime, k):
         assert b.total_consumption_node_seconds == k * a.total_consumption_node_seconds, seed
         assert replace(b, peak_consumption=a.peak_consumption,
                        total_consumption_node_seconds=a.total_consumption_node_seconds) == a, seed
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_repeated_demand_leaves_the_report_unchanged(regime):
+    for seed in SEEDS:
+        jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
+        rng = random.Random(seed)
+        samples = sorted(demand.samples, key=lambda sample: sample[0])
+        time = rng.randint(samples[0][0], jobs.window[1])
+        in_force = [d for t, d in samples if t <= time][-1]  # a later sample wins a tie
+        repeated = DemandTrace(demand.samples + ((time, in_force),))
+        base = run(jobs, demand, regime, params, **kwargs)
+        more = run(jobs, repeated, regime, params, **kwargs)
+        assert (more.metrics, more.columns) == (base.metrics, base.columns), (seed, time)
+
+
+@pytest.mark.parametrize("when", ["after", "end"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_job_after_the_window_is_only_incomplete(regime, when, request):
+    if (regime, when) == ("EC2RS", "end"):
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="EC2RS leases nodes for a job arriving at the window end"))
+    for seed in SEEDS:
+        jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
+        rng = random.Random(seed)
+        end = jobs.window[1]
+        submit = end if when == "end" else end + rng.randint(1, end)
+        late = Job(max(job.id for job in jobs.jobs) + 1, submit, rng.randint(1, end),
+                   rng.randint(1, jobs.peak_demand))
+        base = run(jobs, demand, regime, params, **kwargs)
+        more = run(replace(jobs, jobs=jobs.jobs + (late,)), demand, regime, params, **kwargs)
+        expected = replace(base.metrics, incomplete_jobs=base.metrics.incomplete_jobs + 1)
+        assert (more.metrics, more.columns) == (expected, base.columns), (seed, late)

@@ -9,6 +9,7 @@ heap, which holds only pending events, so the heap's length and the run's
 memory do not grow with the trace length.
 """
 
+import gc
 import hashlib
 import heapq
 import io
@@ -77,16 +78,30 @@ def test_shipped_scenarios_identical_with_recording_off(path):
 
 def test_default_run_snapshots_once_per_event(monkeypatch):
     # perfbench/tracer.py reads the queue length at each snapshot call, so a
-    # run without records still takes (and drops) one snapshot per event.
-    jobs, demand, params, kwargs = random_fuzz_setup("FB", 7)
-    recorded = run(jobs, demand, "FB", params, record_events=True, **kwargs)
+    # run without records still calls it once per event. Its state is not
+    # recording, so every call returns None and builds nothing.
+    cases = [(regime, seed, *random_fuzz_setup(regime, seed))
+             for regime in REGIMES for seed in range(20)]
+    times = [[r["time"] for r in run(jobs, demand, regime, params, record_events=True,
+                                     **kwargs).events]
+             for regime, seed, jobs, demand, params, kwargs in cases]
     calls = []
     snapshot = ClusterState.snapshot
     monkeypatch.setattr(ClusterState, "snapshot",
-                        lambda state: calls.append(state.clock) or snapshot(state))
-    plain = run(jobs, demand, "FB", params, **kwargs)
-    assert plain.events is None
-    assert calls == [r["time"] for r in recorded.events]
+                        lambda state: calls.append((state.clock, snapshot(state))))
+    for (regime, seed, jobs, demand, params, kwargs), expected in zip(cases, times):
+        calls.clear()
+        plain = run(jobs, demand, regime, params, **kwargs)
+        assert plain.events is None
+        assert calls == [(time, None) for time in expected], (regime, seed)
+
+
+def test_state_built_outside_a_run_snapshots_its_tuple():
+    # Only the kernel turns recording off; a state built by hand keeps the tuple.
+    state = ClusterState(capacity=20, pbj_owned=9, ws_held=6, pbj_pool=4, ws_pool=2,
+                         running_alloc=5)
+    state.queue.append(Job(1, 0, 10, 3))
+    assert state.snapshot() == (9, 4, 5, 6, 5, 4, 2, 5, 4, 1, 3)
 
 
 def test_event_log_of_a_metrics_only_run_is_a_value_error():
@@ -99,12 +114,17 @@ def test_event_log_of_a_metrics_only_run_is_a_value_error():
 
 
 def test_metrics_only_run_retains_under_half_the_memory():
-    # Two weeks of FB 152: about 15k events. Measured peaks: about 0.07 MB
-    # without records and 15.4 MB with them.
+    # Two weeks of FB 152: about 15k events. Measured peaks: about 0.24 MB
+    # without records and 5.7 MB with them.
+    # tracemalloc does not see a tuple that CPython reuses from its free
+    # lists, and a full collection empties those lists. So one is made before
+    # each measured run: the peaks are those of a process with no cached
+    # tuples, not of whichever collection last happened to be a full one.
     scenario = load_scenario(FB_152)
     jobs, demand = load_traces(scenario)
     peaks = {}
     for record_events in (False, True):
+        gc.collect()
         tracemalloc.start()
         try:
             result = run_shipped(scenario, jobs, demand, record_events)
