@@ -54,6 +54,8 @@ MUTANTS = [
     ("kernel-arrival-before-same-time-event", "simkernel.py",
      "if heap[0][0] <= arrival[1]:", "if heap[0][0] < arrival[1]:"),
     ("kernel-unsorted-trace-kept", "simkernel.py", "jobs = sorted(jobs, key=_SUBMIT)", "pass"),
+    ("kernel-arrival-at-window-end", "simkernel.py",
+     "bisect_left(jobs, duration, key=_SUBMIT)", "bisect_left(jobs, duration + 1, key=_SUBMIT)"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
     ("ec2rs-empty-queue-return-inverted", "policies.py",
@@ -64,6 +66,8 @@ MUTANTS = [
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
     ("cli-collector-resumed-before-reports", "cli.py", "with collector_paused():", "if True:"),
     ("cli-records-held-when-collector-resumes", "cli.py", "del result", "pass"),
+    ("cli-pool-imported-by-every-command", "cli.py",
+     "import argparse", "import argparse, concurrent.futures"),
     ("scale-identity-always", "trace.py",
      "if list(scaled) == list(scaled.values()):", "if True:"),
     ("scale-identity-never", "trace.py",

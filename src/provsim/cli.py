@@ -8,7 +8,6 @@ The PROVSIM_OUTPUT_DIR environment variable overrides where reports land.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 from contextlib import contextmanager
@@ -169,6 +168,8 @@ def _run_sweep_point(point: Scenario) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import concurrent.futures  # only this command needs it
+
     if args.workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     base = load_scenario(args.scenario)

@@ -7,8 +7,7 @@ integer node-seconds and reported in node-hours to one decimal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 # The columns identifying what ran: ``Regime.report_columns`` gives their
 # values, and ``SimResult.columns`` carries them.
@@ -29,8 +28,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """The comparison metrics of one simulated scenario."""
 
     regime: str
@@ -67,17 +65,12 @@ def finalize(
     window end are reported as incomplete); turnaround runs from the original
     submission, and execution time is the trace runtime.
     """
-    avg_exec: Optional[float] = None
-    avg_turnaround: Optional[float] = None
-    if completed:
-        avg_exec = runtime_sum / completed
-        avg_turnaround = turnaround_sum / completed
     return MetricsReport(
         regime=regime,
         completed_jobs=completed,
         incomplete_jobs=total_jobs - completed,
-        avg_execution_time=avg_exec,
-        avg_turnaround_time=avg_turnaround,
+        avg_execution_time=runtime_sum / completed if completed else None,
+        avg_turnaround_time=turnaround_sum / completed if completed else None,
         peak_consumption=peak,
         total_consumption_node_seconds=total,
         adjustment_count=adjustment_count,
@@ -119,8 +112,4 @@ def csv_header() -> str:
 def report_to_csv_row(report: MetricsReport, ident: dict[str, Any]) -> str:
     """One CSV row in the fixed, documented column order (empty = absent)."""
     data = report_to_dict(report, ident)
-    cells = []
-    for column in CSV_COLUMNS:
-        value = data.get(column)
-        cells.append("" if value is None else str(value))
-    return ",".join(cells)
+    return ",".join("" if data[column] is None else str(data[column]) for column in CSV_COLUMNS)

@@ -10,8 +10,7 @@ them; the kernel builds one per run and never names a regime itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import InfeasibleScenarioError, KernelError, ScenarioError
 from .state import (
@@ -28,8 +27,7 @@ from .state import (
 from .trace import INT_LIMIT, Job
 
 
-@dataclass(frozen=True)
-class PolicyParams:
+class PolicyParams(NamedTuple):
     """Tunables of the coordinated regimes.
 
     B: coordinated pool size (nodes); U/V: threshold ratios of requesting and
@@ -125,7 +123,7 @@ def parse_params(compact: str) -> PolicyParams:
         if key not in PARAM_CONVERTERS or not raw:
             raise ScenarioError(f"bad policy-parameter token {part!r} in {compact!r}")
         values[key] = convert(raw, PARAM_CONVERTERS[key], f"policy parameter {key}")
-    return replace(PolicyParams(), **values)
+    return PolicyParams(**values)
 
 
 def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> Sequence[Job]:

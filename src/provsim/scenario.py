@@ -9,9 +9,8 @@ to the scenario file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Collection, Optional
+from typing import Any, Callable, Collection, NamedTuple, Optional
 
 from . import trace as trace_mod
 from .errors import ProvsimError, ScenarioError, TraceParseError
@@ -29,8 +28,7 @@ from .simkernel import SimResult, run
 Traces = tuple[trace_mod.JobTrace, trace_mod.DemandTrace]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A fully specified simulation scenario."""
 
     name: str
@@ -43,7 +41,7 @@ class Scenario:
     prc_ws: Optional[int]
     regime: str
     config_size: Optional[int]
-    params: PolicyParams = field(default_factory=PolicyParams)
+    params: PolicyParams = PolicyParams()
     pbj_floor: Optional[int] = None
     output_dir: Optional[str] = None
     base_dir: Path = Path(".")
@@ -136,7 +134,7 @@ def _parse_policy_params(raw: Any) -> PolicyParams:
         _known(raw, _OBJECT_PARAMS, "params.")
         values = {key[0]: _field(raw, key, converter, prefix="params.")  # L_minutes sets L
                   for key, converter in _OBJECT_PARAMS.items() if raw.get(key) is not None}
-        return replace(PolicyParams(), **values)
+        return PolicyParams(**values)
     raise ScenarioError(f"params must be a compact string or an object, got {type(raw)!r}")
 
 
@@ -243,16 +241,16 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     """Derive a sweep-point scenario by overriding one axis (L in minutes)."""
     if axis in PARAM_CONVERTERS:
         number = convert(value, PARAM_CONVERTERS[axis], f"sweep axis {axis} value")
-        params = replace(scenario.params, **{axis: number})
+        params = scenario.params._replace(**{axis: number})
         if axis == "L":  # labelled in minutes, as given
             label = number // 60 if number % 60 == 0 else number / 60
         else:  # B as read; U, V and G as an int when integral, else as the float
             label = int(number) if axis != "B" and number.is_integer() else number
-        return replace(scenario, params=params, name=f"{scenario.name}_{axis}{label}")
+        return scenario._replace(params=params, name=f"{scenario.name}_{axis}{label}")
     if axis == "tuple":
         pbj, ws = peak_pair(value, "tuple axis value")
-        derived = replace(scenario, prc_pbj=pbj, prc_ws=ws, name=f"{scenario.name}_{pbj}x{ws}")
+        derived = scenario._replace(prc_pbj=pbj, prc_ws=ws, name=f"{scenario.name}_{pbj}x{ws}")
         if regime_class(scenario.regime).config_from_peaks:
-            derived = replace(derived, config_size=None)
+            derived = derived._replace(config_size=None)
         return derived
     raise ScenarioError(f"unknown sweep axis {axis!r} (expected one of {SWEEP_AXES})")

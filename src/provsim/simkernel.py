@@ -28,7 +28,7 @@ import gc
 import heapq
 import itertools
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
 from functools import cached_property
 from operator import itemgetter
 from typing import IO, Any, Iterator, Optional, Sequence
@@ -64,12 +64,12 @@ Event = tuple[int, int, int, Any]
 Record = tuple[int, int, Any, Sequence[Job], Sequence[int], int, int, tuple[int, ...]]
 
 
-@dataclass
 class SimResult:
-    metrics: MetricsReport
-    adjustments: AdjustmentLog
-    columns: dict[str, Any]  # the report's identification columns, from the regime
-    records: Optional[list[Record]] = None  # None unless recorded
+    def __init__(self, metrics: MetricsReport, adjustments: AdjustmentLog,
+                 columns: dict[str, Any], records: Optional[list[Record]] = None):
+        self.metrics, self.adjustments = metrics, adjustments
+        self.columns = columns  # the report's identification columns, from the regime
+        self.records = records  # None unless recorded
 
     @cached_property
     def events(self) -> Optional[list[dict[str, Any]]]:
@@ -138,11 +138,13 @@ class _Kernel:
         consumption, admit, duration = regime.consumption, regime.admit, self.duration
         entries, records, running_jobs = log.entries, self.records, state.running
         varying = regime.config_size is None  # a bounded regime always consumes its size
-        # Arrivals in submit order (sorted only if need be), then a stop job at the stop event.
+        # Arrivals before the window end in submit order (sorted only if need be), then
+        # a stop job at the stop event.
         jobs = self.job_trace.jobs
         if sorted(map(_SUBMIT, jobs)) != list(map(_SUBMIT, jobs)):
             jobs = sorted(jobs, key=_SUBMIT)
-        arrivals = itertools.chain(jobs, [(None, duration + 1, 0, 0)])
+        in_window = itertools.islice(jobs, bisect_left(jobs, duration, key=_SUBMIT))
+        arrivals = itertools.chain(in_window, [(None, duration + 1, 0, 0)])
         arrival = next(arrivals)
         end = completed = runtime_sum = turnaround_sum = 0
         level, since, peak, total = consumption(state), 0, 0, 0
@@ -229,9 +231,11 @@ def run(
     identification columns and event log.
 
     Raw event records are kept only with ``record_events``; otherwise
-    ``SimResult.records`` is None. An empty job trace is accepted (the
-    degenerate nothing-ever-runs case); the demand trace must carry at least
-    one sample. The cyclic garbage collector is paused while the kernel executes.
+    ``SimResult.records`` is None. Jobs arrive in ``[0, duration)``, as
+    ``trace.window`` keeps them; one submitted later only counts as incomplete.
+    An empty job trace is accepted (the degenerate nothing-ever-runs case); the
+    demand trace must carry at least one sample. The cyclic garbage collector
+    is paused while the kernel executes.
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")

@@ -11,7 +11,6 @@ immutable, so sharing is safe, also between sweep workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -40,16 +39,20 @@ class Job(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class JobTrace:
+def _immutable(trace, *_):
+    """Each trace is a NamedTuple subclass, for the ``__dict__`` that keeps its
+    cached ``peak_demand``; no other attribute can be set or deleted."""
+    raise AttributeError(f"{type(trace).__name__} is immutable")
+
+
+class JobTrace(NamedTuple("JobTrace", [("jobs", tuple[Job, ...]), ("window", tuple[int, int])])):
     """An ordered batch-job trace and its time window.
 
     ``window`` is ``(start_offset, duration)``: the offset of the segment
     within the original log and the segment length, both in seconds.
     """
 
-    jobs: tuple[Job, ...]
-    window: tuple[int, int]
+    __setattr__ = __delattr__ = _immutable
 
     @cached_property
     def peak_demand(self) -> int:
@@ -57,15 +60,14 @@ class JobTrace:
         return max(map(_SIZE, self.jobs), default=0)
 
 
-@dataclass(frozen=True)
-class DemandTrace:
+class DemandTrace(NamedTuple("DemandTrace", [("samples", tuple[tuple[int, int], ...])])):
     """Piecewise-constant web-service node demand: each sample holds until the next.
 
     The peak covers every sample, including any after the simulated window's
     end, so scaling and the reported peak see the whole file.
     """
 
-    samples: tuple[tuple[int, int], ...]
+    __setattr__ = __delattr__ = _immutable
 
     @cached_property
     def peak_demand(self) -> int:

@@ -207,6 +207,45 @@ def replay_completions(events):
             sum(p["turnaround"] for p in completions) / count)
 
 
+def ec2rs_closed_form(jobs, demand, params):
+    """EC2RS's report without a simulation, from the trace alone: (peak,
+    total node-seconds, completed, runtime sum, adjustments, incomplete).
+
+    Each job submitted before the window end holds ``size`` nodes over
+    ``[submit, submit + ceil(runtime / L) * L)``, and web-service capacity
+    is the demand in force; the level is their sum. The adjustments are the
+    leases, the releases up to the window end, and the nonzero demand
+    changes up to it. A job completes when ``submit + runtime <= duration``.
+    """
+    duration, lease = jobs.window[1], params.L
+    changes: dict[int, int] = {}  # time -> net level change
+    adjustments = completed = runtime_sum = 0
+    for _, submit, runtime, size in jobs.jobs:
+        if submit >= duration:
+            continue
+        release = submit + -(-runtime // lease) * lease
+        changes[submit] = changes.get(submit, 0) + size
+        changes[release] = changes.get(release, 0) - size
+        adjustments += 1 + (release <= duration)
+        if submit + runtime <= duration:
+            completed += 1
+            runtime_sum += runtime
+    held = 0
+    for time, level in sorted(demand.samples, key=lambda sample: sample[0]):
+        if time <= duration and level != held:
+            changes[time] = changes.get(time, 0) + level - held
+            adjustments += 1
+            held = level
+    level = peak = total = since = 0
+    for time in sorted(t for t in changes if t <= duration):
+        total += level * (time - since)
+        level += changes[time]
+        since = time
+        peak = max(peak, level)
+    total += level * (duration - since)
+    return peak, total, completed, runtime_sum, adjustments, len(jobs.jobs) - completed
+
+
 def job_times(events):
     """Per-job start and completion times extracted from an event log."""
     starts: dict[int, list[int]] = {}

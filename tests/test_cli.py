@@ -2,6 +2,8 @@ import concurrent.futures
 import gc
 import json
 import re
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -245,6 +247,19 @@ UNUSABLE_NAMES = ["", ".", "..", "a/b", "a\u0000b", "../escaped"]
 def test_shipped_scenario_loads(path):
     # Loading reads no trace, so the archive scenarios load without their traces.
     assert load_scenario(path).name
+
+
+def test_cli_import_loads_only_what_run_uses():
+    # Every configuration is one provsim process, so each import is paid per
+    # command: the record classes are NamedTuples and plain classes, not
+    # dataclasses (which load inspect), and the process pool (which loads
+    # logging) and the agreement parser load in the commands that use them.
+    code = "import sys, provsim.cli; print(*sorted(sys.modules))"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    unused = {"dataclasses", "inspect", "concurrent.futures", "provsim.agreement"}
+    assert unused.isdisjoint(done.stdout.split()), unused.intersection(done.stdout.split())
 
 
 def fb_152_two_days(tmp_path):
@@ -709,7 +724,7 @@ class RecordingExecutor:
 @pytest.fixture()
 def recording_executor(monkeypatch):
     RecordingExecutor.created = []
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return RecordingExecutor.created
 
 
@@ -761,7 +776,7 @@ class TestSweepWorkerFailures:
     def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, error,
                                             workers):
         FailingExecutor.error = error
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FailingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
 
         def failing_run(*args, **kwargs):

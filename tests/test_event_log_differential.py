@@ -8,7 +8,6 @@ lists of many jobs.
 """
 
 import io
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,6 +56,6 @@ def test_fuzzed_logs_match_reference(regime):
 def test_shipped_logs_match_reference(path):
     # The first two days of each shipped scenario; tests/test_golden.py checks
     # the whole two weeks against digests of logs the reference writer wrote.
-    scenario = replace(load_scenario(path), window_duration=SHIPPED_DAYS * 86400)
+    scenario = load_scenario(path)._replace(window_duration=SHIPPED_DAYS * 86400)
     written, reference = logs(run_scenario_obj(scenario, load_traces(scenario), record_events=True))
     assert written == reference

@@ -17,18 +17,15 @@ job queue, arrival order, the cached trace peaks) independently of both.
   multiplying by k.
 - **A repeated demand** (every regime): adding a demand sample equal to the
   demand in force at its time leaves the report unchanged.
-- **A job after the window** (every regime): adding a job submitted after
-  the window end adds 1 to ``incomplete_jobs`` and changes nothing else in
-  the report. The job is no bigger than the trace's largest, since the
-  trace's peak sets each regime's scaling and bounds. At the window end itself
-  the relation holds for DCS, FB and FLB_NUB. It fails for EC2RS, which
-  leases nodes for a job that arrives exactly at the window end: the
-  adjustment count rises by one. ``trace.window`` keeps only jobs submitted
-  before the end, so only a trace given to ``run`` directly can show it.
+- **A job after the window** (every regime): adding a job submitted at or
+  after the window end adds 1 to ``incomplete_jobs`` and changes nothing
+  else in the report. The job is no bigger than the trace's largest, since
+  the trace's peak sets each regime's scaling and bounds. Jobs arrive in
+  ``[0, duration)``, as ``trace.window`` keeps them, so a job submitted
+  exactly at the window end never arrives: EC2RS leases no node for it.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -81,7 +78,7 @@ def test_time_scaling(regime, k):
                              (offset, duration * k))
         slow_demand = DemandTrace(tuple((t * k, d) for t, d in demand.samples))
         base = run(jobs, demand, regime, params, record_events=True, **kwargs)
-        slow = run(slow_jobs, slow_demand, regime, replace(params, L=params.L * k),
+        slow = run(slow_jobs, slow_demand, regime, params._replace(L=params.L * k),
                    record_events=True, **kwargs)
         assert slow.events == [scaled(e, k, TIME_FIELDS, times=True, nodes=False)
                                for e in base.events], seed
@@ -102,15 +99,15 @@ def test_node_scaling(regime, k):
         big_demand = DemandTrace(tuple((t, d * k) for t, d in demand.samples))
         big_kwargs = {name: value * k for name, value in kwargs.items()}
         base = run(jobs, demand, regime, params, record_events=True, **kwargs)
-        big = run(big_jobs, big_demand, regime, replace(params, B=params.B * k),
+        big = run(big_jobs, big_demand, regime, params._replace(B=params.B * k),
                   record_events=True, **big_kwargs)
         assert big.events == [scaled(e, k, NODE_FIELDS, times=False, nodes=True)
                               for e in base.events], seed
         a, b = base.metrics, big.metrics
         assert b.peak_consumption == k * a.peak_consumption, seed
         assert b.total_consumption_node_seconds == k * a.total_consumption_node_seconds, seed
-        assert replace(b, peak_consumption=a.peak_consumption,
-                       total_consumption_node_seconds=a.total_consumption_node_seconds) == a, seed
+        assert b._replace(peak_consumption=a.peak_consumption,
+                          total_consumption_node_seconds=a.total_consumption_node_seconds) == a, seed
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -129,10 +126,7 @@ def test_repeated_demand_leaves_the_report_unchanged(regime):
 
 @pytest.mark.parametrize("when", ["after", "end"])
 @pytest.mark.parametrize("regime", REGIMES)
-def test_job_after_the_window_is_only_incomplete(regime, when, request):
-    if (regime, when) == ("EC2RS", "end"):
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="EC2RS leases nodes for a job arriving at the window end"))
+def test_job_after_the_window_is_only_incomplete(regime, when):
     for seed in SEEDS:
         jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
         rng = random.Random(seed)
@@ -141,6 +135,6 @@ def test_job_after_the_window_is_only_incomplete(regime, when, request):
         late = Job(max(job.id for job in jobs.jobs) + 1, submit, rng.randint(1, end),
                    rng.randint(1, jobs.peak_demand))
         base = run(jobs, demand, regime, params, **kwargs)
-        more = run(replace(jobs, jobs=jobs.jobs + (late,)), demand, regime, params, **kwargs)
-        expected = replace(base.metrics, incomplete_jobs=base.metrics.incomplete_jobs + 1)
+        more = run(jobs._replace(jobs=jobs.jobs + (late,)), demand, regime, params, **kwargs)
+        expected = base.metrics._replace(incomplete_jobs=base.metrics.incomplete_jobs + 1)
         assert (more.metrics, more.columns) == (expected, base.columns), (seed, late)

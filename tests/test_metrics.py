@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from provsim.metrics import (
     CSV_COLUMNS,
@@ -9,12 +10,14 @@ from provsim.metrics import (
     report_to_json,
 )
 from provsim.policies import PolicyParams
+from provsim.scenario import load_scenario, load_traces, run_scenario_obj
 from provsim.simkernel import run
 from provsim.state import REGIMES
-from provsim.trace import DemandTrace
+from provsim.trace import DemandTrace, Job
 
 from conftest import make_demand, make_jobs
 from oracles import (
+    ec2rs_closed_form,
     integrate,
     random_fuzz_setup,
     random_micro_scenario,
@@ -139,6 +142,57 @@ class TestOracleReplay:
             m = result.metrics
             assert m.total_consumption_node_seconds == integrate(curve, duration), (regime, seed)
             assert m.peak_consumption == max(v for _, v in curve), (regime, seed)
+
+
+class TestClosedForms:
+    """Two regimes' reports need no simulation, so they check the kernel from
+    outside it: EC2RS's from each job's whole lease units and the demand
+    curve (``ec2rs_closed_form``), DCS's from its constant level, the peak
+    sum, held over the window with no adjustment."""
+
+    SEEDS = range(1000)
+    SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios" / "synthetic"
+
+    @staticmethod
+    def assert_ec2rs_matches(jobs, demand, params, m, case):
+        peak, total, completed, runtime_sum, adjustments, incomplete = ec2rs_closed_form(
+            jobs, demand, params)
+        assert (m.peak_consumption, m.total_consumption_node_seconds, m.completed_jobs,
+                m.adjustment_count, m.incomplete_jobs) == (
+            peak, total, completed, adjustments, incomplete), case
+        average = runtime_sum / completed if completed else None
+        assert m.avg_execution_time == m.avg_turnaround_time == average, case
+
+    def test_ec2rs_matches_its_leases_and_demand(self):
+        for seed in self.SEEDS:
+            jobs, demand, params, _ = random_fuzz_setup("EC2RS", seed)
+            self.assert_ec2rs_matches(jobs, demand, params,
+                                      run(jobs, demand, "EC2RS", params).metrics, seed)
+            # A job submitted at the window end never arrives: no lease, no adjustment.
+            end = jobs.window[1]
+            late = jobs._replace(jobs=jobs.jobs + (Job(len(jobs.jobs) + 1, end, 60, 3),))
+            self.assert_ec2rs_matches(late, demand, params,
+                                      run(late, demand, "EC2RS", params).metrics, (seed, "end"))
+
+    def test_dcs_holds_the_peak_sum_throughout(self):
+        for seed in self.SEEDS:
+            jobs, demand, params, _ = random_fuzz_setup("DCS", seed)
+            m = run(jobs, demand, "DCS", params).metrics
+            size = jobs.peak_demand + demand.peak_demand
+            assert (m.peak_consumption, m.total_consumption_node_seconds, m.adjustment_count) == (
+                size, size * jobs.window[1], 0), seed
+
+    def test_shipped_scenarios_match_their_closed_forms(self):
+        scenario = load_scenario(self.SCENARIOS / "synthetic_ec2rs.json")
+        jobs, demand = load_traces(scenario)
+        self.assert_ec2rs_matches(jobs, demand, scenario.params,
+                                  run_scenario_obj(scenario, (jobs, demand)).metrics, "shipped")
+        scenario = load_scenario(self.SCENARIOS / "synthetic_dcs_256.json")
+        jobs, demand = load_traces(scenario)
+        m = run_scenario_obj(scenario, (jobs, demand)).metrics
+        size = jobs.peak_demand + demand.peak_demand
+        assert (m.peak_consumption, m.total_consumption_node_seconds, m.adjustment_count) == (
+            size, size * scenario.window_duration, 0)
 
 
 class TestSerialization:

@@ -30,6 +30,26 @@ class TestDerivedPeak:
         assert DemandTrace(samples=((0, 3), (10, 9), (20, 1))).peak_demand == 9
         assert DemandTrace(samples=()).peak_demand == 0
 
+    def test_traces_are_immutable_records_that_keep_their_peak(self):
+        jobs = JobTrace(jobs=(Job(1, 0, 100, 4),), window=(0, 100))
+        demand = DemandTrace(samples=((0, 3), (10, 9)))
+        assert repr(jobs) == ("JobTrace(jobs=(Job(id=1, submit_time=0, runtime=100, size=4),), "
+                              "window=(0, 100))")
+        assert repr(demand) == "DemandTrace(samples=((0, 3), (10, 9)))"
+        twins = [(jobs, JobTrace(jobs=jobs.jobs, window=(0, 100)), "jobs"),
+                 (demand, DemandTrace(samples=demand.samples), "samples")]
+        for trace, twin, field in twins:
+            assert trace == twin and hash(trace) == hash(twin)
+            peak = trace.peak_demand
+            for name in (field, "peak_demand", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(trace, name, 0)
+            with pytest.raises(AttributeError):
+                del trace.peak_demand
+            assert vars(trace)["peak_demand"] == peak  # computed once, then kept
+        rebuilt = jobs._replace(jobs=(Job(2, 0, 1, 7),))
+        assert type(rebuilt) is JobTrace and rebuilt.peak_demand == 7
+
     def test_job_is_a_named_tuple(self):
         job = Job(id=1, submit_time=2, runtime=3, size=4)
         assert Job._fields == ("id", "submit_time", "runtime", "size")
