@@ -84,6 +84,11 @@ MUTANTS = [
      "if not first_line:  # a valid", "if True:  # a valid"),
     ("swf-exact-guard-skips-submit", "trace.py",
      "-2**53 < submit < 2**53", "True"),
+    ("queue-lone-kept-on-requeue", "state.py", "if self._lone is not None:", "if False:"),
+    ("queue-lone-kept-on-append", "state.py", "self._settle()  # ahead of this job", "pass"),
+    ("queue-biggest-ignores-lone", "state.py", "else self.demand  # the lone", "else 0  # the lone"),
+    ("queue-lone-started-when-too-big", "state.py",
+     "if job is None or job.size > idle:", "if job is None:"),
     ("swf-comment-whole-field", "trace.py",
      'if not fields or fields[0][0] == ";":', 'if not fields or fields[0] == ";":'),
 ]

@@ -7,7 +7,9 @@ one new Python process per run on the workload's first scenario by name, with
 import of ``provsim.cli``, ``load_scenario``, the two file reads,
 ``parse_swf``, ``window``, ``normalize_cpus`` (only when the scenario has more
 than one CPU per node), ``parse_demand_trace`` and the peak scaling
-(``scale_traces``), the steps ``load_traces`` takes. Then, outside the
+(``scale_traces``), the steps ``load_traces`` takes; like ``provsim run``,
+it reads and shapes the traces with the cyclic collector paused
+(``simkernel.collector_paused``). Then, outside the
 total, it times ``compile`` of the source of every ``src/provsim`` module
 that import loaded: without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``,
 or a tree with no ``__pycache__``), the import pays that much to compile
@@ -47,6 +49,7 @@ import provsim.cli
 import json, pathlib, sys
 from provsim import scenario as S, trace as T
 from provsim.errors import TraceParseError
+from provsim.simkernel import collector_paused
 phases = {"import": time.perf_counter() - start}
 
 def timed(name, function, *args):
@@ -62,13 +65,14 @@ def read(scenario):
                                (scenario.ws_trace, "demand trace"))]
 
 scenario = timed("load_scenario", S.load_scenario, sys.argv[1])
-pbj_text, ws_text = timed("read_files", read, scenario)
-jobs = timed("parse_swf", T.parse_swf, pbj_text)
-jobs = timed("window", T.window, jobs, scenario.window_start, scenario.window_duration)
-if scenario.cpus_per_node > 1:
-    jobs = timed("normalize_cpus", T.normalize_cpus, jobs, scenario.cpus_per_node)
-demand = timed("parse_demand_trace", T.parse_demand_trace, ws_text)
-timed("scale_traces", S.scale_traces, scenario, (jobs, demand))
+with collector_paused():  # as `provsim run` reads and shapes the traces
+    pbj_text, ws_text = timed("read_files", read, scenario)
+    jobs = timed("parse_swf", T.parse_swf, pbj_text)
+    jobs = timed("window", T.window, jobs, scenario.window_start, scenario.window_duration)
+    if scenario.cpus_per_node > 1:
+        jobs = timed("normalize_cpus", T.normalize_cpus, jobs, scenario.cpus_per_node)
+    demand = timed("parse_demand_trace", T.parse_demand_trace, ws_text)
+    timed("scale_traces", S.scale_traces, scenario, (jobs, demand))
 phases["total"] = time.perf_counter() - start
 sources = {module.__file__: pathlib.Path(module.__file__).read_text()
            for name, module in list(sys.modules.items()) if name.split(".")[0] == "provsim"}

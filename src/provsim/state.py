@@ -54,15 +54,18 @@ class JobQueue:
     Jobs sit in one deque of ``(order key, job)`` pairs per size, kept when
     it empties, and ``_sizes`` lists the sizes queued in ascending order.
     Tail appends take increasing keys and head requeues decreasing ones, so
-    queue order is key order and every deque is sorted. ``length``,
+    queue order is key order and every deque is sorted. A job appended to an
+    empty queue waits in ``_lone``, outside the buckets, until the next
+    append or requeue moves it to its bucket as a tail append. ``length``,
     ``demand`` (the sum of queued sizes) and ``biggest`` are read without a scan.
     """
 
-    __slots__ = ("_buckets", "_sizes", "_head", "_tail", "length", "demand")
+    __slots__ = ("_buckets", "_sizes", "_lone", "_head", "_tail", "length", "demand")
 
     def __init__(self, jobs: Iterable[Job] = ()):
         self._buckets: defaultdict[int, deque[tuple[int, Job]]] = defaultdict(deque)
         self._sizes: list[int] = []
+        self._lone: Optional[Job] = None
         self._head = 0  # key of the current head requeue; the next one is lower
         self._tail = 0  # key of the next tail append
         self.length = 0
@@ -76,10 +79,23 @@ class JobQueue:
     @property
     def biggest(self) -> int:
         """Size of the biggest queued job; 0 when the queue is empty."""
-        return self._sizes[-1] if self._sizes else 0
+        return self._sizes[-1] if self._sizes else self.demand  # the lone job's size, or 0
+
+    def _settle(self) -> None:
+        """Move the lone job into its bucket, which is then the only one."""
+        job, self._lone = self._lone, None
+        self._buckets[job.size].append((self._tail, job))
+        self._sizes.append(job.size)
+        self._tail += 1
 
     def append(self, job: Job) -> None:
         size = job.size
+        if not self._sizes:  # the queue is empty or holds only the lone job
+            if not self.length:
+                self._lone = job
+                self.length, self.demand = 1, size
+                return
+            self._settle()  # ahead of this job
         bucket = self._buckets[size]
         if not bucket:
             insort(self._sizes, size)
@@ -90,6 +106,8 @@ class JobQueue:
 
     def push_front(self, jobs: Sequence[Job]) -> None:
         """Requeue jobs at the head of the queue, keeping their given order."""
+        if self._lone is not None:
+            self._settle()
         for job in reversed(jobs):
             self._head -= 1
             size = job.size
@@ -110,7 +128,14 @@ class JobQueue:
         queued sizes, not with the queue length.
         """
         sizes = self._sizes
-        if not sizes or sizes[0] > idle:
+        if not sizes:
+            job = self._lone
+            if job is None or job.size > idle:
+                return ()
+            self._lone = None
+            self.length = self.demand = 0
+            return [job]
+        if sizes[0] > idle:
             return ()
         buckets = self._buckets
         started: list[Job] = []

@@ -120,11 +120,16 @@ def check_conservation(events, regime, *, config_size=None, pbj_floor=0, pool_si
 
 
 def queue_order(queue):
-    """The jobs of a `JobQueue` in queue order, read from its size buckets.
+    """The jobs of a `JobQueue` in queue order, read from its size buckets and
+    its lone-job slot, which is set only when the buckets are empty.
 
     The order keys are distinct, so sorting the pairs never compares two jobs.
     """
-    return [job for _, job in sorted(chain.from_iterable(queue._buckets.values()))]
+    bucketed = [job for _, job in sorted(chain.from_iterable(queue._buckets.values()))]
+    if queue._lone is None:
+        return bucketed
+    assert not bucketed, "the lone-job slot is set beside bucketed jobs"
+    return [queue._lone]
 
 
 def first_fit_reference(queue, pbj_idle):

@@ -23,6 +23,11 @@ job queue, arrival order, the cached trace peaks) independently of both.
   the trace's peak sets each regime's scaling and bounds. Jobs arrive in
   ``[0, duration)``, as ``trace.window`` keeps them, so a job submitted
   exactly at the window end never arrives: EC2RS leases no node for it.
+- **Relabeled jobs** (every regime): mapping every job id through an
+  increasing function changes only the ids in the log (each payload's
+  ``job_id`` and the ``started`` and ``killed`` lists) and leaves the report
+  as it was. The map must be increasing because FB requeues the jobs it
+  kills in (submit time, id) order.
 """
 
 import random
@@ -138,3 +143,28 @@ def test_job_after_the_window_is_only_incomplete(regime, when):
         more = run(jobs._replace(jobs=jobs.jobs + (late,)), demand, regime, params, **kwargs)
         expected = base.metrics._replace(incomplete_jobs=base.metrics.incomplete_jobs + 1)
         assert (more.metrics, more.columns) == (expected, base.columns), (seed, late)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_relabeled_jobs_change_only_the_ids(regime):
+    for seed in SEEDS:
+        jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
+        rng = random.Random(seed)
+        ids = sorted(job.id for job in jobs.jobs)
+        new_id = dict(zip(ids, sorted(rng.sample(range(1, 2**40), len(ids)))))
+        relabeled = jobs._replace(jobs=tuple(job._replace(id=new_id[job.id])
+                                             for job in jobs.jobs))
+        base = run(jobs, demand, regime, params, record_events=True, **kwargs)
+        more = run(relabeled, demand, regime, params, record_events=True, **kwargs)
+        expected = []
+        for event in base.events:
+            event = dict(event)
+            if "job_id" in event["payload"]:
+                event["payload"] = {**event["payload"],
+                                    "job_id": new_id[event["payload"]["job_id"]]}
+            for key in ("started", "killed"):
+                if key in event:
+                    event[key] = [new_id[job_id] for job_id in event[key]]
+            expected.append(event)
+        assert more.events == expected, seed
+        assert (more.metrics, more.columns) == (base.metrics, base.columns), seed

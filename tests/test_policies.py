@@ -109,13 +109,16 @@ class TestFirstFit:
 
 
 class TestJobQueueProperty:
-    """JobQueue against a plain list driven through the same operations."""
+    """JobQueue against a plain list driven through the same operations. A
+    fit given the whole queued demand empties the queue, so the lone-job slot
+    is filled, moved by an append or a requeue, started and passed over often."""
 
     @settings(deadline=None)
     @given(st.lists(st.one_of(
         st.tuples(st.just("append"), st.integers(1, 9)),
         st.tuples(st.just("requeue"), st.lists(st.integers(1, 9), max_size=4)),
         st.tuples(st.just("fit"), st.integers(0, 20)),
+        st.just(("fit", None)),  # idle nodes equal to the queued demand
     ), max_size=60))
     def test_same_as_list(self, ops):
         queue, reference = JobQueue(), []
@@ -132,16 +135,55 @@ class TestJobQueueProperty:
                 queue.push_front(jobs)
                 reference[:0] = jobs
             else:
-                expected = first_fit_reference(reference, arg)
+                idle = queue.demand if arg is None else arg
+                expected = first_fit_reference(reference, idle)
                 for job in expected:
                     reference.remove(job)
-                assert list(first_fit_schedule(queue, arg)) == expected
+                assert list(first_fit_schedule(queue, idle)) == expected
             assert queue_order(queue) == reference
             assert len(queue) == len(reference)
             assert queue.demand == sum(job.size for job in reference)
             assert queue.biggest == max((job.size for job in reference), default=0)
         assert list(queue.first_fit(queue.demand)) == reference
         assert len(queue) == queue.demand == queue.biggest == 0 and queue_order(queue) == []
+
+
+class TestLoneQueuedJob:
+    """A job appended to an empty queue is held outside the size buckets."""
+
+    def test_second_append_keeps_the_order(self):
+        first, second = Job(1, 0, 100, 5), Job(2, 1, 100, 3)
+        queue = JobQueue()
+        queue.append(first)
+        queue.append(second)
+        assert queue_order(queue) == [first, second]
+        assert list(queue.first_fit(8)) == [first, second]
+
+    def test_requeue_onto_a_lone_job_puts_the_victims_first(self):
+        lone, victims = Job(1, 5, 100, 2), jobs_of_sizes([4, 1], submit=0)
+        queue = JobQueue()
+        queue.append(lone)
+        queue.push_front(victims)
+        assert queue_order(queue) == [*victims, lone]
+        assert (len(queue), queue.demand, queue.biggest) == (3, 7, 4)
+        assert list(queue.first_fit(7)) == [*victims, lone]
+
+    def test_lone_job_that_does_not_fit_stays_queued(self):
+        lone = Job(1, 0, 100, 5)
+        queue = JobQueue()
+        queue.append(lone)
+        assert queue.first_fit(4) == ()
+        assert (len(queue), queue.demand, queue.biggest) == (1, 5, 5)
+        assert queue_order(queue) == [lone]
+        assert list(queue.first_fit(5)) == [lone]
+        assert (len(queue), queue.demand, queue.biggest, queue_order(queue)) == (0, 0, 0, [])
+
+    def test_queue_built_from_one_job_holds_it(self):
+        job = Job(1, 0, 100, 3)
+        queue = JobQueue([job])
+        assert (len(queue), queue.demand, queue.biggest) == (1, 3, 3)
+        assert queue_order(queue) == [job]
+        assert list(queue.first_fit(3)) == [job] and len(queue) == 0
 
 
 def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj_bound=None):

@@ -322,14 +322,14 @@ class TestTraceOrder:
 class TestCallBudget:
     """The kernel's fixed cost per event, as Python calls counted by cProfile:
     exact, so unlike a timing it does not vary between runs. Each ceiling is
-    the count measured on two days of a shipped scenario (DCS 10.42, FB 11.73,
-    FLB_NUB 13.22, EC2RS 11.06) plus a margin of 0.1. Every one of these runs
+    the count measured on two days of a shipped scenario (DCS 8.64, FB 10.03,
+    FLB_NUB 11.96, EC2RS 9.52) plus a margin of 0.1. Every one of these runs
     has at least 0.25 arrivals per event, and starts as many jobs as arrive,
     so a change that adds a call per event, per arrival or per job started
     fails here; the test checks that the margin stays below that rate."""
 
-    MEASURED = {"synthetic_dcs_256": 10.42, "synthetic_fb_152": 11.73,
-                "synthetic_flb_baseline": 13.22, "synthetic_ec2rs": 11.06}
+    MEASURED = {"synthetic_dcs_256": 8.64, "synthetic_fb_152": 10.03,
+                "synthetic_flb_baseline": 11.96, "synthetic_ec2rs": 9.52}
     MARGIN = 0.1
 
     @pytest.mark.parametrize("stem", sorted(MEASURED))
