@@ -3,8 +3,8 @@
 and write the per-pair values and a summary to ``BENCH_<label>.json``.
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
-each tree, the first pair and every second one after it starting with TREE.
-Both run with ``PYTHONDONTWRITEBYTECODE=1``, after the ``__pycache__``
+each tree, T being ``BENCHMARK.json``'s ``run_seconds``, the first pair and
+every second one after it starting with TREE. Both run with ``PYTHONDONTWRITEBYTECODE=1``, after the ``__pycache__``
 folders under both trees' ``src`` and ``perfbench`` are removed, so each
 compiles what it imports and neither gains from a bytecode cache the other
 lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
@@ -23,7 +23,7 @@ library only; not part of tier-1 (``tests/test_ab.py`` checks the summary).
 
 Run from anywhere:
     python3 scripts/ab.py --against TREE --workload long [--workload congested]
-        [--pairs 10] [--seeds 1,2] [--seconds 10] [--label NAME]
+        [--pairs 10] [--seeds 1,2] [--label NAME]
 Exit status: 0 when every run was correct, 1 otherwise.
 """
 
@@ -114,10 +114,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=lambda text: [int(seed) for seed in text.split(",")],
                         default=[1, 2], help="comma-separated input seeds")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="perfbench's --seconds for each run")
     parser.add_argument("--label", default="ab", help="names the output BENCH_<label>.json")
-    parser.add_argument("--against-name", help="how the file names TREE (default: its directory name)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -126,8 +123,9 @@ def main(argv: list[str]) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     for tree in trees.values():
         clear_bytecode(tree)
-    out = {"against": args.against_name or trees["parent"].name, "pairs": args.pairs,
-           "seeds": args.seeds, "seconds": args.seconds, "workloads": {}}
+    seconds = spec["run_seconds"]
+    out = {"against": trees["parent"].name, "pairs": args.pairs, "seeds": args.seeds,
+           "seconds": seconds, "workloads": {}}
     for workload in args.workload:
         runs = []
         for pair in range(args.pairs):
@@ -135,7 +133,7 @@ def main(argv: list[str]) -> int:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"pair": pair, "seed": seed, "first": order[0]}
             for side in order:
-                run[side] = run_once(trees[side], workload, seed, args.seconds)
+                run[side] = run_once(trees[side], workload, seed, seconds)
             runs.append(run)
             print(f"{workload} pair {pair} seed {seed}: " + ", ".join(
                 f"{name} {run['parent']['metrics'][name]:.6g} -> {run['change']['metrics'][name]:.6g}"
