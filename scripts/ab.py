@@ -16,7 +16,11 @@ lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
   tree's median and quartiles, the pairs each tree won (by the metric's
   ``better`` direction; a tie counts for neither) and the relative change of
   the median; each tree's median unscaled times; and whether every run was
-  correct.
+  correct;
+- ``calls_per_event``: per seed and tree, each scenario's events, Python
+  calls and calls per event from ``scripts/calls_per_event.py --workload W
+  --seed S``, run once in each tree: the counts are exact, so one run shows
+  a change of even a hundredth of a call per event.
 
 A run that exits nonzero counts as not correct and gives no values. Standard
 library only; not part of tier-1 (``tests/test_ab.py`` checks the summary).
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -52,20 +57,44 @@ def parse_run(stdout: str) -> dict:
             "unscaled": info.get("unscaled", {}), "host": info.get("start")}
 
 
+# One scenario's line of scripts/calls_per_event.py.
+CALLS_LINE = re.compile(r"^(\S+)\s+\S+\s+events\s+(\d+)\s+calls\s+(\d+)\s+per event\s+([\d.]+)")
+
+
+def parse_calls(stdout: str) -> dict:
+    """Each scenario's events, calls and calls per event, by scenario name."""
+    return {match[1]: {"events": int(match[2]), "calls": int(match[3]),
+                       "per_event": float(match[4])}
+            for match in map(CALLS_LINE.match, stdout.splitlines()) if match}
+
+
 def clear_bytecode(tree: Path) -> None:
     for cache in [*tree.glob("src/**/__pycache__"), *tree.glob("perfbench/**/__pycache__")]:
         shutil.rmtree(cache)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_script(tree: Path, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True,
+                          text=True)
+
+
+def last_error(done: subprocess.CompletedProcess) -> str:
+    return (done.stderr.strip().splitlines() or [f"exit {done.returncode}"])[-1]
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    done = run_script(tree, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                      "--seconds", str(seconds))
     if done.returncode != 0:
-        return {"correct": False, "metrics": {}, "unscaled": {},
-                "error": (done.stderr.strip().splitlines() or [f"exit {done.returncode}"])[-1]}
+        return {"correct": False, "metrics": {}, "unscaled": {}, "error": last_error(done)}
     return parse_run(done.stdout)
+
+
+def calls_once(tree: Path, workload: str, seed: int) -> dict:
+    done = run_script(tree, "scripts/calls_per_event.py", "--workload", workload,
+                      "--seed", str(seed))
+    return parse_calls(done.stdout) if done.returncode == 0 else {"error": last_error(done)}
 
 
 def spread(values: list[float]) -> dict:
@@ -139,7 +168,10 @@ def main(argv: list[str]) -> int:
                 f"{name} {run['parent']['metrics'][name]:.6g} -> {run['change']['metrics'][name]:.6g}"
                 for name in better if name in run["parent"]["metrics"]
                 and name in run["change"]["metrics"]), flush=True)
-        out["workloads"][workload] = {"summary": summarize(runs, better), "runs": runs}
+        calls = {str(seed): {side: calls_once(trees[side], workload, seed) for side in SIDES}
+                 for seed in dict.fromkeys(run["seed"] for run in runs)}
+        out["workloads"][workload] = {"summary": summarize(runs, better),
+                                      "calls_per_event": calls, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

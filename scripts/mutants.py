@@ -37,6 +37,8 @@ MUTANTS = [
      "math.ceil(v * target_peak / peak - 0.5)"),
     ("log-state-fields-swapped", "simkernel.py",
      '"pbj_pool":%s,"ws_pool":%s', '"ws_pool":%s,"pbj_pool":%s'),
+    ("log-adjustment-delta-negated", "simkernel.py",
+     "% (actor, delta)", "% (actor, -delta)"),
     ("log-started-dropped", "simkernel.py",
      """line += ',"started":[%s]' % ",".join([str(job.id) for job in started])""", "pass"),
     ("kernel-stale-completion-kept", "simkernel.py",
@@ -48,7 +50,7 @@ MUTANTS = [
     ("snapshot-built-when-not-recording", "state.py",
      "if not self.recording:", "if False:"),
     ("state-not-recording-by-default", "state.py",
-     "recording: bool = True", "recording: bool = False"),
+     "self.recording = True", "self.recording = False"),
     ("kernel-same-time-level-committed", "simkernel.py",
      "if time != since:", "if True:"),
     ("kernel-arrival-before-same-time-event", "simkernel.py",
@@ -58,6 +60,9 @@ MUTANTS = [
      "bisect_left(jobs, duration, key=_SUBMIT)", "bisect_left(jobs, duration + 1, key=_SUBMIT)"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
+    ("admit-bypasses-traced-first-fit", "policies.py",
+     "first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)",
+     "state.queue.first_fit(state.pbj_owned - state.running_alloc)"),
     ("ec2rs-empty-queue-return-inverted", "policies.py",
      "if not state.queue.length:", "if state.queue.length:"),
     ("ec2rs-empty-queue-guard-dropped", "policies.py",
@@ -66,6 +71,8 @@ MUTANTS = [
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
     ("cli-collector-resumed-before-reports", "cli.py", "with collector_paused():", "if True:"),
     ("cli-records-held-when-collector-resumes", "cli.py", "del result", "pass"),
+    ("sweep-points-out-of-results-order", "cli.py",
+     "for point in distinct:", "for point in reversed(distinct):"),
     ("cli-pool-imported-by-every-command", "cli.py",
      "import argparse", "import argparse, concurrent.futures"),
     ("scale-identity-always", "trace.py",

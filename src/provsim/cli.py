@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -147,11 +147,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _point_failed(point: Scenario, exc: Exception) -> SweepError:
-    detail = exc if isinstance(exc, ProvsimError) else f"{type(exc).__name__}: {exc}"
-    return SweepError(f"sweep point {point.name} failed: {detail}")
-
-
 _shaped_traces: dict[tuple, tuple] = {}  # a sweep's shaped traces by peak tuple
 
 
@@ -182,29 +177,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     read = read_traces(base)
     by_peaks = {(p.prc_pbj, p.prc_ws): p for p in distinct}
     shaped = {peaks: scale_traces(p, read) for peaks, p in by_peaks.items()}
-    rows: dict[str, str] = {}
     # The pool forks all its workers at once: never more than there are
     # points to run or CPUs to run them on.
     workers = min(args.workers, len(distinct), os.cpu_count() or 1)
-    # Either way, any failure of a point (also a dead worker, BrokenProcessPool)
-    # exits as a SweepError naming it; the cause keeps the worker's traceback.
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_share_traces, initargs=(shaped,)) as pool:
-            futures = {pool.submit(_run_sweep_point, p): p for p in distinct}
-            for future in concurrent.futures.as_completed(futures):
-                point = futures[future]
-                try:
-                    rows[point.name] = future.result()
-                except Exception as exc:
-                    raise _point_failed(point, exc) from exc
-    else:
-        _share_traces(shaped)
-        for point in distinct:
-            try:
-                rows[point.name] = _run_sweep_point(point)
-            except Exception as exc:
-                raise _point_failed(point, exc) from exc
+    rows: dict[str, str] = {}
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_share_traces, initargs=(shaped,)))
+            results = pool.map(_run_sweep_point, distinct)
+        else:
+            _share_traces(shaped)
+            results = map(_run_sweep_point, distinct)
+        # Results come in the points' order, so the first failing point (also on
+        # a dead worker, BrokenProcessPool) exits as a SweepError naming it; the
+        # cause keeps the worker's traceback.
+        try:
+            for point in distinct:
+                rows[point.name] = next(results)
+        except Exception as exc:
+            detail = exc if isinstance(exc, ProvsimError) else f"{type(exc).__name__}: {exc}"
+            raise SweepError(f"sweep point {point.name} failed: {detail}") from exc
     out_dir = _output_dir(args.output_dir, base)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"
     lines = [csv_header(), *(rows[point.name] for point in points)]  # in given-value order

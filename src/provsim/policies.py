@@ -126,18 +126,9 @@ def parse_params(compact: str) -> PolicyParams:
     return PolicyParams(**values)
 
 
-def first_fit_schedule(queue: JobQueue, pbj_idle: int) -> Sequence[Job]:
-    """First-fit selection: start the first queued job that fits the idle
-    nodes, deduct its size, and repeat from the front until nothing fits.
-
-    Started jobs are removed from the queue and returned in start order.
-    Idle capacity only falls during a pass, so a job passed over once never
-    fits later: the rescan from the front equals one forward pass, and each
-    step is the earliest-queued job among those that fit. ``JobQueue`` finds
-    it among the heads of its per-size buckets, so the cost per call grows
-    with the number of distinct queued sizes, not with the queue length.
-    """
-    return queue.first_fit(pbj_idle)
+# First fit over the batch queue, ``first_fit_schedule(queue, pbj_idle)``. The
+# regimes call it by this module-level name, which the benchmark's tracer wraps.
+first_fit_schedule = JobQueue.first_fit
 
 
 def fb_force_release(state: ClusterState, needed: int, log: AdjustmentLog) -> list[int]:

@@ -13,13 +13,14 @@ events: each other seeded stream (demand samples, each timer kind) keeps
 one event in it and feeds the next when that one pops. The kernel
 tallies completions and integrates consumption as it goes. Only a run that
 asks for its event log keeps one raw record per event, with the state as
-``ClusterState.snapshot``'s tuple; ``write_event_log`` encodes each as a line
-from its kind's template when the log is written. A metrics-only run still
-calls the snapshot once per event (``perfbench`` counts queue length at that
-call), but its state is not ``recording``, so the call returns None. Virtual
-time is integer seconds; identical inputs give byte-identical logs. ``run``
-pauses the cyclic garbage collector (``collector_paused``): a run builds no
-cycles, so a pass over the records it keeps would only cost time.
+``ClusterState.snapshot``'s tuple. ``write_event_log`` is their only reader:
+it encodes each as a line from its kind's templates, and a caller reads a
+field by decoding that line. A metrics-only run still calls the snapshot once
+per event (``perfbench`` counts queue length at that call), but its state is
+not ``recording``, so the call returns None. Virtual time is integer seconds;
+identical inputs give byte-identical logs. ``run`` pauses the cyclic garbage
+collector (``collector_paused``): a run builds no cycles, so a pass over the
+records it keeps would only cost time.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
-import json
 from bisect import bisect_left
-from functools import cached_property
 from operator import itemgetter
 from typing import IO, Any, Iterator, Optional, Sequence
 
@@ -69,12 +68,7 @@ class SimResult:
                  columns: dict[str, Any], records: Optional[list[Record]] = None):
         self.metrics, self.adjustments = metrics, adjustments
         self.columns = columns  # the report's identification columns, from the regime
-        self.records = records  # None unless recorded
-
-    @cached_property
-    def events(self) -> Optional[list[dict[str, Any]]]:
-        """The event log's lines decoded once, one dict per record; None unless recorded."""
-        return None if self.records is None else json.loads("[%s]" % ",".join(_lines(self)))
+        self.records = records  # None unless recorded; read through ``write_event_log``
 
 
 class _Kernel:
@@ -259,9 +253,9 @@ class collector_paused:
             gc.enable()
 
 
-_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 # A line is its kind's head (time, kind, payload), the lists present, then the
-# state in ``ClusterState.snapshot``'s field order. Numbers print as in JSON.
+# state in ``ClusterState.snapshot``'s field order. Numbers and the actor names
+# (``state.ACTOR_*``, plain ASCII words) print as in JSON.
 _HEADS = ['{"time":%%s,"kind":"%s","payload":{}' % name for name in KIND_NAMES]
 _ARRIVAL = '{"time":%s,"kind":"job_arrival","payload":{"job_id":%s,"size":%s,"runtime":%s,"submit":%s}'
 _COMPLETION = ('{"time":%s,"kind":"job_completion","payload":{"job_id":%s,"size":%s,"runtime":%s,'
@@ -275,7 +269,7 @@ _STATE = (',"state":{"pbj_owned":%s,"pbj_idle":%s,"running_alloc":%s,"ws_held":%
 
 def _lines(result: SimResult) -> Iterator[str]:
     """The event log's lines, one compact JSON object per record."""
-    entries, encode = result.adjustments.entries, _EVENT_ENCODER.encode
+    entries = result.adjustments.entries
     for time, kind, payload, started, killed, first, end, snapshot in result.records:
         if kind == KIND_JOB_ARRIVAL:
             job_id, submit, runtime, size = payload
@@ -294,7 +288,8 @@ def _lines(result: SimResult) -> Iterator[str]:
         if killed:
             line += ',"killed":[%s]' % ",".join(map(str, killed))
         if end > first:
-            line += ',"adjustments":' + encode([[a, d] for _, a, d in entries[first:end]])
+            line += ',"adjustments":[%s]' % ",".join(['["%s",%s]' % (actor, delta)
+                                                      for _, actor, delta in entries[first:end]])
         yield line + _STATE % snapshot
 
 

@@ -33,14 +33,10 @@ KIND_NAMES = ("job_completion", "ws_demand_change", "lease_tick", "pbj_manage_ti
 
 
 class AdjustmentLog:
-    """Every dynamic request/release/provisioning of resources, in event order.
-    Two logs are equal when their entries are."""
+    """Every dynamic request/release/provisioning of resources, in event order."""
 
-    def __init__(self, entries: Optional[list[tuple[int, str, int]]] = None):
-        self.entries = [] if entries is None else entries
-
-    def __eq__(self, other: object) -> bool:
-        return self.entries == other.entries if isinstance(other, AdjustmentLog) else NotImplemented
+    def __init__(self):
+        self.entries: list[tuple[int, str, int]] = []
 
     def record(self, time: int, actor: str, delta: int) -> None:
         if delta == 0:
@@ -177,17 +173,15 @@ class ClusterState:
     def __init__(self, pool_size: int = 0, capacity: Optional[int] = None,
                  pbj_bound: Optional[int] = None, pbj_floor: int = 0, pbj_owned: int = 0,
                  ws_held: int = 0, pbj_pool: int = 0, ws_pool: int = 0, clock: int = 0,
-                 running: Optional[dict[int, tuple[Job, int, int]]] = None,
-                 running_alloc: int = 0, queue: Optional[JobQueue] = None,
-                 attempts: Optional[dict[int, int]] = None, recording: bool = True):
+                 running_alloc: int = 0):
         self.pool_size, self.capacity, self.pbj_bound = pool_size, capacity, pbj_bound
         self.pbj_floor, self.pbj_owned, self.ws_held = pbj_floor, pbj_owned, ws_held
         self.pbj_pool, self.ws_pool, self.clock = pbj_pool, ws_pool, clock
-        self.running = {} if running is None else running
+        self.running: dict[int, tuple[Job, int, int]] = {}
         self.running_alloc = running_alloc
-        self.queue = JobQueue() if queue is None else queue
-        self.attempts = {} if attempts is None else attempts
-        self.recording = recording  # the kernel clears it for a metrics-only run
+        self.queue = JobQueue()
+        self.attempts: dict[int, int] = {}
+        self.recording = True  # the kernel clears it for a metrics-only run
 
     @property
     def pbj_idle(self) -> int:

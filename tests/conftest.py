@@ -1,8 +1,10 @@
 import gc
+import io
 
 import pytest
 
 from provsim import PolicyParams, parse_demand_trace, parse_swf, scale_to_peak, window
+from provsim.simkernel import write_event_log
 from provsim.trace import DemandTrace, Job, JobTrace
 
 TRACES = None  # resolved lazily relative to this file
@@ -56,3 +58,10 @@ def make_jobs(specs, duration):
 
 def make_demand(samples):
     return DemandTrace(samples=tuple(samples))
+
+
+def log_text(result):
+    """A recorded run's event log, as ``write_event_log`` writes it."""
+    stream = io.StringIO()
+    write_event_log(result, stream)
+    return stream.getvalue()

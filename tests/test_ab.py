@@ -27,6 +27,16 @@ def test_parse_run_reads_the_info_and_result_lines():
                                     "unscaled": {"setup_s": 0.04}, "host": {"nproc": 2}}
 
 
+def test_parse_calls_reads_each_scenario_line():
+    stdout = ("long_dcs         DCS      events   47538  calls   402708  per event 8.47  "
+              "collector passes 0/0/0  young objects left 217 (pass 0.0 ms)\n"
+              "long_ec2rs       EC2RS    events   67511  calls   635268  per event 9.41  "
+              "collector passes 0/0/0  young objects left 48083 (pass 2.0 ms)\n")
+    assert ab.parse_calls("a warning\n" + stdout) == {
+        "long_dcs": {"events": 47538, "calls": 402708, "per_event": 8.47},
+        "long_ec2rs": {"events": 67511, "calls": 635268, "per_event": 9.41}}
+
+
 def test_summary_counts_the_pairs_each_tree_won():
     values = [(100, 110, 2.0, 1.9), (100, 105, 2.0, 2.0), (120, 100, 1.8, 2.2), (100, 120, 2.1, 1.7)]
     runs = [{"pair": i, "seed": 1, "first": "parent",

@@ -6,7 +6,6 @@ the real traces are present under traces/; otherwise it is skipped and the
 remaining criteria run on the repository's synthetic traces.
 """
 
-import json
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -19,9 +18,10 @@ from provsim.scenario import apply_axis, load_scenario, load_traces, run_scenari
 from provsim.state import AdjustmentLog, ClusterState
 from provsim.trace import Job
 
-from conftest import traces_dir
+from conftest import log_text, traces_dir
 from oracles import (
     check_conservation,
+    event_dicts_reference,
     greedy_kill_reference,
     integrate,
     job_times,
@@ -54,7 +54,7 @@ class TestCriterion1FbDcsOracleEquivalence:
     def test_fb_at_summed_config_equals_dcs(self, pbj_128, ws_128):
         dcs = run(pbj_128, ws_128, "DCS", BASELINE, record_events=True)
         fb = run(pbj_128, ws_128, "FB", BASELINE, config_size=256, record_events=True)
-        same_jobs = job_times(dcs.events) == job_times(fb.events)
+        same_jobs = job_times(event_dicts_reference(dcs)) == job_times(event_dicts_reference(fb))
         md, mf = dcs.metrics, fb.metrics
         same_metrics = (
             md.completed_jobs == mf.completed_jobs
@@ -74,7 +74,7 @@ class TestCriterion1FbDcsOracleEquivalence:
 class TestCriterion2Ec2Identity:
     def test_turnaround_equals_runtime(self, pbj_128, ws_128):
         result = run(pbj_128, ws_128, "EC2RS", BASELINE, record_events=True)
-        completions = [r for r in result.events if r["kind"] == "job_completion"]
+        completions = [r for r in event_dicts_reference(result) if r["kind"] == "job_completion"]
         exact = all(r["payload"]["turnaround"] == r["payload"]["runtime"] for r in completions)
         m = result.metrics
         means_equal = m.avg_turnaround_time == m.avg_execution_time
@@ -265,21 +265,20 @@ class TestCriterion7InvariantFuzz:
             jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
             first = run(jobs, demand, regime, params, record_events=True, **kwargs)
             second = run(jobs, demand, regime, params, record_events=True, **kwargs)
-            a = "\n".join(json.dumps(r, separators=(",", ":")) for r in first.events)
-            b = "\n".join(json.dumps(r, separators=(",", ":")) for r in second.events)
-            assert a == b, f"nondeterministic log for {regime} seed {seed}"
+            assert log_text(first) == log_text(second), f"nondeterministic log: {regime} {seed}"
             total_peak = jobs.peak_demand + demand.peak_demand
             floor = params.B * jobs.peak_demand // total_peak if total_peak else 0
             if regime != "FLB_NUB":
                 floor = 0
             config = kwargs.get("config_size", total_peak)
+            events = event_dicts_reference(first)
             check_conservation(
-                first.events, regime,
+                events, regime,
                 config_size=config, pbj_floor=floor, pool_size=params.B,
                 pbj_bound=jobs.peak_demand, ws_bound=demand.peak_demand,
             )
             curve = replay_consumption(
-                first.events, regime,
+                events, regime,
                 config_size=config, pool_size=params.B,
                 duration=jobs.window[1], pbj_floor=floor,
             )
@@ -287,8 +286,8 @@ class TestCriterion7InvariantFuzz:
             assert abs(oracle_total - first.metrics.total_consumption_node_seconds) <= 1
             snapshots = [{key: r["state"][key] for key in
                           ("queue_len", "queued_demand", "running_alloc")}
-                         for r in first.events]
-            assert replay_queue_accounting(first.events) == snapshots, seed
+                         for r in events]
+            assert replay_queue_accounting(events) == snapshots, seed
             checked += 1
         report(7, checked == 1000, f"{regime}: {checked} fuzzed scenarios clean")
 

@@ -698,9 +698,10 @@ class TestTraceErrors:
         assert not (workspace / "out").exists()
 
 
-class RecordingExecutor:
+class RecordingExecutor(concurrent.futures.Executor):
     """Stand-in for ProcessPoolExecutor: records max_workers, runs the
-    initializer and then every call inline."""
+    initializer and then every call inline. ``map`` and the context manager
+    are the base class's."""
 
     created = []
 
@@ -708,12 +709,6 @@ class RecordingExecutor:
         RecordingExecutor.created.append(max_workers)
         if initializer is not None:
             initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -821,12 +816,17 @@ class TestSweepCommand:
         rows = (workspace / "ord" / "tiny.sweep_B.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["tiny_B8", "tiny_B2", "tiny_B4"]
 
-    def test_failing_point_names_it(self, workspace, capsys):
+    def test_failing_point_names_it(self, workspace, capsys, monkeypatch):
+        """Two points fail; the one given first is named, also when a real pool
+        of two workers runs them and the later one may fail first."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "B", "--values", "4,-1",
-                     "--output-dir", str(workspace / "bad")])
-        assert code == EXIT_INVALID
-        assert "tiny_B-1" in capsys.readouterr().err
+        for workers in ("1", "2"):
+            code = main(["sweep", str(path), "--axis", "B", "--values", "4,-1,-2",
+                         "--workers", workers, "--output-dir", str(workspace / "bad")])
+            assert code == EXIT_INVALID
+            err = capsys.readouterr().err
+            assert "sweep point tiny_B-1 failed" in err and "tiny_B-2" not in err, workers
 
     @pytest.mark.parametrize("workers, pools", [("1", []), ("3", [2])])
     def test_repeated_value_runs_once(self, workspace, recording_executor, monkeypatch,

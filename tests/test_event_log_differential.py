@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 from provsim.scenario import load_scenario, load_traces, run_scenario_obj
-from provsim.simkernel import run, write_event_log
+from provsim.simkernel import run
 from provsim.state import REGIMES
 
+from conftest import log_text
 from oracles import event_dicts_reference, random_fuzz_setup, write_event_log_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,10 +35,9 @@ COVERED = {
 
 def logs(result):
     """(written log, reference log) of a recorded run."""
-    written, reference = io.StringIO(), io.StringIO()
-    write_event_log(result, written)
+    reference = io.StringIO()
     write_event_log_reference(event_dicts_reference(result), reference)
-    return written.getvalue(), reference.getvalue()
+    return log_text(result), reference.getvalue()
 
 
 @pytest.mark.parametrize("regime", REGIMES)

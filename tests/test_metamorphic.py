@@ -38,7 +38,7 @@ from provsim.simkernel import run
 from provsim.state import REGIMES
 from provsim.trace import DemandTrace, Job, JobTrace
 
-from oracles import random_fuzz_setup
+from oracles import event_dicts_reference, random_fuzz_setup
 
 SEEDS = range(25)
 FACTORS = (2, 3)
@@ -85,8 +85,9 @@ def test_time_scaling(regime, k):
         base = run(jobs, demand, regime, params, record_events=True, **kwargs)
         slow = run(slow_jobs, slow_demand, regime, params._replace(L=params.L * k),
                    record_events=True, **kwargs)
-        assert slow.events == [scaled(e, k, TIME_FIELDS, times=True, nodes=False)
-                               for e in base.events], seed
+        assert event_dicts_reference(slow) == [
+            scaled(e, k, TIME_FIELDS, times=True, nodes=False)
+            for e in event_dicts_reference(base)], seed
         a, b = base.metrics, slow.metrics
         assert (b.completed_jobs, b.incomplete_jobs, b.peak_consumption, b.adjustment_count) == (
             a.completed_jobs, a.incomplete_jobs, a.peak_consumption, a.adjustment_count), seed
@@ -106,8 +107,9 @@ def test_node_scaling(regime, k):
         base = run(jobs, demand, regime, params, record_events=True, **kwargs)
         big = run(big_jobs, big_demand, regime, params._replace(B=params.B * k),
                   record_events=True, **big_kwargs)
-        assert big.events == [scaled(e, k, NODE_FIELDS, times=False, nodes=True)
-                              for e in base.events], seed
+        assert event_dicts_reference(big) == [
+            scaled(e, k, NODE_FIELDS, times=False, nodes=True)
+            for e in event_dicts_reference(base)], seed
         a, b = base.metrics, big.metrics
         assert b.peak_consumption == k * a.peak_consumption, seed
         assert b.total_consumption_node_seconds == k * a.total_consumption_node_seconds, seed
@@ -157,7 +159,7 @@ def test_relabeled_jobs_change_only_the_ids(regime):
         base = run(jobs, demand, regime, params, record_events=True, **kwargs)
         more = run(relabeled, demand, regime, params, record_events=True, **kwargs)
         expected = []
-        for event in base.events:
+        for event in event_dicts_reference(base):
             event = dict(event)
             if "job_id" in event["payload"]:
                 event["payload"] = {**event["payload"],
@@ -166,5 +168,5 @@ def test_relabeled_jobs_change_only_the_ids(regime):
                 if key in event:
                     event[key] = [new_id[job_id] for job_id in event[key]]
             expected.append(event)
-        assert more.events == expected, seed
+        assert event_dicts_reference(more) == expected, seed
         assert (more.metrics, more.columns) == (base.metrics, base.columns), seed

@@ -18,6 +18,7 @@ from provsim.trace import DemandTrace, Job
 from conftest import make_demand, make_jobs
 from oracles import (
     ec2rs_closed_form,
+    event_dicts_reference,
     integrate,
     random_fuzz_setup,
     random_micro_scenario,
@@ -50,7 +51,7 @@ class TestConsumptionCurve:
         # Peaks 6 and 8 give a floor of 25*6//14 = 10 >= both job sizes.
         result = run(jobs, demand, "FLB_NUB", PolicyParams(B=25, L=200), record_events=True)
         assert all(r["state"]["pbj_external"] == r["state"]["ws_external"] == 0
-                   for r in result.events)
+                   for r in event_dicts_reference(result))
         assert result.metrics.peak_consumption == 25
         assert result.metrics.total_consumption_node_seconds == 25 * 1000
 
@@ -135,7 +136,8 @@ class TestOracleReplay:
             floor = params.B * jobs.peak_demand // total_peak if total_peak else 0
             duration = jobs.window[1]
             curve = replay_consumption(
-                result.events, regime, config_size=kwargs.get("config_size", total_peak),
+                event_dicts_reference(result), regime,
+                config_size=kwargs.get("config_size", total_peak),
                 pool_size=params.B, duration=duration,
                 pbj_floor=floor if regime == "FLB_NUB" else 0,
             )

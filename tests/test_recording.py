@@ -25,7 +25,7 @@ from provsim.simkernel import run, write_event_log
 from provsim.state import REGIMES, ClusterState
 from provsim.trace import DemandTrace, Job, JobTrace
 
-from oracles import random_fuzz_setup, replay_completions
+from oracles import event_dicts_reference, random_fuzz_setup, replay_completions
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "scenarios" / "synthetic").glob("*.json"))
@@ -49,11 +49,11 @@ def test_fuzzed_metrics_identical_with_recording_off(regime):
         jobs, demand, params, kwargs = random_fuzz_setup(regime, seed)
         recorded = run(jobs, demand, regime, params, record_events=True, **kwargs)
         plain = run(jobs, demand, regime, params, **kwargs)
-        assert plain.events is None
+        assert plain.records is None
         assert plain.metrics == recorded.metrics, seed
-        assert plain.adjustments == recorded.adjustments, seed
+        assert plain.adjustments.entries == recorded.adjustments.entries, seed
         m = plain.metrics
-        assert replay_completions(recorded.events) == (
+        assert replay_completions(event_dicts_reference(recorded)) == (
             m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time), seed
 
 
@@ -63,11 +63,11 @@ def test_shipped_scenarios_identical_with_recording_off(path):
     jobs, demand = load_traces(scenario)
     recorded = run_shipped(scenario, jobs, demand, record_events=True)
     plain = run_shipped(scenario, jobs, demand)
-    assert plain.events is None
+    assert plain.records is None
     assert plain.metrics == recorded.metrics
-    assert plain.adjustments == recorded.adjustments
+    assert plain.adjustments.entries == recorded.adjustments.entries
     m = plain.metrics
-    assert replay_completions(recorded.events) == (
+    assert replay_completions(event_dicts_reference(recorded)) == (
         m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time)
     # The reports are byte-identical to the recorded golden outputs.
     ident = {"name": scenario.name, **plain.columns}
@@ -82,8 +82,8 @@ def test_default_run_snapshots_once_per_event(monkeypatch):
     # recording, so every call returns None and builds nothing.
     cases = [(regime, seed, *random_fuzz_setup(regime, seed))
              for regime in REGIMES for seed in range(20)]
-    times = [[r["time"] for r in run(jobs, demand, regime, params, record_events=True,
-                                     **kwargs).events]
+    times = [[r["time"] for r in event_dicts_reference(
+                 run(jobs, demand, regime, params, record_events=True, **kwargs))]
              for regime, seed, jobs, demand, params, kwargs in cases]
     calls = []
     snapshot = ClusterState.snapshot
@@ -92,7 +92,7 @@ def test_default_run_snapshots_once_per_event(monkeypatch):
     for (regime, seed, jobs, demand, params, kwargs), expected in zip(cases, times):
         calls.clear()
         plain = run(jobs, demand, regime, params, **kwargs)
-        assert plain.events is None
+        assert plain.records is None
         assert calls == [(time, None) for time in expected], (regime, seed)
 
 
@@ -131,7 +131,7 @@ def test_metrics_only_run_retains_under_half_the_memory():
             peaks[record_events] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (result.events is None) != record_events
+        assert (result.records is None) != record_events
         del result
     assert peaks[False] < peaks[True] * 0.05, peaks
 

@@ -1,6 +1,5 @@
 import cProfile
 import gc
-import json
 import pstats
 import random
 import sys
@@ -16,9 +15,10 @@ from provsim.simkernel import run
 from provsim.state import ACTOR_PBJ, KIND_JOB_ARRIVAL, REGIMES, AdjustmentLog
 from provsim.trace import DemandTrace, Job, JobTrace
 
-from conftest import make_demand, make_jobs
+from conftest import log_text, make_demand, make_jobs
 from oracles import (
     check_conservation,
+    event_dicts_reference,
     integrate,
     job_times,
     random_fuzz_setup,
@@ -28,10 +28,6 @@ from oracles import (
 
 ZERO_WS = DemandTrace(samples=((0, 0),))
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios" / "synthetic"
-
-
-def serialize_events(events):
-    return "\n".join(json.dumps(r, separators=(",", ":")) for r in events)
 
 
 class TestEventOrder:
@@ -46,7 +42,7 @@ class TestEventOrder:
         jobs = make_jobs([(1, 0, 10, 1), (5, 10, 5, 1), (4, 10, 5, 1)], duration=100)
         demand = make_demand([(0, 0), (10, 1)])
         result = run(jobs, demand, "FLB_NUB", PolicyParams(B=4, L=10), record_events=True)
-        at_10 = [r for r in result.events if r["time"] == 10]
+        at_10 = [r for r in event_dicts_reference(result) if r["time"] == 10]
         assert [r["kind"] for r in at_10] == ["job_completion", "ws_demand_change", "lease_tick",
                                               "pbj_manage_tick", "job_arrival", "job_arrival"]
         assert [r["payload"]["job_id"] for r in at_10 if r["kind"] == "job_arrival"] == [5, 4]
@@ -58,7 +54,7 @@ class TestEventOrder:
         jobs = make_jobs([(1, 0, 10, 4), (2, 10, 5, 4)], duration=100)
         demand = make_demand([(0, 2), (10, 4)])
         result = run(jobs, demand, "FB", PolicyParams(L=10), config_size=8, record_events=True)
-        at_10 = [r for r in result.events if r["time"] == 10]
+        at_10 = [r for r in event_dicts_reference(result) if r["time"] == 10]
         assert [r["kind"] for r in at_10] == ["job_completion", "ws_demand_change", "lease_tick",
                                               "job_arrival"]
         assert at_10[-1]["started"] == [2]
@@ -66,11 +62,12 @@ class TestEventOrder:
     def test_job_submitted_after_window_end_is_never_processed(self):
         jobs = make_jobs([(1, 0, 10, 1), (2, 101, 5, 1), (3, 100, 5, 1)], duration=100)
         result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
-        arrivals = [(r["time"], r["payload"]["job_id"]) for r in result.events
+        events = event_dicts_reference(result)
+        arrivals = [(r["time"], r["payload"]["job_id"]) for r in events
                     if r["kind"] == "job_arrival"]
         # Jobs arrive in [0, duration): one submitted at the window end never does.
         assert arrivals == [(0, 1)]
-        assert result.events[-1]["time"] == 10
+        assert events[-1]["time"] == 10
         assert (result.metrics.completed_jobs, result.metrics.incomplete_jobs) == (1, 2)
 
     @pytest.mark.parametrize("regime", REGIMES)
@@ -79,11 +76,12 @@ class TestEventOrder:
         demand = make_demand([(0, 1), (100, 3), (101, 5)])
         kwargs = {"config_size": 8} if regime == "FB" else {}
         result = run(empty, demand, regime, PolicyParams(B=2, L=50), record_events=True, **kwargs)
-        changes = [(r["time"], r["payload"]["demand"]) for r in result.events
+        events = event_dicts_reference(result)
+        changes = [(r["time"], r["payload"]["demand"]) for r in events
                    if r["kind"] == "ws_demand_change"]
         assert changes == [(0, 1), (100, 3)]
-        assert result.events[-1]["time"] == 100
-        ticks = [r["time"] for r in result.events if r["kind"] == "lease_tick"]
+        assert events[-1]["time"] == 100
+        ticks = [r["time"] for r in events if r["kind"] == "lease_tick"]
         assert ticks == ([] if regime in ("DCS", "EC2RS") else [0, 50, 100])
 
 
@@ -117,22 +115,23 @@ class TestRunBasics:
     def test_queued_job_waits_for_capacity(self):
         jobs = make_jobs([(1, 0, 50, 4), (2, 10, 20, 4)], duration=200)
         result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
-        starts, completions = job_times(result.events)
+        starts, completions = job_times(event_dicts_reference(result))
         assert starts[1] == [0] and completions[1] == 50
         assert starts[2] == [50] and completions[2] == 70
 
     def test_completion_processed_before_same_time_arrival(self):
         jobs = make_jobs([(1, 0, 10, 4), (2, 10, 5, 4)], duration=100)
         result = run(jobs, ZERO_WS, "DCS", PolicyParams(), record_events=True)
-        starts, _ = job_times(result.events)
+        events = event_dicts_reference(result)
+        starts, _ = job_times(events)
         assert starts[2] == [10]  # freed nodes visible to the arrival at t=10
-        kinds = [(r["time"], r["kind"]) for r in result.events if r["time"] == 10]
+        kinds = [(r["time"], r["kind"]) for r in events if r["time"] == 10]
         assert kinds == [(10, "job_completion"), (10, "job_arrival")]
 
     def test_job_never_starts_before_submit(self):
         jobs = make_jobs([(1, 30, 10, 1)], duration=100)
         result = run(jobs, ZERO_WS, "FLB_NUB", PolicyParams(B=4, L=10), record_events=True)
-        starts, _ = job_times(result.events)
+        starts, _ = job_times(event_dicts_reference(result))
         assert starts[1][0] >= 30
 
     def test_window_end_cuts_completions(self):
@@ -188,12 +187,13 @@ class TestFbScenarios:
         jobs = make_jobs([(1, 0, 1000, 2)], duration=1200)
         demand = make_demand([(0, 8), (150, 2)])
         result = run(jobs, demand, "FB", PolicyParams(L=600), config_size=10, record_events=True)
-        owned = [(r["time"], r["state"]["pbj_owned"]) for r in result.events]
+        events = event_dicts_reference(result)
+        owned = [(r["time"], r["state"]["pbj_owned"]) for r in events]
         assert (150, 2) in owned          # drop instant: batch still at bound 2
         by_time = dict(owned)
         assert by_time[150] == 2
         assert by_time[600] == 2          # bound is 2, nothing more to take
-        free_at = {r["time"]: r["state"]["free"] for r in result.events}
+        free_at = {r["time"]: r["state"]["free"] for r in events}
         assert free_at[150] == 6
 
     def test_kill_restart_counts_once(self):
@@ -203,12 +203,13 @@ class TestFbScenarios:
         result = run(jobs, demand, "FB", PolicyParams(L=300), config_size=8, record_events=True)
         m = result.metrics
         assert m.completed_jobs == 1
-        starts, completions = job_times(result.events)
+        events = event_dicts_reference(result)
+        starts, completions = job_times(events)
         assert starts[1] == [0, 300]      # killed at 50, restarted at the 300s tick
         assert completions[1] == 400
         assert m.avg_turnaround_time == 400.0
         assert m.avg_execution_time == 100.0  # trace runtime, not wall occupancy
-        killed = [r for r in result.events if r.get("killed")]
+        killed = [r for r in events if r.get("killed")]
         assert len(killed) == 1 and killed[0]["time"] == 50
 
 
@@ -218,7 +219,7 @@ class TestDeterminism:
             jobs, demand = random_micro_scenario(seed)
             a = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300), record_events=True)
             b = run(jobs, demand, "FLB_NUB", PolicyParams(B=10, L=300), record_events=True)
-            assert serialize_events(a.events) == serialize_events(b.events)
+            assert log_text(a) == log_text(b)
 
     def test_identical_reports(self):
         jobs, demand = random_micro_scenario(99)
@@ -241,14 +242,15 @@ class TestConservationAndOracle:
             floor = params.B * jobs.peak_demand // config if config else 0
             if regime != "FLB_NUB":
                 floor = 0
+            events = event_dicts_reference(result)
             check_conservation(
-                result.events, regime,
+                events, regime,
                 config_size=config, pbj_floor=floor, pool_size=params.B,
                 pbj_bound=jobs.peak_demand, ws_bound=demand.peak_demand,
             )
             duration = jobs.window[1]
             oracle_curve = replay_consumption(
-                result.events, regime,
+                events, regime,
                 config_size=config, pool_size=params.B,
                 duration=duration, pbj_floor=floor,
             )
@@ -265,7 +267,7 @@ class TestFbDcsEquivalence:
             params = PolicyParams(L=300)
             a = run(jobs, demand, "DCS", params, record_events=True)
             b = run(jobs, demand, "FB", params, config_size=config, record_events=True)
-            assert job_times(a.events) == job_times(b.events)
+            assert job_times(event_dicts_reference(a)) == job_times(event_dicts_reference(b))
             ma, mb = a.metrics, b.metrics
             assert (ma.completed_jobs, ma.avg_execution_time, ma.avg_turnaround_time) == (
                 mb.completed_jobs, mb.avg_execution_time, mb.avg_turnaround_time
@@ -299,7 +301,7 @@ class TestTraceOrder:
             sorted_demand = demand._replace(samples=tuple(sorted(samples, key=lambda s: s[0])))
             a = run(unsorted_jobs, unsorted_demand, regime, params, record_events=True, **kwargs)
             b = run(sorted_jobs, sorted_demand, regime, params, record_events=True, **kwargs)
-            assert serialize_events(a.events) == serialize_events(b.events), seed
+            assert log_text(a) == log_text(b), seed
             assert a.metrics == b.metrics, seed
 
     @pytest.mark.parametrize("regime", REGIMES)
@@ -314,22 +316,22 @@ class TestTraceOrder:
         swapped = run(make_jobs(specs, 1200), demand, regime, params, record_events=True, **kwargs)
         ordered = run(make_jobs(sorted(specs, key=lambda s: s[1]), 1200), demand, regime, params,
                       record_events=True, **kwargs)
-        assert [e["payload"]["job_id"] for e in swapped.events
+        assert [e["payload"]["job_id"] for e in event_dicts_reference(swapped)
                 if e["kind"] == "job_arrival"] == [1, 2, 3, 4, 6, 5]
-        assert serialize_events(swapped.events) == serialize_events(ordered.events)
+        assert log_text(swapped) == log_text(ordered)
 
 
 class TestCallBudget:
     """The kernel's fixed cost per event, as Python calls counted by cProfile:
     exact, so unlike a timing it does not vary between runs. Each ceiling is
-    the count measured on two days of a shipped scenario (DCS 8.64, FB 10.03,
-    FLB_NUB 11.96, EC2RS 9.52) plus a margin of 0.1. Every one of these runs
+    the count measured on two days of a shipped scenario (DCS 7.64, FB 9.03,
+    FLB_NUB 10.96, EC2RS 9.52) plus a margin of 0.1. Every one of these runs
     has at least 0.25 arrivals per event, and starts as many jobs as arrive,
     so a change that adds a call per event, per arrival or per job started
     fails here; the test checks that the margin stays below that rate."""
 
-    MEASURED = {"synthetic_dcs_256": 8.64, "synthetic_fb_152": 10.03,
-                "synthetic_flb_baseline": 11.96, "synthetic_ec2rs": 9.52}
+    MEASURED = {"synthetic_dcs_256": 7.64, "synthetic_fb_152": 9.03,
+                "synthetic_flb_baseline": 10.96, "synthetic_ec2rs": 9.52}
     MARGIN = 0.1
 
     @pytest.mark.parametrize("stem", sorted(MEASURED))
