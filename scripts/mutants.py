@@ -98,6 +98,19 @@ MUTANTS = [
      "if job is None or job.size > idle:", "if job is None:"),
     ("swf-comment-whole-field", "trace.py",
      'if not fields or fields[0][0] == ";":', 'if not fields or fields[0] == ";":'),
+    ("swf-block-nul-in-line-kept", "trace.py",
+     'joined.count("\\x00") != n - 1 or len(tokens)', 'False or len(tokens)'),
+    ("swf-block-cadence-unchecked", "trace.py",
+     'or tokens[18::19].count("\\x00") != n - 1):', "or False):"),
+    ("swf-block-bound-unchecked", "trace.py",
+     "if not all(-2**53 < min(column) and max(column) < 2**53 for column in columns):",
+     "if False:"),
+    ("swf-block-no-requested-fallback", "trace.py",
+     "sizes = allocs if min(allocs) > 0 else", "sizes = allocs if True else"),
+    ("swf-block-none-dropped", "trace.py",
+     "if min(runtimes) <= 0 or min(sizes) <= 0 or min(submits) < 0:", "if False:"),
+    ("swf-block-earlier-ids-ignored", "trace.py",
+     "or not seen_ids.isdisjoint(kept)", "or False"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

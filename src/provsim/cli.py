@@ -182,6 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(args.workers, len(distinct), os.cpu_count() or 1)
     rows: dict[str, str] = {}
     with ExitStack() as stack:
+        stack.callback(_share_traces, {})  # this process holds them only while the sweep runs
         if workers > 1:
             pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_share_traces, initargs=(shaped,)))

@@ -5,7 +5,8 @@ Parallel Workloads Archive's Standard Workload Format (SWF), and
 web-service node-demand traces as two-column CSV. All shaping helpers
 (window, normalize_cpus, scale_to_peak) are pure and return new traces, or
 share their input's entries where a step changes nothing: loaded traces are
-immutable, so sharing is safe, also between sweep workers.
+immutable, so sharing is safe, also between sweep workers. `parse_swf` reads a
+regular block of SWF lines column by column, and any other block line by line.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _F_RUNTIME = 3
 _F_ALLOC = 4
 _F_REQUESTED = 7
 _SWF_MIN_FIELDS = 18
+_BLOCK = 1024  # data lines per block of parse_swf's column-wise read
 _SIZE = itemgetter(3)  # a Job's size
 _SUBMIT = _DEMAND = itemgetter(1)  # a Job's submit time, a demand sample's demand
 
@@ -97,7 +99,53 @@ def parse_swf(text: str) -> JobTrace:
     """
     jobs: list[Job] = []
     seen_ids: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    # Blocks start past the header's comments and blank lines.
+    start = next((i for i, raw in enumerate(lines) if raw.lstrip()[:1] not in ("", ";")), 0)
+    for first in range(start, len(lines), _BLOCK):
+        block = lines[first:first + _BLOCK]
+        if not _swf_block(block, seen_ids, jobs):
+            _swf_lines(block, first + 1, seen_ids, jobs)
+    if not jobs:
+        raise EmptyTraceError("SWF trace contains no usable jobs after filtering")
+    jobs.sort(key=_SUBMIT)
+    return JobTrace(jobs=tuple(jobs), window=(0, jobs[-1].submit_time))
+
+
+def _swf_block(lines: list[str], seen_ids: set[int], jobs: list[Job]) -> bool:
+    """Add a block's jobs and ids, read column by column, if every line has exactly 18
+    fields, the read ones integers strictly between -2**53 and 2**53, and the kept ids
+    are new; else change nothing and return False, for `_swf_lines` to read the block."""
+    n = len(lines)
+    joined = " \x00 ".join(lines)  # NUL is no whitespace: a token of its own between lines
+    tokens = joined.split()
+    if (joined.count("\x00") != n - 1 or len(tokens) != 19 * n - 1  # a NUL within a line, or
+            or tokens[18::19].count("\x00") != n - 1):  # a line without exactly 18 fields
+        return False
+    try:
+        columns = [list(map(int, tokens[field::19]))
+                   for field in (_F_ID, _F_SUBMIT, _F_RUNTIME, _F_ALLOC, _F_REQUESTED)]
+    except ValueError:
+        return False
+    if not all(-2**53 < min(column) and max(column) < 2**53 for column in columns):
+        return False
+    ids, submits, runtimes, allocs, requested = columns
+    sizes = allocs if min(allocs) > 0 else [a if a > 0 else r for a, r in zip(allocs, requested)]
+    rows = zip(ids, submits, runtimes, sizes)
+    if min(runtimes) <= 0 or min(sizes) <= 0 or min(submits) < 0:  # the drop rule
+        rows = [row for row in rows if row[2] > 0 and row[3] > 0 and row[1] >= 0]
+        ids = [row[0] for row in rows]
+    kept = set(ids)
+    if len(kept) != len(ids) or not seen_ids.isdisjoint(kept):
+        return False  # a duplicate id
+    seen_ids.update(kept)
+    jobs.extend(map(tuple.__new__, [Job] * len(ids), rows))
+    return True
+
+
+def _swf_lines(lines: list[str], lineno: int, seen_ids: set[int], jobs: list[Job]) -> None:
+    """Add the jobs and ids of ``lines``, the first being line ``lineno``, line by line."""
+    for lineno, raw in enumerate(lines, start=lineno):
         fields = raw.split()
         if not fields or fields[0][0] == ";":
             continue
@@ -123,10 +171,6 @@ def parse_swf(text: str) -> JobTrace:
             raise TraceParseError(f"SWF line {lineno}: duplicate job id {job_id}")
         seen_ids.add(job_id)
         jobs.append(Job(job_id, submit, runtime, size))
-    if not jobs:
-        raise EmptyTraceError("SWF trace contains no usable jobs after filtering")
-    jobs.sort(key=_SUBMIT)
-    return JobTrace(jobs=tuple(jobs), window=(0, jobs[-1].submit_time))
 
 
 def parse_demand_trace(text: str) -> DemandTrace:

@@ -256,7 +256,9 @@ def test_cli_import_loads_only_what_run_uses():
     # logging) and the agreement parser load in the commands that use them.
     code = "import sys, provsim.cli; print(*sorted(sys.modules))"
     src = str(Path(cli.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+    # No bytecode written: a run must leave the tree as it found it.
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     unused = {"dataclasses", "inspect", "concurrent.futures", "provsim.agreement"}
     assert unused.isdisjoint(done.stdout.split()), unused.intersection(done.stdout.split())
@@ -454,6 +456,16 @@ class TestThresholdU:
         err = capsys.readouterr().err
         assert "sweep point tiny_U0.5" in err and "threshold ratio U" in err
         assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("values, status", [("1.2", EXIT_OK), ("1.2,0.5", EXIT_INVALID)],
+                         ids=["succeeds", "fails"])
+def test_in_process_sweep_lets_go_of_its_traces(workspace, values, status):
+    path = write_scenario(workspace)
+    code = main(["sweep", str(path), "--axis", "U", "--values", values,
+                 "--output-dir", str(workspace / "out")])
+    assert code == status
+    assert cli._shaped_traces == {}
 
 
 class TestFractionalFields:

@@ -353,11 +353,11 @@ class TestCallBudget:
 class TestSetupCallBudget:
     """Trace setup's cost per entry, counted the same way: cProfile's calls in
     ``load_traces`` on synthetic_fb_152 over its jobs plus demand samples. The
-    ceiling is the measured 5.19 plus 0.5, so a change that adds a call per
+    ceiling is the measured 0.96 plus 0.5, so a change that adds a call per
     parsed line, or rebuilds the jobs when scaling leaves their sizes as they
     are, fails here."""
 
-    CEILING = 5.69
+    CEILING = 1.46
 
     def test_load_traces_calls_per_entry_within_ceiling(self):
         scenario = load_scenario(SCENARIOS / "synthetic_fb_152.json")

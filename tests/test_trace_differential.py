@@ -10,6 +10,7 @@ ids and unsorted submit times.
 import tempfile
 from pathlib import Path
 
+import pytest
 from conftest import traces_dir
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from oracles import (
     window_reference,
 )
 
+import provsim.trace
 from provsim.cli import EXIT_INVALID, EXIT_OK, main
 from provsim.metrics import csv_header, report_to_csv_row, report_to_json
 from provsim.policies import parse_params
@@ -174,6 +176,70 @@ class TestParsersMatchReference:
             for text in (first, f"\n{first}\n5,2\n", f"0,1\n{first}\n"):
                 assert (outcome(parse_demand_trace, text)
                         == outcome(parse_demand_trace_reference, text)), text
+
+
+PBJ_LINES = (traces_dir() / "synthetic_pbj.swf").read_text().splitlines()
+PBJ_DATA = range(3, len(PBJ_LINES) - 1)  # data lines followed by another
+SWF_EDITS = ["17 fields", "19 fields", "a field moved to the next line", "1.0", "2**53 + 1",
+             "a repeated id", "runtime -1", "alloc -1", "a comment line", "a blank line",
+             "a NUL byte", "a NUL token for a line break"]
+
+
+def edited_pbj(kind, k, j, read, field):
+    """The synthetic SWF trace with one edit of ``kind`` at data line ``k`` (line
+    ``j`` gives a repeated id, ``read`` the read field, ``field`` any field)."""
+    lines = list(PBJ_LINES)
+    fields, following = lines[k].split(), lines[k + 1].split()
+    if kind == "17 fields":
+        fields.pop()
+    elif kind == "19 fields":
+        fields.append("-1")
+    elif kind == "a field moved to the next line":  # 17 then 19: the block's token count holds
+        following.append(fields.pop())
+    elif kind == "1.0":
+        fields[read] += ".0"
+    elif kind == "2**53 + 1":  # int reads it exactly, the float fallback as 2**53
+        fields[read] = str(2**53 + 1)
+    elif kind == "a repeated id":
+        fields[0] = lines[j].split()[0]
+    elif kind == "runtime -1":
+        fields[3] = "-1"
+    elif kind == "alloc -1":  # the requested count is the size
+        fields[4] = "-1"
+    elif kind == "a NUL byte":
+        fields[field] += "\x00"
+    elif kind == "a NUL token for a line break":  # 21 fields, then 15: 19 tokens a line still
+        fields += ["\x00", *following[:2]]
+        following = following[3:]
+    lines[k:k + 2] = [" ".join(fields), " ".join(following)]
+    if kind in ("a comment line", "a blank line"):
+        lines.insert(k, "; comment" if kind == "a comment line" else "")
+    return "\n".join(lines) + "\n"
+
+
+class TestSwfBlocksMatchReference:
+    """`parse_swf` reads a regular block of lines column by column and any other
+    line by line; either way it matches the line-by-line reference."""
+
+    @derandomized(50)
+    @given(swf_text())
+    def test_short_blocks(self, text):
+        """Blocks of 1, 2 and 3 lines: the short texts span several blocks, with
+        duplicate ids within and across blocks."""
+        expected = outcome(parse_swf_reference, text)
+        for block in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(provsim.trace, "_BLOCK", block)
+                assert outcome(parse_swf, text) == expected, block
+
+    @pytest.mark.parametrize("kind", SWF_EDITS)
+    @derandomized(2)
+    @given(st.sampled_from(PBJ_DATA), st.sampled_from(PBJ_DATA), st.sampled_from(READ_FIELDS),
+           st.integers(0, 17))
+    def test_synthetic_trace_with_one_edit(self, kind, k, j, read, field):
+        """The committed trace, 7 blocks at the default size, with one edit."""
+        text = edited_pbj(kind, k, j, read, field)
+        assert outcome(parse_swf, text) == outcome(parse_swf_reference, text)
 
 
 class TestShapingMatchesReference:
