@@ -26,7 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # (name, file below src/provsim, source text, mutated text). The source text
-# must occur exactly once in the file and lie within one line.
+# must occur exactly once in the file and lie within one line; the mutated text
+# may span several.
 MUTANTS = [
     ("flb-release-at-V", "policies.py",
      "if queued < params.V * owned:", "if queued <= params.V * owned:"),
@@ -71,8 +72,18 @@ MUTANTS = [
     ("kernel-collector-not-paused", "simkernel.py", "gc.disable()", "pass"),
     ("cli-collector-resumed-before-reports", "cli.py", "with collector_paused():", "if True:"),
     ("cli-records-held-when-collector-resumes", "cli.py", "del result", "pass"),
-    ("sweep-points-out-of-results-order", "cli.py",
+    ("sweep-walk-not-in-value-order", "cli.py",
      "for point in distinct:", "for point in reversed(distinct):"),
+    ("sweep-shares-in-blocks", "cli.py",
+     "distinct[k::workers]", "distinct[k * len(distinct) // workers:(k + 1) * len(distinct) // workers]"),
+    ("sweep-share-runs-past-failure", "cli.py",
+     "return  # at the first failure", "continue  # at the first failure"),
+    ("sweep-children-unreaped-on-raise", "cli.py",
+     "    finally:  # also when this process's share raises",
+     "    except BaseException:\n        raise\n    else:"),
+    ("sweep-child-returns", "cli.py", "os._exit(0)", "pass"),
+    ("sweep-forks-without-os-fork", "cli.py", 'if hasattr(os, "fork") else 1', "if True else 1"),
+    ("sweep-dead-worker-unnamed", "cli.py", "failure if ended else", "failure if True else"),
     ("cli-pool-imported-by-every-command", "cli.py",
      "import argparse", "import argparse, concurrent.futures"),
     ("scale-identity-always", "trace.py",

@@ -5,8 +5,9 @@ Runs the tier-1 suite (``pytest -q tests``) in this process with a
 ``sys.settrace`` line collector, then prints each statement of
 ``src/provsim`` that never ran, as ``path:line: source``, and a count.
 Standard library only; it takes several times as long as tier-1 itself.
-Code that runs only in a forked sweep worker is not seen, but every sweep
-point also runs in the serial path that tier-1 takes.
+A forked child, such as a sweep worker, hands the lines it ran to this
+process when it leaves through ``os._exit``; a child killed by a signal adds
+nothing.
 
 Run from anywhere:  python3 scripts/reach.py [extra pytest arguments]
 Exit status: 0 when every statement outside ALLOWED is reached, 1 when
@@ -16,8 +17,10 @@ some are not, and pytest's own status when the suite fails.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -98,15 +101,31 @@ def collect(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         lines.add(frame.f_lineno)
         return lines
 
+    parent, exit_now = os.getpid(), os._exit
+    dumps = tempfile.TemporaryDirectory(prefix="provsim-reach-")
+
+    def leave(status):
+        """``os._exit`` that first writes a forked child's lines for the parent."""
+        if os.getpid() != parent:
+            lines = {filename: sorted(ran) for filename, ran in hits.items()}
+            Path(dumps.name, str(os.getpid())).write_text(json.dumps(lines))
+        exit_now(status)
+
     import pytest  # before tracing, so that only provsim's own code is followed
 
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
+    os._exit = leave
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "tests", *pytest_args])
     finally:
         sys.settrace(None)
+        os._exit = exit_now
+    with dumps:
+        for dump in Path(dumps.name).iterdir():
+            for filename, ran in json.loads(dump.read_text()).items():
+                hits.setdefault(filename, _Lines()).update(ran)
     return int(status), hits
 
 

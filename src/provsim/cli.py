@@ -3,14 +3,17 @@
 Exit codes: 0 success, 2 validation/parse problems (bad scenario, bad trace,
 bad agreement, missing file), 3 infeasible scenario, 1 anything else.
 The PROVSIM_OUTPUT_DIR environment variable overrides where reports land.
+A sweep runs in N = min(--workers, points, CPUs) processes (1 without os.fork):
+process k, the parent being 0, runs every N-th distinct point from the k-th.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -147,24 +150,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_shaped_traces: dict[tuple, tuple] = {}  # a sweep's shaped traces by peak tuple
-
-
-def _share_traces(shaped: dict[tuple, tuple]) -> None:
-    """Keep a sweep's shaped traces for this process's points. The pool's initializer:
-    forked workers inherit ``shaped``, spawned ones unpickle it once each."""
-    global _shaped_traces
-    _shaped_traces = shaped
-
-
-def _run_sweep_point(point: Scenario) -> str:
-    result = run_scenario_obj(point, _shaped_traces[point.prc_pbj, point.prc_ws])
-    return report_to_csv_row(result.metrics, {"name": point.name, **result.columns})
+def _run_share(share: list[Scenario], shaped: dict[tuple, tuple], out) -> None:
+    """Run ``share`` in order, writing each point's CSV row and a newline to
+    ``out``, up to its first failure; then a NUL and the failure's text, if any."""
+    for point in share:
+        try:
+            result = run_scenario_obj(point, shaped[point.prc_pbj, point.prc_ws])
+        except Exception as exc:
+            detail = exc if isinstance(exc, ProvsimError) else f"{type(exc).__name__}: {exc}"
+            out.write(f"\0{detail}")
+            return  # at the first failure
+        out.write(report_to_csv_row(result.metrics, {"name": point.name, **result.columns}) + "\n")
+    out.write("\0")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import concurrent.futures  # only this command needs it
-
     if args.workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     base = load_scenario(args.scenario)
@@ -177,31 +177,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     read = read_traces(base)
     by_peaks = {(p.prc_pbj, p.prc_ws): p for p in distinct}
     shaped = {peaks: scale_traces(p, read) for peaks, p in by_peaks.items()}
-    # The pool forks all its workers at once: never more than there are
-    # points to run or CPUs to run them on.
-    workers = min(args.workers, len(distinct), os.cpu_count() or 1)
-    rows: dict[str, str] = {}
-    with ExitStack() as stack:
-        stack.callback(_share_traces, {})  # this process holds them only while the sweep runs
-        if workers > 1:
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_share_traces, initargs=(shaped,)))
-            results = pool.map(_run_sweep_point, distinct)
-        else:
-            _share_traces(shaped)
-            results = map(_run_sweep_point, distinct)
-        # Results come in the points' order, so the first failing point (also on
-        # a dead worker, BrokenProcessPool) exits as a SweepError naming it; the
-        # cause keeps the worker's traceback.
-        try:
-            for point in distinct:
-                rows[point.name] = next(results)
-        except Exception as exc:
-            detail = exc if isinstance(exc, ProvsimError) else f"{type(exc).__name__}: {exc}"
-            raise SweepError(f"sweep point {point.name} failed: {detail}") from exc
+    workers = min(args.workers, len(distinct), os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    shares = [distinct[k::workers] for k in range(workers)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, mine = [], io.StringIO()
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a child leaves by os._exit: no cleanup, no flush
+                try:
+                    with open(write_end, "w", buffering=1, encoding="utf-8") as pipe:
+                        _run_share(share, shaped, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        _run_share(shares[0], shaped, mine)
+    finally:  # also when this process's share raises
+        texts = [mine.getvalue()]
+        for pid, read_end in children:
+            with open(read_end, encoding="utf-8", errors="replace") as pipe:
+                texts.append(pipe.read())
+            os.waitpid(pid, 0)
+    rows, failures = {}, {}
+    for share, text in zip(shares, texts):
+        head, ended, failure = text.partition("\0")
+        done = head.split("\n")[:-1]  # a dead child's last line may be cut short
+        rows.update(zip(share, done))  # the first point left without a row failed
+        failures.update(zip(share[len(done):], [failure if ended else "its worker process died"]))
+    for point in distinct:  # in value order, whichever process ran the point
+        if point not in rows:
+            raise SweepError(f"sweep point {point.name} failed: {failures[point]}")
     out_dir = _output_dir(args.output_dir, base)
     merged = out_dir / f"{base.name}.sweep_{args.axis}.csv"
-    lines = [csv_header(), *(rows[point.name] for point in points)]  # in given-value order
+    lines = [csv_header(), *(rows[point] for point in points)]  # in given-value order
     with _report_dir(out_dir):
         merged.write_text("\n".join(lines) + "\n")
     print(f"{base.name}: swept {args.axis} over {len(points)} points")
@@ -250,10 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--values", required=True,
         help="comma-separated values (L in minutes; tuple as pbj:ws pairs)",
     )
-    sweep_p.add_argument(
-        "--workers", type=int, default=1,
-        help="concurrent sweep workers (capped at the point count and the CPU count)",
-    )
+    sweep_p.add_argument("--workers", type=int, default=1,
+                         help="sweep processes, this one included (capped at points and CPUs)")
     sweep_p.add_argument("--output-dir", default=None, help=f"report directory (or ${OUTPUT_DIR_ENV})")
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -1,11 +1,11 @@
-import concurrent.futures
 import gc
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,7 @@ from provsim import cli
 from provsim.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from provsim.errors import KernelError, ScenarioError
 from provsim.scenario import apply_axis, load_scenario
-from provsim.trace import parse_demand_trace, parse_swf
+from provsim.trace import JobTrace, parse_demand_trace, parse_swf
 
 TINY_SWF = "\n".join(
     [
@@ -252,8 +252,8 @@ def test_shipped_scenario_loads(path):
 def test_cli_import_loads_only_what_run_uses():
     # Every configuration is one provsim process, so each import is paid per
     # command: the record classes are NamedTuples and plain classes, not
-    # dataclasses (which load inspect), and the process pool (which loads
-    # logging) and the agreement parser load in the commands that use them.
+    # dataclasses (which load inspect), a sweep forks its own workers (no
+    # process pool), and the agreement parser loads in the command that uses it.
     code = "import sys, provsim.cli; print(*sorted(sys.modules))"
     src = str(Path(cli.__file__).resolve().parent.parent)
     # No bytecode written: a run must leave the tree as it found it.
@@ -262,6 +262,43 @@ def test_cli_import_loads_only_what_run_uses():
                           capture_output=True, text=True, check=True)
     unused = {"dataclasses", "inspect", "concurrent.futures", "provsim.agreement"}
     assert unused.isdisjoint(done.stdout.split()), unused.intersection(done.stdout.split())
+
+
+# provsim's console entry point with os.fork counted and two CPUs, so that
+# `--workers 2` forks on any host; it prints the forks and the loaded modules.
+COUNTED_FORKS_MAIN = """
+import os, sys
+real_fork, forked = os.fork, []
+
+def fork():
+    pid = real_fork()
+    forked.append(pid)
+    return pid
+
+os.fork, os.cpu_count = fork, lambda: 2
+from provsim.cli import main
+code = main(sys.argv[1:])
+print(len(forked), *sorted(sys.modules))
+sys.exit(code)
+"""
+
+
+def test_sweep_with_two_workers_loads_no_process_pool(workspace):
+    # A sweep forks its workers itself: concurrent.futures would pull in
+    # multiprocessing and logging, paid by every sweep command.
+    path = write_scenario(workspace)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", COUNTED_FORKS_MAIN, "sweep", str(path), "--axis", "L",
+         "--values", "1,2", "--workers", "2", "--output-dir", str(workspace / "out")],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    forks, *modules = done.stdout.splitlines()[-1].split()
+    assert forks == "1"
+    pool = {"concurrent.futures", "multiprocessing", "logging"}
+    assert pool.isdisjoint(modules), pool.intersection(modules)
+    assert (workspace / "out" / "tiny.sweep_L.csv").exists()
 
 
 def fb_152_two_days(tmp_path):
@@ -460,12 +497,13 @@ class TestThresholdU:
 
 @pytest.mark.parametrize("values, status", [("1.2", EXIT_OK), ("1.2,0.5", EXIT_INVALID)],
                          ids=["succeeds", "fails"])
-def test_in_process_sweep_lets_go_of_its_traces(workspace, values, status):
+def test_in_process_sweep_lets_go_of_its_traces(workspace, forks, values, status):
+    # forks.sweep checks that no provsim.cli global holds a JobTrace afterwards.
     path = write_scenario(workspace)
-    code = main(["sweep", str(path), "--axis", "U", "--values", values,
-                 "--output-dir", str(workspace / "out")])
+    code = forks.sweep(["sweep", str(path), "--axis", "U", "--values", values,
+                        "--output-dir", str(workspace / "out")])
     assert code == status
-    assert cli._shaped_traces == {}
+    assert forks.children == []
 
 
 class TestFractionalFields:
@@ -693,7 +731,7 @@ class TestTraceErrors:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sweep_trace_error_fails_before_any_point(self, workspace, capsys, monkeypatch,
-                                                      recording_executor, workers):
+                                                      forks, workers):
         lines = TINY_SWF.splitlines()
         lines[2] = "2 30 -1 sixty 4 -1 -1 4 -1 -1 1 1 1 1 1 1 -1 -1"
         (workspace / "jobs.swf").write_text("\n".join(lines) + "\n")
@@ -701,102 +739,227 @@ class TestTraceErrors:
         monkeypatch.setattr(cli, "run_scenario_obj", lambda *args, **kwargs: runs.append(args))
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
-                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                            "--workers", workers, "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert "trace error" in err and "SWF line 3" in err and "Traceback" not in err
-        assert runs == [] and recording_executor == []
+        assert runs == [] and forks.children == []
         assert not (workspace / "out").exists()
 
 
-class RecordingExecutor(concurrent.futures.Executor):
-    """Stand-in for ProcessPoolExecutor: records max_workers, runs the
-    initializer and then every call inline. ``map`` and the context manager
-    are the base class's."""
+def holds_a_trace(value) -> bool:
+    """Whether a JobTrace is reachable from ``value`` through dicts, lists,
+    tuples and sets."""
+    stack, seen = [value], set()
+    while stack:
+        value = stack.pop()
+        if isinstance(value, JobTrace):
+            return True
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        if isinstance(value, dict):
+            stack.extend(value.items())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+    return False
 
-    created = []
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
-        RecordingExecutor.created.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
+class Forks:
+    """``os.fork`` and ``os.waitpid`` recorded for one test: ``children`` holds
+    the pids forked, in fork order, and ``exits`` the exit code each child
+    was reaped with (negative: the signal that ended it)."""
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def __init__(self, monkeypatch):
+        self.parent, self.children, self.exits = os.getpid(), [], {}
+        fork, waitpid = os.fork, os.waitpid
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                self.children.append(pid)
+            return pid
+
+        def recorded_waitpid(pid, options):
+            reaped, status = waitpid(pid, options)
+            if reaped:
+                self.exits[reaped] = os.waitstatus_to_exitcode(status)
+            return reaped, status
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+
+    def sweep(self, argv):
+        """``main(argv)``; then, also when it raises, no child of this process
+        is left, every child forked was reaped by the sweep, and no
+        provsim.cli global holds a JobTrace. A child that comes back out of
+        ``main`` exits at once with code 99."""
+        try:
+            return main(argv)
+        finally:
+            if os.getpid() != self.parent:
+                os._exit(99)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert sorted(self.exits) == sorted(self.children)
+            assert not holds_a_trace(list(vars(cli).values()))
 
 
 @pytest.fixture()
-def recording_executor(monkeypatch):
-    RecordingExecutor.created = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    return RecordingExecutor.created
+def forks(monkeypatch):
+    return Forks(monkeypatch)
+
+
+@pytest.fixture()
+def point_runs(monkeypatch, tmp_path):
+    """Logs every run_scenario_obj call; the returned function reads the log as
+    {pid: [point names, in run order]}. The log is a file, so that a forked
+    child's runs are seen too."""
+    log = tmp_path / "point_runs.log"
+    run_scenario_obj = cli.run_scenario_obj
+
+    def logged(point, *args, **kwargs):
+        with log.open("a") as stream:
+            stream.write(f"{os.getpid()} {point.name}\n")
+        return run_scenario_obj(point, *args, **kwargs)
+
+    def read():
+        runs = {}
+        for line in log.read_text().splitlines() if log.exists() else []:
+            pid, name = line.split(" ", 1)
+            runs.setdefault(int(pid), []).append(name)
+        return runs
+
+    monkeypatch.setattr(cli, "run_scenario_obj", logged)
+    return read
+
+
+def runs_by_process(forks, point_runs):
+    """The points each process ran, this one first, then each child in fork order."""
+    runs = point_runs()
+    return [runs.get(pid) for pid in [forks.parent, *forks.children]]
+
+
+ALL_L = ["tiny_L1", "tiny_L2", "tiny_L5"]
 
 
 class TestSweepWorkers:
-    # Three points; an unknown CPU count (None) means one worker, run serially.
+    # Three points, so min(workers, 3, CPUs) processes, the parent included;
+    # process k runs every N-th point from the k-th. An unknown CPU count
+    # (None) means one process.
     @pytest.mark.parametrize("workers, cpus, expected", [
-        (2, 4, [2]), (3, 4, [3]), (1000, 4, [3]), (1, 4, []),
-        (8, 2, [2]), (8, 1, []), (8, None, []),
+        (2, 4, [["tiny_L1", "tiny_L5"], ["tiny_L2"]]),
+        (3, 4, [["tiny_L1"], ["tiny_L2"], ["tiny_L5"]]),
+        (1000, 4, [["tiny_L1"], ["tiny_L2"], ["tiny_L5"]]),
+        (1, 4, [ALL_L]), (8, 2, [["tiny_L1", "tiny_L5"], ["tiny_L2"]]), (8, 1, [ALL_L]),
+        (8, None, [ALL_L]),
     ])
-    def test_pool_capped_at_points_and_cpus(self, workspace, recording_executor, monkeypatch,
+    def test_pool_capped_at_points_and_cpus(self, workspace, forks, point_runs, monkeypatch,
                                             workers, cpus, expected):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
-                     "--workers", str(workers), "--output-dir", str(workspace / "out")])
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                            "--workers", str(workers), "--output-dir", str(workspace / "out")])
         assert code == EXIT_OK
-        assert recording_executor == expected
+        assert runs_by_process(forks, point_runs) == expected
+        assert forks.exits == dict.fromkeys(forks.children, 0)
+
+    def test_no_fork_runs_every_point_here(self, workspace, forks, point_runs, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(cli.os, "fork")
+        path = write_scenario(workspace)
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                            "--workers", "3", "--output-dir", str(workspace / "out")])
+        assert code == EXIT_OK
+        assert runs_by_process(forks, point_runs) == [ALL_L]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_nonpositive_workers_rejected(self, workspace, recording_executor, capsys,
-                                          workers):
+    def test_nonpositive_workers_rejected(self, workspace, forks, capsys, workers):
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2",
-                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2",
+                            "--workers", workers, "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         assert "--workers" in capsys.readouterr().err
-        assert recording_executor == []
+        assert forks.children == []
         assert not (workspace / "out").exists()
 
 
-class FailingExecutor(RecordingExecutor):
-    """Stand-in for ProcessPoolExecutor whose futures all raise ``error``."""
-
-    error = None
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_exception(FailingExecutor.error)
-        return future
-
-
 class TestSweepWorkerFailures:
-    """A failing point exits the same way whether a pool or the serial loop ran it."""
+    """A failing point exits the same way whichever process ran it."""
 
     @pytest.mark.parametrize("error, workers", [
-        (BrokenProcessPool("a worker died"), "2"), (RuntimeError("boom"), "2"),
-        (RuntimeError("boom"), "1"),
-    ], ids=["BrokenProcessPool", "RuntimeError", "RuntimeError-serial"])
-    def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, error,
+        (RuntimeError("boom"), "2"), (RuntimeError("boom"), "1"),
+    ], ids=["RuntimeError", "RuntimeError-serial"])
+    def test_worker_failure_names_the_point(self, workspace, monkeypatch, capsys, forks, error,
                                             workers):
-        FailingExecutor.error = error
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingExecutor)
+        # tiny_L2 is the child's point with two workers: its error comes back through the pipe.
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        run_scenario_obj = cli.run_scenario_obj
 
-        def failing_run(*args, **kwargs):
-            raise error
+        def failing_run(point, *args, **kwargs):
+            if point.name == "tiny_L2":
+                raise error
+            return run_scenario_obj(point, *args, **kwargs)
 
         monkeypatch.setattr(cli, "run_scenario_obj", failing_run)
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "L", "--values", "1,2",
-                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2",
+                            "--workers", workers, "--output-dir", str(workspace / "out")])
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
-        assert "sweep error" in err and "sweep point tiny_L" in err
-        assert f"{type(error).__name__}: {error}" in err
+        assert err == f"provsim: sweep error: sweep point tiny_L2 failed: {type(error).__name__}: {error}\n"
+        assert len(forks.children) == int(workers) - 1
+        assert forks.exits == dict.fromkeys(forks.children, 0)
+        assert not (workspace / "out").exists()
+
+    def test_dead_worker_names_its_point(self, workspace, monkeypatch, capsys, forks):
+        """A child killed by a signal while it runs a point fails the sweep at
+        that point; the row of the point it finished before still arrived."""
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        run_scenario_obj = cli.run_scenario_obj
+
+        def dying_run(point, *args, **kwargs):
+            if point.name == "tiny_L10" and os.getpid() != forks.parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_scenario_obj(point, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario_obj", dying_run)
+        path = write_scenario(workspace)
+        # Two processes: this one runs L1 and L5, the child L2 and then L10.
+        code = forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5,10",
+                            "--workers", "2", "--output-dir", str(workspace / "out")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "provsim: sweep error: sweep point tiny_L10 failed: its worker process died\n"
+        assert forks.exits == dict.fromkeys(forks.children, -signal.SIGKILL)
+        assert len(forks.children) == 1
+        assert not (workspace / "out").exists()
+
+    def test_children_reaped_when_this_process_share_raises(self, workspace, monkeypatch, forks,
+                                                            point_runs):
+        """An exception that is no Exception (here, out of this process's own
+        point) leaves the sweep, but only after every child is reaped."""
+
+        class Interrupted(BaseException):
+            pass
+
+        logged = cli.run_scenario_obj
+
+        def interrupted_here(point, *args, **kwargs):
+            result = logged(point, *args, **kwargs)
+            if os.getpid() == forks.parent:
+                raise Interrupted
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario_obj", interrupted_here)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        path = write_scenario(workspace)
+        with pytest.raises(Interrupted):
+            forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                         "--workers", "3", "--output-dir", str(workspace / "out")])
+        assert runs_by_process(forks, point_runs) == [["tiny_L1"], ["tiny_L2"], ["tiny_L5"]]
+        assert forks.exits == dict.fromkeys(forks.children, 0)
         assert not (workspace / "out").exists()
 
 
@@ -811,15 +974,17 @@ class TestSweepCommand:
         # Identical apart from the derived point name.
         assert sweep_row.replace("tiny_B4", "tiny") == run_row
 
-    def test_workers_do_not_change_output(self, workspace):
+    def test_workers_do_not_change_output(self, workspace, monkeypatch, forks):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         path = write_scenario(workspace)
-        main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
-              "--workers", "1", "--output-dir", str(workspace / "w1")])
-        main(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
-              "--workers", "3", "--output-dir", str(workspace / "w3")])
-        merged1 = (workspace / "w1" / "tiny.sweep_L.csv").read_bytes()
-        merged3 = (workspace / "w3" / "tiny.sweep_L.csv").read_bytes()
-        assert merged1 == merged3
+        for workers in ("1", "2", "3"):
+            assert forks.sweep(["sweep", str(path), "--axis", "L", "--values", "1,2,5",
+                                "--workers", workers, "--output-dir", str(workspace / workers)]
+                               ) == EXIT_OK
+        assert len(forks.children) == 0 + 1 + 2
+        merged1 = (workspace / "1" / "tiny.sweep_L.csv").read_bytes()
+        assert (workspace / "2" / "tiny.sweep_L.csv").read_bytes() == merged1
+        assert (workspace / "3" / "tiny.sweep_L.csv").read_bytes() == merged1
 
     def test_rows_ordered_by_given_values(self, workspace):
         path = write_scenario(workspace)
@@ -828,38 +993,41 @@ class TestSweepCommand:
         rows = (workspace / "ord" / "tiny.sweep_B.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["tiny_B8", "tiny_B2", "tiny_B4"]
 
-    def test_failing_point_names_it(self, workspace, capsys, monkeypatch):
-        """Two points fail; the one given first is named, also when a real pool
-        of two workers runs them and the later one may fail first."""
+    def test_failing_point_names_it(self, workspace, capsys, monkeypatch, forks, point_runs):
+        """Two points fail; the one given first is named, with the same message,
+        also when this process fails at the later one and a child at the
+        earlier. A process stops at its first failure."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         path = write_scenario(workspace)
+        errors = []
         for workers in ("1", "2"):
-            code = main(["sweep", str(path), "--axis", "B", "--values", "4,-1,-2",
-                         "--workers", workers, "--output-dir", str(workspace / "bad")])
+            code = forks.sweep(["sweep", str(path), "--axis", "B", "--values", "4,-1,-2,8",
+                                "--workers", workers, "--output-dir", str(workspace / "bad")])
             assert code == EXIT_INVALID
-            err = capsys.readouterr().err
-            assert "sweep point tiny_B-1 failed" in err and "tiny_B-2" not in err, workers
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].endswith("sweep point tiny_B-1 failed: pool size B must be >= 0, got -1\n")
+        assert "tiny_B-2" not in errors[0] and "ScenarioError" not in errors[0]
+        # One process: 4, then -1 fails. Two: 4, then -2 fails here; -1 fails in the child.
+        runs = point_runs()
+        assert [runs[forks.parent], runs[forks.children[0]]] == [
+            ["tiny_B4", "tiny_B-1", "tiny_B4", "tiny_B-2"], ["tiny_B-1"]]
+        assert not (workspace / "bad").exists()
 
-    @pytest.mark.parametrize("workers, pools", [("1", []), ("3", [2])])
-    def test_repeated_value_runs_once(self, workspace, recording_executor, monkeypatch,
+    @pytest.mark.parametrize("workers, pools", [
+        ("1", [["tiny_8x4", "tiny_16x8"]]), ("3", [["tiny_8x4"], ["tiny_16x8"]]),
+    ])
+    def test_repeated_value_runs_once(self, workspace, forks, point_runs, monkeypatch,
                                       workers, pools):
         """A value given twice is simulated once, its row written twice, and
-        the pool is capped at the distinct points."""
+        the processes are capped at the distinct points: ``pools`` lists the
+        points each process runs, this one first."""
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        runs = []
-        run_scenario_obj = cli.run_scenario_obj
-
-        def counted(point, *args, **kwargs):
-            runs.append(point.name)
-            return run_scenario_obj(point, *args, **kwargs)
-
-        monkeypatch.setattr(cli, "run_scenario_obj", counted)
         path = write_scenario(workspace)
-        code = main(["sweep", str(path), "--axis", "tuple", "--values", "8:4,16:8,16:8",
-                     "--workers", workers, "--output-dir", str(workspace / "out")])
+        code = forks.sweep(["sweep", str(path), "--axis", "tuple", "--values", "8:4,16:8,16:8",
+                            "--workers", workers, "--output-dir", str(workspace / "out")])
         assert code == EXIT_OK
-        assert runs == ["tiny_8x4", "tiny_16x8"]
-        assert recording_executor == pools
+        assert runs_by_process(forks, point_runs) == pools
         rows = (workspace / "out" / "tiny.sweep_tuple.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["tiny_8x4", "tiny_16x8", "tiny_16x8"]
         assert rows[1] == rows[2]
@@ -926,20 +1094,21 @@ def point_fields(axis, value):
 
 class TestSweepEqualsRun:
     """Each merged sweep row is the `provsim run` row of its point, on every
-    axis, serially and from a real process pool, with and without CPU
-    normalization."""
+    axis, from one process and from two, with and without CPU normalization."""
 
     @pytest.mark.parametrize("cpus_per_node", [1, 2])
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("axis", AXIS_VALUES)
-    def test_every_row_equals_its_run(self, workspace, monkeypatch, axis, workers,
+    def test_every_row_equals_its_run(self, workspace, monkeypatch, forks, axis, workers,
                                       cpus_per_node):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two points: two workers
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two points: two processes
         base = {"cpus_per_node": cpus_per_node, "params": BASE_PARAMS,
                 "target_peaks": {"pbj": 4, "ws": 3}}
         path = write_scenario(workspace, **base)
-        assert main(["sweep", str(path), "--axis", axis, "--values", AXIS_VALUES[axis],
-                     "--workers", workers, "--output-dir", str(workspace / "swept")]) == EXIT_OK
+        assert forks.sweep(["sweep", str(path), "--axis", axis, "--values", AXIS_VALUES[axis],
+                            "--workers", workers, "--output-dir", str(workspace / "swept")]
+                           ) == EXIT_OK
+        assert len(forks.children) == int(workers) - 1
         rows = (workspace / "swept" / f"tiny.sweep_{axis}.csv").read_text().splitlines()[1:]
         values = AXIS_VALUES[axis].split(",")
         assert len(rows) == len(values)

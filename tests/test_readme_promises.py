@@ -1,8 +1,7 @@
 """README's promises about running provsim, run as tests: its library
 example works on the shipped traces, a run writes the same bytes under any
-hash seed, and a sweep writes the same bytes with spawned workers as with
-one. Spawned workers take the pickling path of the pool's initializer;
-forked ones inherit the traces instead.
+hash seed, and a sweep writes the same bytes with forked workers, from a
+fresh interpreter, as with one.
 """
 
 import contextlib
@@ -19,10 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACES = ROOT / "traces"
 FLB_BASELINE = ROOT / "scenarios" / "synthetic" / "synthetic_flb_baseline.json"
 FB_152 = ROOT / "scenarios" / "synthetic" / "synthetic_fb_152.json"
-# The command line under the ``spawn`` start method; a single-CPU host runs
-# the points serially instead.
-SPAWN_MAIN = ("import multiprocessing, sys; multiprocessing.set_start_method('spawn'); "
-              "from provsim.cli import main; sys.exit(main(sys.argv[1:]))")
+# The command line as if on two CPUs, so that two workers fork on any host.
+TWO_CPU_MAIN = ("import os, sys; os.cpu_count = lambda: 2; "
+                "from provsim.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
 def test_readme_library_example_runs_on_shipped_traces():
@@ -59,13 +57,13 @@ def test_recorded_run_writes_the_same_bytes_under_two_hash_seeds(tmp_path):
         assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "12345" / name).read_bytes()
 
 
-def test_sweep_with_spawned_workers_writes_the_serial_bytes(tmp_path):
+def test_sweep_with_forked_workers_writes_the_serial_bytes(tmp_path):
     sweep = ["sweep", str(FLB_BASELINE), "--axis", "L", "--values", "30,60"]
     assert main([*sweep, "--workers", "1", "--output-dir", str(tmp_path / "serial")]) == 0
     done = subprocess.run(
-        [sys.executable, "-c", SPAWN_MAIN, *sweep, "--workers", "2",
-         "--output-dir", str(tmp_path / "spawn")],
+        [sys.executable, "-c", TWO_CPU_MAIN, *sweep, "--workers", "2",
+         "--output-dir", str(tmp_path / "forked")],
         env=_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     name = f"{FLB_BASELINE.stem}.sweep_L.csv"
-    assert (tmp_path / "spawn" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
