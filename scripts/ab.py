@@ -20,7 +20,10 @@ lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
 - ``calls_per_event``: per seed and tree, each scenario's events, Python
   calls and calls per event from ``scripts/calls_per_event.py --workload W
   --seed S``, run once in each tree: the counts are exact, so one run shows
-  a change of even a hundredth of a call per event.
+  a change of even a hundredth of a call per event. For ``congested``, whose
+  timed commands are recorded runs, the script runs with ``--record``, and a
+  tree whose script prints them adds the event-log writer's calls per line
+  and ``write`` calls per log.
 
 A run that exits nonzero counts as not correct and gives no values. Standard
 library only; not part of tier-1 (``tests/test_ab.py`` checks the summary).
@@ -45,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # TREE, then this tree
+RECORDED = ("congested",)  # workloads whose timed commands write an event log
 
 
 def parse_run(stdout: str) -> dict:
@@ -57,15 +61,25 @@ def parse_run(stdout: str) -> dict:
             "unscaled": info.get("unscaled", {}), "host": info.get("start")}
 
 
-# One scenario's line of scripts/calls_per_event.py.
+# One scenario's line of scripts/calls_per_event.py, and the writer's part of
+# it under --record.
 CALLS_LINE = re.compile(r"^(\S+)\s+\S+\s+events\s+(\d+)\s+calls\s+(\d+)\s+per event\s+([\d.]+)")
+WRITER_PART = re.compile(r"writer calls per line ([\d.]+)\s+writes (\d+)")
 
 
 def parse_calls(stdout: str) -> dict:
-    """Each scenario's events, calls and calls per event, by scenario name."""
-    return {match[1]: {"events": int(match[2]), "calls": int(match[3]),
-                       "per_event": float(match[4])}
-            for match in map(CALLS_LINE.match, stdout.splitlines()) if match}
+    """Each scenario's events, calls and calls per event, by scenario name,
+    with the writer's calls per line and writes where the line gives them."""
+    scenarios = {}
+    for line in stdout.splitlines():
+        match = CALLS_LINE.match(line)
+        if match:
+            counts = scenarios[match[1]] = {"events": int(match[2]), "calls": int(match[3]),
+                                            "per_event": float(match[4])}
+            writer = WRITER_PART.search(line)
+            if writer:
+                counts.update(writer_calls_per_line=float(writer[1]), writes=int(writer[2]))
+    return scenarios
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -92,8 +106,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def calls_once(tree: Path, workload: str, seed: int) -> dict:
+    record = ["--record"] if workload in RECORDED else []
     done = run_script(tree, "scripts/calls_per_event.py", "--workload", workload,
-                      "--seed", str(seed))
+                      "--seed", str(seed), *record)
     return parse_calls(done.stdout) if done.returncode == 0 else {"error": last_error(done)}
 
 

@@ -8,13 +8,14 @@ each scenario the workload times (each point of a sweep) runs
 ``simkernel.run`` once with its event log (for the event count) and once
 without, under cProfile, and prints the profiled run's total calls divided
 by the events. With ``--record`` it profiles the recorded run instead, as
-``congested`` times it. It also prints, per generation, the garbage
-collector's passes during one unprofiled run of the same kind, from
-``gc.get_stats()`` before and after it, starting from an empty young
-generation, and how many young-generation objects a run leaves
-(``gc.get_count()[0]`` before and after a run with the collector held
-off), with the time of the one young-generation pass over them that the
-resumed collector makes. The counts are exact: unlike a timing, they are the
+``congested`` times it, and then ``write_event_log`` into an ``io.BytesIO``:
+the writer's calls per log line and its ``write`` calls for the whole log.
+It also prints, per generation, the garbage collector's passes during one
+unprofiled run of the same kind, from ``gc.get_stats()`` before and after
+it, starting from an empty young generation, and how many young-generation
+objects a run leaves (``gc.get_count()[0]`` before and after a run with the
+collector held off), with the time of the one young-generation pass over
+them that the resumed collector makes. The counts are exact: unlike a timing, they are the
 same on every run of the same code under the same Python version. Standard
 library only.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import io
 import pstats
 import sys
 import tempfile
@@ -39,7 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 from provsim.scenario import load_scenario, load_traces  # noqa: E402
-from provsim.simkernel import run  # noqa: E402
+from provsim.simkernel import run, write_event_log  # noqa: E402
 
 
 def collections() -> list[int]:
@@ -48,6 +50,17 @@ def collections() -> list[int]:
     so a pass that the reading itself triggers is not counted."""
     stats = gc.get_stats()
     return [generation["collections"] for generation in stats]
+
+
+def writer_counts(result) -> str:
+    """The writer's calls per log line and ``write`` calls, under cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(write_event_log, result, io.BytesIO())
+    stats = pstats.Stats(profile)
+    writes = sum(row[1] for (_, _, function), row in stats.stats.items()
+                 if function == "<method 'write' of '_io.BytesIO' objects>")
+    lines = len(result.records)
+    return f"writer calls per line {stats.total_calls / lines:.2f}  writes {writes}"
 
 
 def main(argv: list[str]) -> int:
@@ -86,10 +99,13 @@ def main(argv: list[str]) -> int:
             profile = cProfile.Profile()
             profile.runcall(call, record_events=args.record)
             calls = pstats.Stats(profile).total_calls
-            print(f"{name:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
-                  f"per event {calls / events:.2f}  "
-                  f"collector passes {'/'.join(map(str, passes))}  "
-                  f"young objects left {young} (pass {young_pass_ms:.1f} ms)")
+            line = (f"{name:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
+                    f"per event {calls / events:.2f}  "
+                    f"collector passes {'/'.join(map(str, passes))}  "
+                    f"young objects left {young} (pass {young_pass_ms:.1f} ms)")
+            if args.record:
+                line += "  " + writer_counts(call(record_events=True))
+            print(line)
     return 0
 
 

@@ -37,11 +37,18 @@ MUTANTS = [
      "math.floor(v * target_peak / peak + 0.5)",
      "math.ceil(v * target_peak / peak - 0.5)"),
     ("log-state-fields-swapped", "simkernel.py",
-     '"pbj_pool":%s,"ws_pool":%s', '"ws_pool":%s,"pbj_pool":%s'),
+     '"pbj_pool":%d,"ws_pool":%d', '"ws_pool":%d,"pbj_pool":%d'),
     ("log-adjustment-delta-negated", "simkernel.py",
-     "% (actor, delta)", "% (actor, -delta)"),
+     "% (actor.encode(), delta)", "% (actor.encode(), -delta)"),
     ("log-started-dropped", "simkernel.py",
-     """line += ',"started":[%s]' % ",".join([str(job.id) for job in started])""", "pass"),
+     """line += b',"started":[%s]' % b",".join([b"%d" % job.id for job in started])""", "pass"),
+    ("log-last-partial-block-dropped", "simkernel.py",
+     "while block := list(itertools.islice(lines, _BLOCK)):",
+     "while len(block := list(itertools.islice(lines, _BLOCK))) == _BLOCK:"),
+    ("log-full-block-written-twice", "simkernel.py",
+     'stream.write(b"".join(block))',
+     'stream.write(b"".join(block * (1 + (len(block) == _BLOCK))))'),
+    ("log-block-halved", "simkernel.py", "_BLOCK = 256", "_BLOCK = 128"),
     ("kernel-stale-completion-kept", "simkernel.py",
      "if running is None or running[2] != attempt:", "if running is None or False:"),
     ("kernel-adjustments-from-after-handling", "simkernel.py",

@@ -95,7 +95,7 @@ def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
         csv_path.write_text(csv_header() + "\n" + report_to_csv_row(result.metrics, ident) + "\n")
         if result.records is not None:
             log_path = out_dir / f"{scenario.name}.events.jsonl"
-            with log_path.open("w") as stream:
+            with log_path.open("wb") as stream:
                 write_event_log(result, stream)
             written.append(log_path)
     return written

@@ -14,13 +14,13 @@ one event in it and feeds the next when that one pops. The kernel
 tallies completions and integrates consumption as it goes. Only a run that
 asks for its event log keeps one raw record per event, with the state as
 ``ClusterState.snapshot``'s tuple. ``write_event_log`` is their only reader:
-it encodes each as a line from its kind's templates, and a caller reads a
-field by decoding that line. A metrics-only run still calls the snapshot once
-per event (``perfbench`` counts queue length at that call), but its state is
-not ``recording``, so the call returns None. Virtual time is integer seconds;
-identical inputs give byte-identical logs. ``run`` pauses the cyclic garbage
-collector (``collector_paused``): a run builds no cycles, so a pass over the
-records it keeps would only cost time.
+it formats each as a bytes line from its kind's templates and writes a block
+of lines at a time; a caller reads a field by decoding a line. A metrics-only
+run still calls the snapshot once per event (``perfbench`` counts queue length
+at that call), but its state is not ``recording``, so the call returns None.
+Virtual time is integer seconds; identical inputs give byte-identical logs.
+``run`` pauses the cyclic garbage collector (``collector_paused``): a run
+builds no cycles, so a pass over the records it keeps would only cost time.
 """
 
 from __future__ import annotations
@@ -256,18 +256,19 @@ class collector_paused:
 # A line is its kind's head (time, kind, payload), the lists present, then the
 # state in ``ClusterState.snapshot``'s field order. Numbers and the actor names
 # (``state.ACTOR_*``, plain ASCII words) print as in JSON.
-_HEADS = ['{"time":%%s,"kind":"%s","payload":{}' % name for name in KIND_NAMES]
-_ARRIVAL = '{"time":%s,"kind":"job_arrival","payload":{"job_id":%s,"size":%s,"runtime":%s,"submit":%s}'
-_COMPLETION = ('{"time":%s,"kind":"job_completion","payload":{"job_id":%s,"size":%s,"runtime":%s,'
-               '"submit":%s,"attempt":%s,"turnaround":%s}')
-_DEMAND = '{"time":%s,"kind":"ws_demand_change","payload":{"demand":%s}'
-_LEASE = '{"time":%s,"kind":"lease_tick","payload":{"job_id":%s,"nodes":%s}'
-_STATE = (',"state":{"pbj_owned":%s,"pbj_idle":%s,"running_alloc":%s,"ws_held":%s,"free":%s,'
-          '"pbj_pool":%s,"ws_pool":%s,"pbj_external":%s,"ws_external":%s,"queue_len":%s,'
-          '"queued_demand":%s}}\n')
+_HEADS = [b'{"time":%%d,"kind":"%s","payload":{}' % name.encode() for name in KIND_NAMES]
+_ARRIVAL = b'{"time":%d,"kind":"job_arrival","payload":{"job_id":%d,"size":%d,"runtime":%d,"submit":%d}'
+_COMPLETION = (b'{"time":%d,"kind":"job_completion","payload":{"job_id":%d,"size":%d,"runtime":%d,'
+               b'"submit":%d,"attempt":%d,"turnaround":%d}')
+_DEMAND = b'{"time":%d,"kind":"ws_demand_change","payload":{"demand":%d}'
+_LEASE = b'{"time":%d,"kind":"lease_tick","payload":{"job_id":%d,"nodes":%d}'
+_STATE = (b',"state":{"pbj_owned":%d,"pbj_idle":%d,"running_alloc":%d,"ws_held":%d,"free":%d,'
+          b'"pbj_pool":%d,"ws_pool":%d,"pbj_external":%d,"ws_external":%d,"queue_len":%d,'
+          b'"queued_demand":%d}}\n')
+_BLOCK = 256  # lines a write: up to about 80 KB, held only while they are written
 
 
-def _lines(result: SimResult) -> Iterator[str]:
+def _lines(result: SimResult) -> Iterator[bytes]:
     """The event log's lines, one compact JSON object per record."""
     entries = result.adjustments.entries
     for time, kind, payload, started, killed, first, end, snapshot in result.records:
@@ -284,19 +285,23 @@ def _lines(result: SimResult) -> Iterator[str]:
         else:
             line = _HEADS[kind] % time
         if started:
-            line += ',"started":[%s]' % ",".join([str(job.id) for job in started])
+            line += b',"started":[%s]' % b",".join([b"%d" % job.id for job in started])
         if killed:
-            line += ',"killed":[%s]' % ",".join(map(str, killed))
+            line += b',"killed":[%s]' % b",".join([b"%d" % job_id for job_id in killed])
         if end > first:
-            line += ',"adjustments":[%s]' % ",".join(['["%s",%s]' % (actor, delta)
-                                                      for _, actor, delta in entries[first:end]])
+            line += b',"adjustments":[%s]' % b",".join([b'["%s",%d]' % (actor.encode(), delta)
+                                                        for _, actor, delta in entries[first:end]])
         yield line + _STATE % snapshot
 
 
-def write_event_log(result: SimResult, stream: IO[str]) -> None:
-    """Write a recorded run's event log, one JSON record {time, kind, payload, ...} a line.
+def write_event_log(result: SimResult, stream: IO[bytes]) -> None:
+    """Write a recorded run's event log, one JSON record {time, kind, payload, ...} a line,
+    to a binary stream, ``_BLOCK`` lines a write. Every value is an int, as the parsers,
+    ``scale_to_peak``, ``Job`` and ``DemandTrace`` give them: ``%d`` writes what ``%s`` did.
 
     A run made without ``record_events=True`` kept no log and raises ValueError."""
     if result.records is None:
         raise ValueError("the run was not recorded; run it with record_events=True")
-    stream.writelines(_lines(result))
+    lines = _lines(result)
+    while block := list(itertools.islice(lines, _BLOCK)):
+        stream.write(b"".join(block))

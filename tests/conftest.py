@@ -61,7 +61,17 @@ def make_demand(samples):
 
 
 def log_text(result):
-    """A recorded run's event log, as ``write_event_log`` writes it."""
-    stream = io.StringIO()
+    """A recorded run's event log, as ``write_event_log`` writes it, decoded."""
+    stream = io.BytesIO()
     write_event_log(result, stream)
-    return stream.getvalue()
+    return stream.getvalue().decode()
+
+
+class CountingStream(io.BytesIO):
+    """A binary stream that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)

@@ -37,6 +37,31 @@ def test_parse_calls_reads_each_scenario_line():
         "long_ec2rs": {"events": 67511, "calls": 635268, "per_event": 9.41}}
 
 
+def test_parse_calls_reads_the_writer_counts_of_a_recorded_line():
+    stdout = ("congested_dcs    DCS      events   14396  calls   155252  per event 10.78  "
+              "collector passes 0/0/0  young objects left 40619 (pass 2.8 ms)  "
+              "writer calls per line 1.76  writes 57\n")
+    assert ab.parse_calls(stdout) == {"congested_dcs": {
+        "events": 14396, "calls": 155252, "per_event": 10.78, "writer_calls_per_line": 1.76,
+        "writes": 57}}
+
+
+@pytest.mark.parametrize("workload, record", [("congested", True), ("long", False),
+                                               ("sweep", False)])
+def test_calls_are_counted_on_recorded_runs_where_the_workload_times_them(
+        monkeypatch, workload, record):
+    argvs = []
+
+    def fake_run_script(tree, *argv):
+        argvs.append(argv)
+        return ab.subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(ab, "run_script", fake_run_script)
+    assert ab.calls_once(Path("."), workload, 3) == {}
+    assert argvs == [("scripts/calls_per_event.py", "--workload", workload, "--seed", "3",
+                      *(["--record"] if record else []))]
+
+
 def test_summary_counts_the_pairs_each_tree_won():
     values = [(100, 110, 2.0, 1.9), (100, 105, 2.0, 2.0), (120, 100, 1.8, 2.2), (100, 120, 2.1, 1.7)]
     runs = [{"pair": i, "seed": 1, "first": "parent",

@@ -4,7 +4,8 @@ writer (`oracles.event_dicts_reference` encoded by JSONEncoder).
 The fuzzed micro scenarios of each regime cover, between them, FB kills,
 FLB_NUB and EC2RS adjustments, EC2RS lease-tick payloads and empty payloads
 (``COVERED``); the shipped synthetic scenarios add long queues and started
-lists of many jobs.
+lists of many jobs. Runs of one line fewer, as many and one more than one and
+two whole blocks of ``_BLOCK`` lines check where the writer joins them.
 """
 
 import io
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from provsim.policies import PolicyParams
 from provsim.scenario import load_scenario, load_traces, run_scenario_obj
-from provsim.simkernel import run
+from provsim.simkernel import _BLOCK, run, write_event_log
 from provsim.state import REGIMES
 
-from conftest import log_text
+from conftest import CountingStream, log_text, make_demand, make_jobs
 from oracles import event_dicts_reference, random_fuzz_setup, write_event_log_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +61,19 @@ def test_shipped_logs_match_reference(path):
     scenario = load_scenario(path)._replace(window_duration=SHIPPED_DAYS * 86400)
     written, reference = logs(run_scenario_obj(scenario, load_traces(scenario), record_events=True))
     assert written == reference
+
+
+@pytest.mark.parametrize("lines", [k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
+def test_logs_across_block_boundaries_match_reference(lines):
+    # A DCS run of one demand sample and lines - 1 arrivals: exactly ``lines``
+    # records. Long runtimes fill the nodes, so later jobs queue.
+    specs = [(i, i, 10**6, 1 + i % 3) for i in range(1, lines)]
+    result = run(make_jobs(specs, lines), make_demand([(0, 2)]), "DCS", PolicyParams(),
+                 record_events=True)
+    assert len(result.records) == lines
+    stream = CountingStream()
+    write_event_log(result, stream)
+    reference = io.StringIO()
+    write_event_log_reference(event_dicts_reference(result), reference)
+    assert stream.getvalue().decode() == reference.getvalue()
+    assert stream.writes == -(-lines // _BLOCK)

@@ -107,10 +107,10 @@ def test_state_built_outside_a_run_snapshots_its_tuple():
 def test_event_log_of_a_metrics_only_run_is_a_value_error():
     jobs, demand, params, kwargs = random_fuzz_setup("FB", 7)
     plain = run(jobs, demand, "FB", params, **kwargs)
-    stream = io.StringIO()
+    stream = io.BytesIO()
     with pytest.raises(ValueError, match=r"not recorded.*record_events=True"):
         write_event_log(plain, stream)
-    assert stream.getvalue() == ""
+    assert stream.getvalue() == b""
 
 
 def test_metrics_only_run_retains_under_half_the_memory():

@@ -1,5 +1,7 @@
 import cProfile
 import gc
+import io
+import math
 import pstats
 import random
 import sys
@@ -11,11 +13,11 @@ from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
 from provsim.metrics import IDENT_COLUMNS
 from provsim.policies import PolicyParams
 from provsim.scenario import load_scenario, load_traces, run_scenario_obj
-from provsim.simkernel import run
+from provsim.simkernel import run, write_event_log
 from provsim.state import ACTOR_PBJ, KIND_JOB_ARRIVAL, REGIMES, AdjustmentLog
 from provsim.trace import DemandTrace, Job, JobTrace
 
-from conftest import log_text, make_demand, make_jobs
+from conftest import CountingStream, log_text, make_demand, make_jobs
 from oracles import (
     check_conservation,
     event_dicts_reference,
@@ -348,6 +350,36 @@ class TestCallBudget:
         profile.runcall(run_scenario_obj, scenario, traces)
         calls = pstats.Stats(profile).total_calls
         assert calls / events <= self.MEASURED[stem] + self.MARGIN, (calls, events)
+
+
+class TestWriterBudget:
+    """The event-log writer's cost per line, on the same two days of each
+    shipped scenario. It writes a block of at most ``BLOCK`` lines a call, so
+    the log takes at most ceil(lines / BLOCK) ``write`` calls. Its Python calls
+    per line, counted by cProfile into an ``io.BytesIO``, stay within the
+    measured value (DCS 1.70, FB 2.58, FLB_NUB 2.66, EC2RS 3.76) plus a margin
+    of 0.1. At least a quarter of each log's lines carry a started list, so a
+    change that adds a call per line, or per line with a list, fails here."""
+
+    BLOCK = 256
+    MEASURED = {"synthetic_dcs_256": 1.70, "synthetic_fb_152": 2.58,
+                "synthetic_flb_baseline": 2.66, "synthetic_ec2rs": 3.76}
+    MARGIN = 0.1
+
+    @pytest.mark.parametrize("stem", sorted(MEASURED))
+    def test_writes_and_calls_per_line_within_ceiling(self, stem):
+        scenario = load_scenario(SCENARIOS / f"{stem}.json")._replace(window_duration=2 * 86400)
+        result = run_scenario_obj(scenario, load_traces(scenario), record_events=True)
+        lines = len(result.records)
+        with_started = sum(1 for record in result.records if record[3])
+        assert self.MARGIN < with_started / lines, (with_started, lines)
+        stream = CountingStream()
+        write_event_log(result, stream)
+        assert stream.writes <= math.ceil(lines / self.BLOCK), (stream.writes, lines)
+        profile = cProfile.Profile()
+        profile.runcall(write_event_log, result, io.BytesIO())
+        calls = pstats.Stats(profile).total_calls
+        assert calls / lines <= self.MEASURED[stem] + self.MARGIN, (calls, lines)
 
 
 class TestSetupCallBudget:
