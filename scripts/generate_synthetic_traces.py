@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Generate the repository's synthetic two-week workload traces.
+"""Generate the repository's synthetic workload traces.
 
 The real archive traces are not redistributable, so the repository ships
 deterministic synthetic stand-ins with the same character: a two-week
 parallel-batch-job trace (single-CPU nodes, power-of-two job sizes, peak
 size 128, bursty diurnal arrivals) and a two-week web-service node-demand
-trace with a high peak-to-normal ratio and peak 64.
+trace with a high peak-to-normal ratio and peak 64. A third, archive-shaped
+batch-job trace has the form of the Parallel Workloads Archive's cleaned logs
+of 8-CPU-node machines (SDSC BLUE): an SWF comment header, sizes in CPUs that
+are multiples of 8, some jobs with no allocated count (-1) but a requested one,
+some cancelled jobs with no runtime, and 16 days of jobs, so that a window
+with a start offset has jobs on both sides of it. Each trace has its own seed.
 
 Run from the repository root:  python3 scripts/generate_synthetic_traces.py
 """
@@ -22,6 +27,12 @@ WS_STEP = 300  # 5-minute demand samples
 
 SIZES = [1, 2, 4, 8, 16, 32, 64, 128]
 SIZE_WEIGHTS = [42, 23, 14, 9, 6, 3.5, 1.5, 0.5]
+
+ARCHIVE_SEED = 20261020
+ARCHIVE_DAYS = 16
+ARCHIVE_CPUS_PER_NODE = 8
+ARCHIVE_NODES = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128]  # job sizes in nodes
+ARCHIVE_NODE_WEIGHTS = [30, 16, 3, 12, 3, 9, 2, 7, 1.5, 5, 1, 2.5, 0.5, 0.8]
 
 
 def hourly_rate(second: int, day_factors) -> float:
@@ -64,6 +75,55 @@ def write_swf(jobs, path: Path) -> None:
         lines.append(
             f"{job_id} {submit} -1 {runtime} {size} -1 -1 {size} -1 -1 1 1 1 1 1 1 -1 -1"
         )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def generate_archive_jobs(rng: random.Random):
+    """Jobs as SWF's read fields plus wait and status: (id, submit, wait, runtime,
+    allocated CPUs, requested CPUs, requested time, status), by submit time."""
+    jobs = []
+    t = 0.0
+    job_id = 1
+    while True:
+        day = int(t) // 86400
+        weekend = day % 7 in (5, 6)  # day 0 is a Monday
+        hour_of_day = (int(t) // 3600) % 24
+        hourly = 8.0 + 36.0 * math.exp(-((hour_of_day - 13.0) ** 2) / 20.0)
+        t += rng.expovariate((0.4 if weekend else 1.0) * hourly / 3600.0)
+        if t >= ARCHIVE_DAYS * 86400:
+            break
+        cpus = ARCHIVE_CPUS_PER_NODE * rng.choices(ARCHIVE_NODES, weights=ARCHIVE_NODE_WEIGHTS)[0]
+        requested_time = rng.choice([900, 1800, 3600, 7200, 14400, 28800, 64800])
+        runtime = int(min(requested_time, max(1, rng.lognormvariate(7.0, 1.4))))
+        status = 1
+        if rng.random() < 0.02:  # cancelled before it ran
+            runtime, status = -1, 5
+        allocated = -1 if rng.random() < 0.06 else cpus  # only the request was logged
+        wait = int(rng.expovariate(1 / 600.0)) if runtime > 0 else -1
+        jobs.append((job_id, int(t), wait, runtime, allocated, cpus, requested_time, status))
+        job_id += 1
+    return jobs
+
+
+def write_archive_swf(jobs, path: Path) -> None:
+    max_nodes = max(ARCHIVE_NODES)
+    lines = [
+        "; Version: 2.2",
+        "; Computer: synthetic archive-shaped machine",
+        f"; Installation: scripts/generate_synthetic_traces.py, seed {ARCHIVE_SEED}",
+        f"; MaxJobs: {len(jobs)}",
+        f"; MaxRecords: {len(jobs)}",
+        "; UnixStartTime: 0",
+        f"; MaxNodes: {max_nodes}",
+        f"; MaxProcs: {max_nodes * ARCHIVE_CPUS_PER_NODE}",
+        "; Note: allocated processors is -1 where only the request was logged;"
+        " cancelled jobs have runtime -1",
+        ";",
+    ]
+    for job_id, submit, wait, runtime, allocated, cpus, requested_time, status in jobs:
+        lines.append(f"{job_id} {submit} {wait} {runtime} {allocated} -1 -1 {cpus}"
+                     f" {requested_time} -1 {status} {1 + job_id % 37} {1 + job_id % 5}"
+                     f" -1 {1 + job_id % 3} -1 -1 -1")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -115,6 +175,13 @@ def main() -> None:
           f"utilization of {PBJ_PEAK} nodes: {node_seconds / (PBJ_PEAK * DURATION):.1%}")
     print(f"demand samples: {len(samples)}  peak: {max(d for _, d in samples)}  "
           f"mean: {sum(d for _, d in samples) / len(samples):.1f}")
+    archive = generate_archive_jobs(random.Random(ARCHIVE_SEED))
+    write_archive_swf(archive, out_dir / "archive_shaped.swf")
+    ran = [(cpus, runtime) for _, _, _, runtime, _, cpus, _, _ in archive if runtime > 0]
+    machine = max(ARCHIVE_NODES) * ARCHIVE_CPUS_PER_NODE
+    cpu_seconds = sum(cpus * runtime for cpus, runtime in ran)
+    print(f"archive-shaped jobs: {len(archive)}  ran: {len(ran)}  "
+          f"utilization of {machine} CPUs: {cpu_seconds / (machine * ARCHIVE_DAYS * 86400):.1%}")
 
 
 if __name__ == "__main__":

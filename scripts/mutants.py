@@ -102,13 +102,14 @@ MUTANTS = [
     ("window-negative-submit-kept", "trace.py",
      "min(map(_SUBMIT, kept), default=0) < 0", "min(map(_SUBMIT, kept), default=0) < -1"),
     ("demand-fast-path-equal-time", "trace.py",
-     "if last < t < INT_LIMIT", "if last <= t < INT_LIMIT"),
+     "if not (last < t < INT_LIMIT", "if not (last <= t < INT_LIMIT"),
     ("demand-fast-path-negative-demand", "trace.py",
      "and 0 <= d < INT_LIMIT", "and -1 <= d < INT_LIMIT"),
-    ("demand-fast-path-on-first-line", "trace.py",
-     "if not first_line:  # a valid", "if True:  # a valid"),
-    ("swf-exact-guard-skips-submit", "trace.py",
-     "-2**53 < submit < 2**53", "True"),
+    ("demand-header-after-a-header", "trace.py",
+     "if last < 0 and not header:", "if last < 0:"),
+    ("demand-header-not-noted", "trace.py", "header = True", "pass"),
+    ("demand-checks-skip-the-limit", "trace.py", "if max(t, d) >= INT_LIMIT:", "if False:"),
+    ("demand-checks-equal-time", "trace.py", "if t <= last:", "if t < last:"),
     ("queue-lone-kept-on-requeue", "state.py", "if self._lone is not None:", "if False:"),
     ("queue-lone-kept-on-append", "state.py", "self._settle()  # ahead of this job", "pass"),
     ("queue-biggest-ignores-lone", "state.py", "else self.demand  # the lone", "else 0  # the lone"),

@@ -6,7 +6,7 @@ web-service node-demand traces as two-column CSV. All shaping helpers
 (window, normalize_cpus, scale_to_peak) are pure and return new traces, or
 share their input's entries where a step changes nothing: loaded traces are
 immutable, so sharing is safe, also between sweep workers. `parse_swf` reads a
-regular block of SWF lines column by column, and any other block line by line.
+regular block of SWF lines column by column, any other one line by line via `_swf_int`.
 """
 
 from __future__ import annotations
@@ -20,13 +20,9 @@ from .errors import EmptyTraceError, TraceParseError
 
 INT_LIMIT = 2**63  # bound on every integer read, so that float arithmetic cannot overflow
 
-# SWF field positions (0-based) of the fields the simulator consumes.
-_F_ID = 0
-_F_SUBMIT = 1
-_F_RUNTIME = 3
-_F_ALLOC = 4
-_F_REQUESTED = 7
-_SWF_MIN_FIELDS = 18
+# The SWF fields the simulator consumes: (0-based position, name in error messages).
+_SWF_FIELDS = ((0, "job id"), (1, "submit time"), (3, "run time"),
+               (4, "allocated processors"), (7, "requested processors"))
 _BLOCK = 1024  # data lines per block of parse_swf's column-wise read
 _SIZE = itemgetter(3)  # a Job's size
 _SUBMIT = _DEMAND = itemgetter(1)  # a Job's submit time, a demand sample's demand
@@ -123,8 +119,7 @@ def _swf_block(lines: list[str], seen_ids: set[int], jobs: list[Job]) -> bool:
             or tokens[18::19].count("\x00") != n - 1):  # a line without exactly 18 fields
         return False
     try:
-        columns = [list(map(int, tokens[field::19]))
-                   for field in (_F_ID, _F_SUBMIT, _F_RUNTIME, _F_ALLOC, _F_REQUESTED)]
+        columns = [list(map(int, tokens[field::19])) for field, _ in _SWF_FIELDS]
     except ValueError:
         return False
     if not all(-2**53 < min(column) and max(column) < 2**53 for column in columns):
@@ -144,26 +139,15 @@ def _swf_block(lines: list[str], seen_ids: set[int], jobs: list[Job]) -> bool:
 
 
 def _swf_lines(lines: list[str], lineno: int, seen_ids: set[int], jobs: list[Job]) -> None:
-    """Add the jobs and ids of ``lines``, the first being line ``lineno``, line by line."""
+    """Add the jobs and ids of ``lines``, the first being line ``lineno``, via `_swf_int`."""
     for lineno, raw in enumerate(lines, start=lineno):
         fields = raw.split()
         if not fields or fields[0][0] == ";":
             continue
-        if len(fields) < _SWF_MIN_FIELDS:
-            raise TraceParseError(
-                f"SWF line {lineno}: expected >= {_SWF_MIN_FIELDS} fields, got {len(fields)}")
-        try:  # below 2**53, int(token) reads what _swf_int reads
-            job_id, submit, runtime, alloc, requested = (int(fields[_F_ID]), int(fields[_F_SUBMIT]),
-                int(fields[_F_RUNTIME]), int(fields[_F_ALLOC]), int(fields[_F_REQUESTED]))
-            if not (-2**53 < job_id < 2**53 and -2**53 < submit < 2**53 and -2**53 < runtime < 2**53
-                    and -2**53 < alloc < 2**53 and -2**53 < requested < 2**53):
-                raise ValueError
-        except ValueError:  # "1.0", "1e3", "inf", 2**53 or more: _swf_int reads or names each
-            job_id = _swf_int(fields[_F_ID], lineno, "job id")
-            submit = _swf_int(fields[_F_SUBMIT], lineno, "submit time")
-            runtime = _swf_int(fields[_F_RUNTIME], lineno, "run time")
-            alloc = _swf_int(fields[_F_ALLOC], lineno, "allocated processors")
-            requested = _swf_int(fields[_F_REQUESTED], lineno, "requested processors")
+        if len(fields) < 18:
+            raise TraceParseError(f"SWF line {lineno}: expected >= 18 fields, got {len(fields)}")
+        job_id, submit, runtime, alloc, requested = [
+            _swf_int(fields[field], lineno, what) for field, what in _SWF_FIELDS]
         size = alloc if alloc > 0 else requested
         if runtime <= 0 or size <= 0 or submit < 0:
             continue
@@ -177,49 +161,47 @@ def parse_demand_trace(text: str) -> DemandTrace:
     """Parse "time,demand" CSV text into a DemandTrace.
 
     The first non-empty line is a "time,demand" header if its first field is no integer.
-    Sample times must be strictly increasing and demands nonnegative integers.
+    Sample times must be strictly increasing and demands nonnegative integers. Each line is
+    read as a sample first; only a line that this read rejects goes through the checks.
     """
     samples: list[tuple[int, int]] = []
-    first_line = True  # the only line that may be the header
+    header = False  # whether the first non-empty line was the header
     last = -1  # the last sample's time
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not first_line:  # a valid "t,d" sample needs no strip: int() ignores whitespace
+        try:  # a valid "t,d" sample needs no strip: int() ignores whitespace
+            t, d = map(int, raw.split(","))
+        except ValueError:  # not two integer fields
+            t = d = -1  # not above last, which starts at -1: the checks below take the line
+        if not (last < t < INT_LIMIT and 0 <= d < INT_LIMIT):  # a blank line, the header,
+            line = raw.strip()  # a fault, or a sample with "\x1f" that only strip() removes
+            if not line:
+                continue
+            parts = line.split(",")  # int() ignores the whitespace around a field
+            if len(parts) != 2:
+                raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
+            if last < 0 and not header:  # the first non-empty line: no sample or header yet
+                try:
+                    int(parts[0])
+                except ValueError:
+                    if parts[0].strip().lower() == "time" and parts[1].strip().lower() == "demand":
+                        header = True
+                        continue
+                    raise TraceParseError(
+                        f"demand line {lineno}: unrecognized header {line!r}") from None
             try:
-                t, d = map(int, raw.split(","))
-            except ValueError:  # not two integer fields: the path below names the fault
-                pass
-            else:
-                if last < t < INT_LIMIT and 0 <= d < INT_LIMIT:
-                    samples.append((t, d))
-                    last = t
-                    continue
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")  # int() ignores the whitespace around a field
-        if len(parts) != 2:
-            raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
-        if first_line:
-            first_line = False
-            try:
-                int(parts[0])
+                t, d = int(parts[0]), int(parts[1])
             except ValueError:
-                if parts[0].strip().lower() == "time" and parts[1].strip().lower() == "demand":
-                    continue
                 raise TraceParseError(
-                    f"demand line {lineno}: unrecognized header {line!r}") from None
-        try:
-            t, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise TraceParseError(f"demand line {lineno}: non-integer field in {line!r}") from None
-        if max(t, d) >= INT_LIMIT:  # negative values are rejected below
-            raise TraceParseError(f"demand line {lineno}: field not below 2**63 in {line!r}")
-        if d < 0:
-            raise TraceParseError(f"demand line {lineno}: negative demand {d}")
-        if t < 0:
-            raise TraceParseError(f"demand line {lineno}: negative time {t}")
-        if t <= last:
-            raise TraceParseError(f"demand line {lineno}: time {t} not greater than previous {last}")
+                    f"demand line {lineno}: non-integer field in {line!r}") from None
+            if max(t, d) >= INT_LIMIT:  # negative values are rejected below
+                raise TraceParseError(f"demand line {lineno}: field not below 2**63 in {line!r}")
+            if d < 0:
+                raise TraceParseError(f"demand line {lineno}: negative demand {d}")
+            if t < 0:
+                raise TraceParseError(f"demand line {lineno}: negative time {t}")
+            if t <= last:
+                raise TraceParseError(
+                    f"demand line {lineno}: time {t} not greater than previous {last}")
         samples.append((t, d))
         last = t
     if not samples:

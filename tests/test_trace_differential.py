@@ -177,6 +177,16 @@ class TestParsersMatchReference:
                 assert (outcome(parse_demand_trace, text)
                         == outcome(parse_demand_trace_reference, text)), text
 
+    def test_samples_padded_with_a_unit_separator(self):
+        """int() rejects a "\\x1f" around a field, which str.strip removes: such a line
+        reaches the checks, which read it as a sample or name its fault."""
+        assert parse_demand_trace("\x1f0,1\n5,3\x1f\n\x1f9 , 0\x1f").samples == (
+            (0, 1), (5, 3), (9, 0))
+        for text in ("time,demand\x1f\n\x1f0,1", "0,1\n0,2\x1f", "0,1\n5,-1\x1f",
+                     "\x1f-1,3", f"\x1f{2**63},3"):
+            assert (outcome(parse_demand_trace, text)
+                    == outcome(parse_demand_trace_reference, text)), text
+
 
 PBJ_LINES = (traces_dir() / "synthetic_pbj.swf").read_text().splitlines()
 PBJ_DATA = range(3, len(PBJ_LINES) - 1)  # data lines followed by another
@@ -240,6 +250,18 @@ class TestSwfBlocksMatchReference:
         """The committed trace, 7 blocks at the default size, with one edit."""
         text = edited_pbj(kind, k, j, read, field)
         assert outcome(parse_swf, text) == outcome(parse_swf_reference, text)
+
+    def test_synthetic_trace_with_a_19th_field_on_every_line(self):
+        """No block is regular, so the line reader reads every line of the trace."""
+        text = "\n".join(line if line.startswith(";") else line + " 0" for line in PBJ_LINES)
+        read = []
+        lines_reader = provsim.trace._swf_lines
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(provsim.trace, "_swf_lines",
+                          lambda lines, *rest: read.extend(lines) or lines_reader(lines, *rest))
+            trace = parse_swf(text)
+        assert read == text.splitlines()[3:]
+        assert trace == parse_swf("\n".join(PBJ_LINES)) == parse_swf_reference(text)
 
 
 class TestShapingMatchesReference:
