@@ -130,6 +130,16 @@ MUTANTS = [
      "if min(runtimes) <= 0 or min(sizes) <= 0 or min(submits) < 0:", "if False:"),
     ("swf-block-earlier-ids-ignored", "trace.py",
      "or not seen_ids.isdisjoint(kept)", "or False"),
+    ("agreement-fb-unequal-bounds-accepted", "agreement.py",
+     "if a.upper_bound != a.lower_bound:", "if False:"),
+    ("agreement-flb-nub-defined-upper-accepted", "agreement.py",
+     "elif a.upper_bound is not None:  # FLB_NUB", "elif False:"),
+    ("agreement-negative-lower-accepted", "agreement.py", "if a.lower_bound < 0:", "if False:"),
+    ("agreement-optional-element-required", "agreement.py",
+     '"allows_cross_provider": ("cross_provider_coordinated_RE", False, _flag),',
+     '"allows_cross_provider": ("cross_provider_coordinated_RE", True, _flag),'),
+    ("agreement-type-wins-over-workload-type", "agreement.py",
+     'obj.setdefault("workload_type", obj["type"])', 'obj["workload_type"] = obj["type"]'),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

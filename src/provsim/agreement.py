@@ -2,18 +2,17 @@
 
 Agreements arrive either in the attribute-style XML shape used by the
 management system (``<lower_bound_size="100"></lower_bound_size>`` inside an
-``RE_agreement`` root) or as an equivalent JSON object. Parsed agreements are
-validated immutable records; the lifecycle machine is a pure transition
-function over three states.
+``RE_agreement`` root) or as an equivalent JSON object, read and written
+through one table of elements. Parsed agreements are validated immutable
+records; the lifecycle machine is a pure transition function over three states.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import AgreementError, PairingError, TransitionError
 from .policies import whole
@@ -30,8 +29,7 @@ _ELEMENT_RE = re.compile(
 _ROOT_RE = re.compile(r"<\s*RE_agreement\s*>(.*)</\s*RE_agreement\s*>", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class REAgreement:
+class REAgreement(NamedTuple):
     """A validated runtime-environment agreement."""
 
     relationship: str
@@ -45,8 +43,7 @@ class REAgreement:
     setup_policy: str
 
 
-@dataclass(frozen=True)
-class CoordinationPlan:
+class CoordinationPlan(NamedTuple):
     """Result of pairing two coordinated agreements: shared pool = sum of lower bounds."""
 
     model: str
@@ -86,163 +83,124 @@ def lifecycle_step(state: TREState, event: Union[LifecycleEvent, str]) -> TRESta
     try:
         return _TRANSITIONS[(state, event)]
     except KeyError:
-        raise TransitionError(
-            f"illegal transition ({state.value}, {event.value})"
-        ) from None
+        raise TransitionError(f"illegal transition ({state.value}, {event.value})") from None
 
 
-def _check_token(value: str, allowed: tuple[str, ...], field: str) -> str:
-    if value not in allowed:
-        raise AgreementError(f"unknown {field} token {value!r} (expected one of {allowed})")
-    return value
+def _token(allowed: tuple[str, ...], what: str):
+    """A reader of one of the ``allowed`` tokens, named ``what`` in its message."""
+    def read(text: Optional[str], element: str) -> str:
+        value = (text or "").strip()
+        if value not in allowed:
+            raise AgreementError(f"unknown {what} token {value!r} (expected one of {allowed})")
+        return value
+    return read
 
 
-def _validate(agreement: REAgreement) -> REAgreement:
-    _check_token(agreement.relationship, RELATIONSHIPS, "relationship")
-    _check_token(agreement.workload_type, WORKLOAD_TYPES, "workload type")
-    _check_token(agreement.granularity, GRANULARITIES, "granularity")
-    _check_token(agreement.model, MODELS, "coordination model")
-    if agreement.lower_bound < 0:
-        raise AgreementError(f"lower bound must be >= 0, got {agreement.lower_bound}")
-    if agreement.model == "FB":
-        if agreement.upper_bound is None:
-            raise AgreementError("FB model requires a defined upper bound")
-        if agreement.upper_bound != agreement.lower_bound:
-            raise AgreementError(
-                "FB model requires equal bounds, got "
-                f"lower={agreement.lower_bound} upper={agreement.upper_bound}"
-            )
-    else:  # FLB_NUB
-        if agreement.upper_bound is not None:
-            raise AgreementError(
-                f"FLB_NUB model requires an undefined upper bound, got {agreement.upper_bound}"
-            )
-    if not agreement.setup_policy:
-        raise AgreementError("setup policy identifier must be nonempty")
-    return agreement
-
-
-def _parse_flag(value: str, field: str) -> bool:
-    lowered = value.strip().lower()
+def _flag(text: Optional[str], element: str) -> bool:
+    lowered = (text or "No").strip().lower()
     if lowered in ("yes", "true"):
         return True
     if lowered in ("no", "false"):
         return False
-    raise AgreementError(f"unknown {field} token {value!r} (expected Yes/No)")
+    raise AgreementError(f"unknown {element} token {text!r} (expected Yes/No)")
 
 
-def _parse_bound(value: Optional[str], field: str) -> Optional[int]:
-    if value is None or value.strip().lower() in ("null", "undefined", ""):
-        return None
-    try:
-        return whole(value.strip())
-    except ValueError as exc:
-        raise AgreementError(f"bad {field} value {value!r}: {exc}") from None
+def _bound(defined: bool):
+    """A reader of a whole-number bound, which only an optional bound leaves null."""
+    def read(text: Optional[str], element: str) -> Optional[int]:
+        if text is None or text.strip().lower() in ("null", "undefined", ""):
+            if defined:
+                raise AgreementError(f"{element} must be a defined integer")
+            return None
+        try:
+            return whole(text.strip())
+        except ValueError as exc:
+            raise AgreementError(f"bad {element} value {text!r}: {exc}") from None
+    return read
 
 
-_REQUIRED = ("relationship", "type", "granularity", "resource_coordination_model",
-             "lower_bound_size", "setup_policy")
-
-# JSON key -> element name; "workload_type" is listed after "type" so that it
-# wins when both are given.
-_JSON_ELEMENTS = {
-    "relationship": "relationship",
-    "type": "type",
-    "workload_type": "type",
-    "granularity": "granularity",
-    "has_coordinated_re": "coordinated_RE",
-    "allows_cross_provider": "cross_provider_coordinated_RE",
-    "model": "resource_coordination_model",
-    "lower_bound": "lower_bound_size",
-    "upper_bound": "upper_bound_size",
-    "setup_policy": "setup_policy",
+# REAgreement field -> (XML element, required, reader), in the order in which
+# serialize_agreement writes the elements. A reader takes the element's text
+# (None for null or an absent element) and its name, and checks as it reads.
+_ELEMENTS = {
+    "relationship": ("relationship", True, _token(RELATIONSHIPS, "relationship")),
+    "workload_type": ("type", True, _token(WORKLOAD_TYPES, "workload type")),
+    "has_coordinated_re": ("coordinated_RE", False, _flag),
+    "allows_cross_provider": ("cross_provider_coordinated_RE", False, _flag),
+    "granularity": ("granularity", True, _token(GRANULARITIES, "granularity")),
+    "model": ("resource_coordination_model", True, _token(MODELS, "coordination model")),
+    "lower_bound": ("lower_bound_size", True, _bound(defined=True)),
+    "upper_bound": ("upper_bound_size", False, _bound(defined=False)),
+    "setup_policy": ("setup_policy", True, lambda text, element: (text or "").strip()),
 }
 
 
-def _build_agreement(fields: dict[str, Optional[str]]) -> REAgreement:
-    """The agreement whose element values (text, or None for null) are
-    ``fields``."""
-    for name in _REQUIRED:
-        if name not in fields:
-            raise AgreementError(f"missing agreement element {name!r}")
-    has_coord = _parse_flag(fields.get("coordinated_RE") or "No", "coordinated_RE")
-    cross = fields.get("cross_provider_coordinated_RE")
-    allows_cross = _parse_flag(cross, "cross_provider_coordinated_RE") if cross is not None else False
-    lower = _parse_bound(fields["lower_bound_size"], "lower_bound_size")
-    if lower is None:
-        raise AgreementError("lower_bound_size must be a defined integer")
-    return REAgreement(
-        relationship=(fields["relationship"] or "").strip(),
-        workload_type=(fields["type"] or "").strip(),
-        granularity=(fields["granularity"] or "").strip(),
-        has_coordinated_re=has_coord,
-        allows_cross_provider=allows_cross,
-        model=(fields["resource_coordination_model"] or "").strip(),
-        lower_bound=lower,
-        upper_bound=_parse_bound(fields.get("upper_bound_size"), "upper_bound_size"),
-        setup_policy=(fields["setup_policy"] or "").strip(),
-    )
-
-
-def _parse_agreement_xml(text: str) -> REAgreement:
-    root = _ROOT_RE.search(text)
-    if root is None:
-        raise AgreementError("missing RE_agreement root element")
-    fields: dict[str, Optional[str]] = {}
-    for match in _ELEMENT_RE.finditer(root.group(1)):
-        open_name, quoted, null_token, close_name = match.groups()
-        if open_name != close_name:
-            raise AgreementError(
-                f"mismatched element tags <{open_name}> ... </{close_name}>"
-            )
-        fields[open_name] = quoted.strip() if quoted is not None else None
-    return _build_agreement(fields)
-
-
-def _parse_agreement_json(text: str) -> REAgreement:
-    """Text that starts with "{" decodes to an object or not at all."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AgreementError(f"invalid agreement JSON: {exc}") from None
-    fields: dict[str, Optional[str]] = {"setup_policy": "NOOP"}
-    for key, name in _JSON_ELEMENTS.items():
-        if key in obj:  # a value is read as the text of its element: true as "True"
-            fields[name] = None if obj[key] is None else str(obj[key])
-    return _build_agreement(fields)
-
-
 def parse_agreement(text: str) -> REAgreement:
-    """Parse and validate an RE agreement from XML (attribute-style) or JSON."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _validate(_parse_agreement_json(text))
-    return _validate(_parse_agreement_xml(text))
+    """Parse and validate an RE agreement from XML (attribute-style) or JSON.
+
+    Text that starts with "{" is JSON, and decodes to an object or not at all.
+    Its keys are REAgreement's field names ("type" stands for "workload_type",
+    which wins when both are given), each value read as its element's text:
+    true as "True". A JSON setup policy defaults to NOOP. The first missing
+    required element is named first, then the readers' faults in element
+    order, then the rules that tie fields together.
+    """
+    if text.lstrip().startswith("{"):
+        try:
+            obj = {"setup_policy": "NOOP", **json.loads(text)}
+        except json.JSONDecodeError as exc:
+            raise AgreementError(f"invalid agreement JSON: {exc}") from None
+        if "type" in obj:
+            obj.setdefault("workload_type", obj["type"])
+        values = {element: None if obj[field] is None else str(obj[field])
+                  for field, (element, _, _) in _ELEMENTS.items() if field in obj}
+    else:
+        root = _ROOT_RE.search(text)
+        if root is None:
+            raise AgreementError("missing RE_agreement root element")
+        values = {}  # element -> text, None for null
+        for match in _ELEMENT_RE.finditer(root.group(1)):
+            open_name, quoted, _, close_name = match.groups()
+            if open_name != close_name:
+                raise AgreementError(f"mismatched element tags <{open_name}> ... </{close_name}>")
+            values[open_name] = quoted.strip() if quoted is not None else None
+    for element, required, _ in _ELEMENTS.values():
+        if required and element not in values:
+            raise AgreementError(f"missing agreement element {element!r}")
+    a = REAgreement(**{field: read(values.get(element), element)
+                       for field, (element, _, read) in _ELEMENTS.items()})
+    if a.lower_bound < 0:
+        raise AgreementError(f"lower bound must be >= 0, got {a.lower_bound}")
+    if a.model == "FB":
+        if a.upper_bound is None:
+            raise AgreementError("FB model requires a defined upper bound")
+        if a.upper_bound != a.lower_bound:
+            raise AgreementError(
+                f"FB model requires equal bounds, got lower={a.lower_bound} upper={a.upper_bound}"
+            )
+    elif a.upper_bound is not None:  # FLB_NUB
+        raise AgreementError("FLB_NUB model requires an undefined upper bound, "
+                             f"got {a.upper_bound}")
+    if not a.setup_policy:
+        raise AgreementError("setup policy identifier must be nonempty")
+    return a
 
 
 def serialize_agreement(agreement: REAgreement) -> str:
     """Serialize to the attribute-style XML shape accepted by parse_agreement."""
-    upper = "null" if agreement.upper_bound is None else f'"{agreement.upper_bound}"'
-    flag = "Yes" if agreement.has_coordinated_re else "No"
-    cross = "Yes" if agreement.allows_cross_provider else "No"
-    return (
-        "<RE_agreement>\n"
-        f'<relationship="{agreement.relationship}"></relationship>\n'
-        f'<type="{agreement.workload_type}"></type>\n'
-        f'<coordinated_RE="{flag}"></coordinated_RE>\n'
-        f'<cross_provider_coordinated_RE="{cross}"></cross_provider_coordinated_RE>\n'
-        f'<granularity="{agreement.granularity}"></granularity>\n'
-        f'<resource_coordination_model="{agreement.model}"></resource_coordination_model>\n'
-        f'<lower_bound_size="{agreement.lower_bound}"></lower_bound_size>\n'
-        f"<upper_bound_size={upper}></upper_bound_size>\n"
-        f'<setup_policy="{agreement.setup_policy}"></setup_policy>\n'
-        "</RE_agreement>\n"
-    )
+    lines = ["<RE_agreement>\n"]
+    for field, (element, _, _) in _ELEMENTS.items():
+        value = getattr(agreement, field)
+        if isinstance(value, bool):
+            value = "Yes" if value else "No"
+        text = "null" if value is None else f'"{value}"'
+        lines.append(f"<{element}={text}></{element}>\n")
+    return "".join(lines) + "</RE_agreement>\n"
 
 
 def agreement_to_json(agreement: REAgreement) -> str:
     """JSON mirror of an agreement (same fields as the XML shape)."""
-    return json.dumps(asdict(agreement), indent=2)
+    return json.dumps(agreement._asdict(), indent=2)
 
 
 def allows_coordination(agreement: REAgreement) -> bool:

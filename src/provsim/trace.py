@@ -176,14 +176,14 @@ def parse_demand_trace(text: str) -> DemandTrace:
             line = raw.strip()  # a fault, or a sample with "\x1f" that only strip() removes
             if not line:
                 continue
-            parts = line.split(",")  # int() ignores the whitespace around a field
+            parts = [part.strip() for part in line.split(",")]  # int() rejects a "\x1f"
             if len(parts) != 2:
                 raise TraceParseError(f"demand line {lineno}: expected 'time,demand', got {line!r}")
             if last < 0 and not header:  # the first non-empty line: no sample or header yet
                 try:
                     int(parts[0])
                 except ValueError:
-                    if parts[0].strip().lower() == "time" and parts[1].strip().lower() == "demand":
+                    if parts[0].lower() == "time" and parts[1].lower() == "demand":
                         header = True
                         continue
                     raise TraceParseError(

@@ -7,7 +7,6 @@ remaining criteria run on the repository's synthetic traces.
 """
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest

@@ -249,19 +249,34 @@ def test_shipped_scenario_loads(path):
     assert load_scenario(path).name
 
 
-def test_cli_import_loads_only_what_run_uses():
-    # Every configuration is one provsim process, so each import is paid per
-    # command: the record classes are NamedTuples and plain classes, not
-    # dataclasses (which load inspect), a sweep forks its own workers (no
-    # process pool), and the agreement parser loads in the command that uses it.
-    code = "import sys, provsim.cli; print(*sorted(sys.modules))"
+def modules_loaded_by_import(module):
+    """The modules that a fresh interpreter holds after importing ``module``."""
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
     src = str(Path(cli.__file__).resolve().parent.parent)
     # No bytecode written: a run must leave the tree as it found it.
     env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_cli_import_loads_only_what_run_uses():
+    # Every configuration is one provsim process, so each import is paid per
+    # command: the record classes are NamedTuples and plain classes, not
+    # dataclasses (which load inspect), a sweep forks its own workers (no
+    # process pool), and the agreement parser, which only validate uses,
+    # loads in that command.
     unused = {"dataclasses", "inspect", "concurrent.futures", "provsim.agreement"}
-    assert unused.isdisjoint(done.stdout.split()), unused.intersection(done.stdout.split())
+    loaded = modules_loaded_by_import("provsim.cli")
+    assert unused.isdisjoint(loaded), unused & loaded
+
+
+def test_agreement_import_loads_no_dataclasses():
+    # validate pays for the agreement module's imports: its records are
+    # NamedTuples too.
+    unused = {"dataclasses", "inspect"}
+    loaded = modules_loaded_by_import("provsim.agreement")
+    assert unused.isdisjoint(loaded), unused & loaded
 
 
 # provsim's console entry point with os.fork counted and two CPUs, so that

@@ -183,7 +183,7 @@ class TestParsersMatchReference:
         assert parse_demand_trace("\x1f0,1\n5,3\x1f\n\x1f9 , 0\x1f").samples == (
             (0, 1), (5, 3), (9, 0))
         for text in ("time,demand\x1f\n\x1f0,1", "0,1\n0,2\x1f", "0,1\n5,-1\x1f",
-                     "\x1f-1,3", f"\x1f{2**63},3"):
+                     "\x1f-1,3", f"\x1f{2**63},3", "0,1\n5\x1f,3", "0,1\n5,\x1f3"):
             assert (outcome(parse_demand_trace, text)
                     == outcome(parse_demand_trace_reference, text)), text
 
