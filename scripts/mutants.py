@@ -68,6 +68,15 @@ MUTANTS = [
      "bisect_left(jobs, duration, key=_SUBMIT)", "bisect_left(jobs, duration + 1, key=_SUBMIT)"),
     ("kernel-constant-level-for-every-regime", "simkernel.py",
      "varying = regime.config_size is None", "varying = False"),
+    ("kernel-start-a-second-late", "simkernel.py",
+     "heappush(heap, (time + runtime, KIND_JOB_COMPLETION, next(seq), (job, attempt)))",
+     "heappush(heap, (time + 1 + runtime, KIND_JOB_COMPLETION, next(seq), (job, attempt)))"),
+    ("kernel-restart-attempt-not-kept", "simkernel.py",
+     "attempt = attempts.pop(job_id, 0) + 1", "attempt = 1"),
+    ("kernel-start-allocation-not-raised", "simkernel.py", "state.running_alloc += size", "pass"),
+    ("ec2rs-lease-tick-at-completion", "policies.py",
+     "push(release, KIND_LEASE_TICK, (job.id, job.size))",
+     "push(state.clock + job.runtime, KIND_LEASE_TICK, (job.id, job.size))"),
     ("admit-bypasses-traced-first-fit", "policies.py",
      "first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)",
      "state.queue.first_fit(state.pbj_owned - state.running_alloc)"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from typing import NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from .errors import AgreementError, PairingError, TransitionError
 from .policies import whole
@@ -135,19 +135,28 @@ _ELEMENTS = {
 }
 
 
+def _once(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    values: dict[str, Any] = {}
+    for name, value in pairs:
+        if name in values:
+            raise AgreementError(f"duplicate agreement element {name!r}")
+        values[name] = value
+    return values
+
+
 def parse_agreement(text: str) -> REAgreement:
     """Parse and validate an RE agreement from XML (attribute-style) or JSON.
 
     Text that starts with "{" is JSON, and decodes to an object or not at all.
     Its keys are REAgreement's field names ("type" stands for "workload_type",
     which wins when both are given), each value read as its element's text:
-    true as "True". A JSON setup policy defaults to NOOP. The first missing
-    required element is named first, then the readers' faults in element
-    order, then the rules that tie fields together.
+    true as "True". A JSON setup policy defaults to NOOP. A repeated element
+    is named first, then the first missing required one, then the readers'
+    faults in element order, then the rules that tie fields together.
     """
     if text.lstrip().startswith("{"):
         try:
-            obj = {"setup_policy": "NOOP", **json.loads(text)}
+            obj = {"setup_policy": "NOOP", **json.loads(text, object_pairs_hook=_once)}
         except json.JSONDecodeError as exc:
             raise AgreementError(f"invalid agreement JSON: {exc}") from None
         if "type" in obj:
@@ -158,12 +167,13 @@ def parse_agreement(text: str) -> REAgreement:
         root = _ROOT_RE.search(text)
         if root is None:
             raise AgreementError("missing RE_agreement root element")
-        values = {}  # element -> text, None for null
+        pairs = []  # (element, text), None for null
         for match in _ELEMENT_RE.finditer(root.group(1)):
             open_name, quoted, _, close_name = match.groups()
             if open_name != close_name:
                 raise AgreementError(f"mismatched element tags <{open_name}> ... </{close_name}>")
-            values[open_name] = quoted.strip() if quoted is not None else None
+            pairs.append((open_name, quoted.strip() if quoted is not None else None))
+        values = _once(pairs)
     for element, required, _ in _ELEMENTS.values():
         if required and element not in values:
             raise AgreementError(f"missing agreement element {element!r}")
@@ -181,8 +191,8 @@ def parse_agreement(text: str) -> REAgreement:
     elif a.upper_bound is not None:  # FLB_NUB
         raise AgreementError("FLB_NUB model requires an undefined upper bound, "
                              f"got {a.upper_bound}")
-    if not a.setup_policy:
-        raise AgreementError("setup policy identifier must be nonempty")
+    if not a.setup_policy or '"' in a.setup_policy:  # XML's quotes cannot hold a '"'
+        raise AgreementError(f"setup policy must be nonempty, without '\"', got {a.setup_policy!r}")
     return a
 
 

@@ -267,8 +267,10 @@ class Regime:
     resolved. The kernel owns the clock and the event queue; the
     regime gives the initial state, its ``timer_kinds`` (fired every
     ``params.L`` seconds from 0), its reactions to demand changes (returning
-    the ids of killed jobs) and timers, admission after every event
-    (returning the jobs started), and its consumption level in a state.
+    the ids of killed jobs) and timers, and its consumption level in a state.
+    After every event ``admit`` decides which queued jobs to start and returns
+    them, and the kernel starts them; a regime schedules any other timer of
+    its own through the kernel's ``push(time, kind, payload)``.
     """
 
     timer_kinds: tuple[str, ...] = ()
@@ -297,13 +299,9 @@ class Regime:
             raise ScenarioError(f"{self.name} has no pool lower-bound share; omit pbj_floor")
         return None
 
-    def admit(self, kernel) -> Sequence[Job]:
-        """First fit on the batch side's idle nodes; returns the jobs started."""
-        state = kernel.state
-        started = first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)
-        for job in started:
-            kernel.start_job(job, state.clock)
-        return started
+    def admit(self, state: ClusterState, log: AdjustmentLog, push: Callable) -> Sequence[Job]:
+        """First fit on the batch side's idle nodes; returns the jobs to start."""
+        return first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)
 
     def consumption(self, state: ClusterState) -> int:
         """Bounded regimes consume their whole configuration at all times."""
@@ -435,23 +433,22 @@ class EC2RS(Regime):
         state.pbj_owned -= nodes
         log.record(state.clock, ACTOR_PBJ, -nodes)
 
-    def admit(self, kernel) -> Sequence[Job]:
-        """Lease nodes for every queued job and start it at once; returns the
-        jobs started (a shared empty tuple when the queue is empty).
+    def admit(self, state: ClusterState, log: AdjustmentLog, push: Callable) -> Sequence[Job]:
+        """Lease nodes for every queued job and schedule the lease's expiry;
+        returns the jobs, which start at once (a shared empty tuple when the
+        queue is empty). A job is admitted at its arrival, its submit time.
 
         First fit given the whole queued demand takes every job in queue
         order: the idle count left always equals the demand left.
         """
-        state = kernel.state
         if not state.queue.length:
             return ()
         started = state.queue.first_fit(state.queue.demand)
         for job in started:
-            start, release = ec2_job_lifecycle(job, self.params)
+            _, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
-            kernel.start_job(job, start)
-            kernel.push(release, KIND_LEASE_TICK, (job.id, job.size))
-            kernel.log.record(state.clock, ACTOR_PBJ, job.size)
+            push(release, KIND_LEASE_TICK, (job.id, job.size))
+            log.record(state.clock, ACTOR_PBJ, job.size)
         return started
 
     def consumption(self, state: ClusterState) -> int:

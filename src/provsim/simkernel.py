@@ -6,12 +6,12 @@ demand changes, and the regime's periodic timers. An event is a plain
 and seqs are distinct, so the heap orders events by (time, kind, seq) and
 never compares payloads. Within one kind, seq keeps events in the order of
 their trace or of their ``push`` calls. After every event the regime's
-reaction rules fire, then the regime admits queued jobs. The regime's rules
-live in one ``policies.Regime`` subclass. Arrivals, the last kind at any
-time, are walked in submit order beside the heap, which holds only pending
-events: each other seeded stream (demand samples, each timer kind) keeps
-one event in it and feeds the next when that one pops. The kernel
-tallies completions and integrates consumption as it goes. Only a run that
+reaction rules fire, then it picks the queued jobs to admit, which the
+kernel starts. Its rules live in one ``policies.Regime`` subclass. Arrivals,
+the last kind at any time, are walked in submit order beside the heap,
+which holds only pending events: each other seeded stream (demand samples,
+each timer kind) keeps one event in it and feeds the next when that one
+pops. The kernel tallies completions and consumption. Only a run that
 asks for its event log keeps one raw record per event, with the state as
 ``ClusterState.snapshot``'s tuple. ``write_event_log`` is their only reader:
 it formats each as a bytes line from its kind's templates and writes a block
@@ -71,145 +71,130 @@ class SimResult:
         self.records = records  # None unless recorded; read through ``write_event_log``
 
 
-class _Kernel:
+def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Regime,
+             record_events: bool) -> SimResult:
     """One simulation run; single-threaded and fully deterministic.
 
-    The regime object makes every regime decision. It starts jobs and
-    schedules its own timers through ``start_job`` and ``push``.
+    Process every event up to the window end, dispatching each on its kind
+    once: a completion frees its nodes, a demand change or timer goes to the
+    regime, and an arrival joins the queue. The jobs the regime then admits
+    start at the event's time. Each non-stale completion adds to the
+    completed count and the runtime and turnaround sums. The consumption
+    level after each event is integrated into node-seconds as time moves on.
+    A later level at the same time replaces the earlier one, so a level
+    enters the peak only once time moves past it or the window ends. Raw
+    records are kept only when asked for.
     """
+    duration = job_trace.window[1]
+    state = regime.initial_state()
+    state.recording = record_events
+    log = AdjustmentLog()
+    records: Optional[list[Record]] = [] if record_events else None
+    # The stop event, one second past the window end, keeps the heap from
+    # emptying; every later event comes after it and is never taken.
+    heap: list[Event] = [(duration + 1, KIND_JOB_COMPLETION, -1, None)]
+    seq = itertools.count()
+    heappop, heappush = heapq.heappop, heapq.heappush
 
-    def __init__(self, job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Regime,
-                 record_events: bool):
-        self.regime = regime
-        self.duration = job_trace.window[1]
-        self.job_trace = job_trace
-        self.state = regime.initial_state()
-        self.state.recording = record_events
-        self.log = AdjustmentLog()
-        self.records: Optional[list[Record]] = [] if record_events else None
-        # The stop event, one second past the window end, keeps the heap from
-        # emptying; every later event comes after it and is never taken.
-        self._heap: list[Event] = [(self.duration + 1, KIND_JOB_COMPLETION, -1, None)]
-        self._seq = itertools.count()
-        # Each seeded stream of (time, payload) pairs but arrivals; None for the
-        # kinds that only ``push`` schedules.
-        ticks = range(0, self.duration + 1, regime.params.L)
-        streams = {KIND_WS_DEMAND_CHANGE: iter(sorted(demand_trace.samples, key=itemgetter(0))),
-                   **{kind: zip(ticks, itertools.repeat(None)) for kind in regime.timer_kinds}}
-        self._streams = [streams.get(kind) for kind in range(len(KIND_NAMES))]
-        for kind, stream in streams.items():
-            for time, payload in itertools.islice(stream, 1):
-                self.push(time, kind, payload)
+    def push(time: int, kind: int, payload: Any = None) -> None:
+        heappush(heap, (time, kind, next(seq), payload))
 
-    def push(self, time: int, kind: int, payload: Any = None) -> None:
-        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
-
-    # -- per-event processing ----------------------------------------------
-
-    def start_job(self, job: Job, now: int) -> None:
-        job_id, _, runtime, size = job
-        state = self.state
-        attempt = state.attempts.pop(job_id, 0) + 1
-        state.running[job_id] = (job, now, attempt)
-        state.running_alloc += size
-        heapq.heappush(self._heap, (now + runtime, KIND_JOB_COMPLETION, next(self._seq),
-                                    (job, attempt)))
-
-    def execute(self) -> SimResult:
-        """Process every event up to the window end, dispatching each on its
-        kind once: a completion frees its nodes, a demand change or timer
-        goes to the regime, and an arrival joins the queue.
-
-        Each non-stale completion adds to the completed count and the runtime
-        and turnaround sums. The consumption level after each event is
-        integrated into node-seconds as time moves on. A later level at the
-        same time replaces the earlier one, so a level enters the peak only
-        once time moves past it or the window ends. Raw records are kept
-        only when asked for.
-        """
-        regime, state, log, heap = self.regime, self.state, self.log, self._heap
-        heappop, heappush, seq, streams = heapq.heappop, heapq.heappush, self._seq, self._streams
-        consumption, admit, duration = regime.consumption, regime.admit, self.duration
-        entries, records, running_jobs = log.entries, self.records, state.running
-        varying = regime.config_size is None  # a bounded regime always consumes its size
-        # Arrivals before the window end in submit order (sorted only if need be), then
-        # a stop job at the stop event.
-        jobs = self.job_trace.jobs
-        if sorted(map(_SUBMIT, jobs)) != list(map(_SUBMIT, jobs)):
-            jobs = sorted(jobs, key=_SUBMIT)
-        in_window = itertools.islice(jobs, bisect_left(jobs, duration, key=_SUBMIT))
-        arrivals = itertools.chain(in_window, [(None, duration + 1, 0, 0)])
-        arrival = next(arrivals)
-        end = completed = runtime_sum = turnaround_sum = 0
-        level, since, peak, total = consumption(state), 0, 0, 0
-        while True:
-            # A heap event at the next arrival's time goes first: arrivals are
-            # the last kind at any time.
-            if heap[0][0] <= arrival[1]:
-                time, kind, _, payload = heappop(heap)
-            else:
-                time, kind, payload = arrival[1], KIND_JOB_ARRIVAL, arrival
-                arrival = next(arrivals)
-            if time > duration:
-                break
-            if time < state.clock:
-                raise KernelError(f"time regression: event at {time} before clock {state.clock}")
-            state.clock = time
-            stream = streams[kind]
-            if stream is not None:
-                entry = next(stream, None)
-                if entry is not None:
-                    heappush(heap, (entry[0], kind, next(seq), entry[1]))
-            killed: Sequence[int] = ()
-            if kind == KIND_JOB_COMPLETION:
-                (job_id, submit, runtime, size), attempt = payload
-                running = running_jobs.get(job_id)
-                if running is None or running[2] != attempt:
-                    continue  # a killed attempt's completion
-                del running_jobs[job_id]
-                state.running_alloc -= size
-                completed += 1
-                runtime_sum += runtime
-                turnaround_sum += time - submit
-            elif kind == KIND_WS_DEMAND_CHANGE:
-                killed = regime.on_demand(state, payload, log)
-            elif kind == KIND_JOB_ARRIVAL:
-                state.queue.append(payload)
-            else:
-                regime.on_tick(state, kind, payload, log)
-            started = admit(self)
-            # Called also when not recorded, and then None: perfbench/tracer.py
-            # derives its queue-length figures from one call per processed event.
-            snapshot = state.snapshot()
-            if records is not None:
-                first, end = end, len(entries)
-                records.append((time, kind, payload, started, killed, first, end, snapshot))
-            if varying:
-                new_level = consumption(state)
-                if new_level != level:
-                    if time != since:
-                        if level > peak:
-                            peak = level
-                        total += level * (time - since)
-                        since = time
-                    level = new_level
-        if level > peak:
-            peak = level
-        if since < duration:
-            total += level * (duration - since)
-        report = finalize(
-            peak=peak,
-            total=total,
-            completed=completed,
-            runtime_sum=runtime_sum,
-            turnaround_sum=turnaround_sum,
-            duration=duration,
-            regime=regime.name,
-            total_jobs=len(self.job_trace.jobs),
-            adjustment_count=len(entries),
-        )
-        return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
-                         records=self.records)
+    # Each seeded stream of (time, payload) pairs but arrivals; None for the
+    # kinds that only ``push`` schedules.
+    ticks = range(0, duration + 1, regime.params.L)
+    seeded = {KIND_WS_DEMAND_CHANGE: iter(sorted(demand_trace.samples, key=itemgetter(0))),
+              **{kind: zip(ticks, itertools.repeat(None)) for kind in regime.timer_kinds}}
+    for kind, stream in seeded.items():
+        for time, payload in itertools.islice(stream, 1):
+            push(time, kind, payload)
+    streams = [seeded.get(kind) for kind in range(len(KIND_NAMES))]
+    consumption, admit = regime.consumption, regime.admit
+    entries, running_jobs, attempts = log.entries, state.running, state.attempts
+    varying = regime.config_size is None  # a bounded regime always consumes its size
+    # Arrivals before the window end in submit order (sorted only if need be), then
+    # a stop job at the stop event.
+    jobs = job_trace.jobs
+    if sorted(map(_SUBMIT, jobs)) != list(map(_SUBMIT, jobs)):
+        jobs = sorted(jobs, key=_SUBMIT)
+    in_window = itertools.islice(jobs, bisect_left(jobs, duration, key=_SUBMIT))
+    arrivals = itertools.chain(in_window, [(None, duration + 1, 0, 0)])
+    arrival = next(arrivals)
+    end = completed = runtime_sum = turnaround_sum = 0
+    level, since, peak, total = consumption(state), 0, 0, 0
+    while True:
+        # A heap event at the next arrival's time goes first: arrivals are
+        # the last kind at any time.
+        if heap[0][0] <= arrival[1]:
+            time, kind, _, payload = heappop(heap)
+        else:
+            time, kind, payload = arrival[1], KIND_JOB_ARRIVAL, arrival
+            arrival = next(arrivals)
+        if time > duration:
+            break
+        if time < state.clock:
+            raise KernelError(f"time regression: event at {time} before clock {state.clock}")
+        state.clock = time
+        stream = streams[kind]
+        if stream is not None:
+            entry = next(stream, None)
+            if entry is not None:
+                heappush(heap, (entry[0], kind, next(seq), entry[1]))
+        killed: Sequence[int] = ()
+        if kind == KIND_JOB_COMPLETION:
+            (job_id, submit, runtime, size), attempt = payload
+            running = running_jobs.get(job_id)
+            if running is None or running[2] != attempt:
+                continue  # a killed attempt's completion
+            del running_jobs[job_id]
+            state.running_alloc -= size
+            completed += 1
+            runtime_sum += runtime
+            turnaround_sum += time - submit
+        elif kind == KIND_WS_DEMAND_CHANGE:
+            killed = regime.on_demand(state, payload, log)
+        elif kind == KIND_JOB_ARRIVAL:
+            state.queue.append(payload)
+        else:
+            regime.on_tick(state, kind, payload, log)
+        started = admit(state, log, push)
+        for job in started:
+            job_id, _, runtime, size = job
+            attempt = attempts.pop(job_id, 0) + 1
+            running_jobs[job_id] = (job, time, attempt)
+            state.running_alloc += size
+            heappush(heap, (time + runtime, KIND_JOB_COMPLETION, next(seq), (job, attempt)))
+        # Called also when not recorded, and then None: perfbench/tracer.py
+        # derives its queue-length figures from one call per processed event.
+        snapshot = state.snapshot()
+        if records is not None:
+            first, end = end, len(entries)
+            records.append((time, kind, payload, started, killed, first, end, snapshot))
+        if varying:
+            new_level = consumption(state)
+            if new_level != level:
+                if time != since:
+                    if level > peak:
+                        peak = level
+                    total += level * (time - since)
+                    since = time
+                level = new_level
+    if level > peak:
+        peak = level
+    if since < duration:
+        total += level * (duration - since)
+    report = finalize(
+        peak=peak,
+        total=total,
+        completed=completed,
+        runtime_sum=runtime_sum,
+        turnaround_sum=turnaround_sum,
+        duration=duration,
+        regime=regime.name,
+        total_jobs=len(job_trace.jobs),
+        adjustment_count=len(entries),
+    )
+    return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
+                     records=records)
 
 
 def run(
@@ -237,7 +222,7 @@ def run(
         params, job_trace.peak_demand, demand_trace.peak_demand, config_size, pbj_floor
     )
     with collector_paused():
-        return _Kernel(job_trace, demand_trace, rules, record_events).execute()
+        return _execute(job_trace, demand_trace, rules, record_events)
 
 
 class collector_paused:

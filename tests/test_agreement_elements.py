@@ -1,15 +1,19 @@
 """The RE agreement's nine elements: the bytes both writers give, how each
-element reads when it is left out, and which fault a document names first."""
+element reads when it is left out or given twice, which fault a document
+names first, and that every accepted agreement reads back as written."""
 
 import json
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from provsim.agreement import agreement_to_json, parse_agreement, serialize_agreement
+from provsim.cli import EXIT_INVALID, main
 from provsim.errors import AgreementError
 
-from test_agreement import make_agreement
+from test_agreement import BATCH_AGREEMENT_XML, make_agreement
 
 FB_AGREEMENT = dict(model="FB", lower_bound=0, upper_bound=0, has_coordinated_re=False,
                     allows_cross_provider=True)
@@ -128,3 +132,55 @@ def test_first_fault_named(edits, named):
         text = text.replace(old, new)
     with pytest.raises(AgreementError, match=re.escape(named)):
         parse_agreement(text)
+
+
+@pytest.mark.parametrize("element, key", [(element, key) for element, key, *_ in ELEMENTS],
+                         ids=[element for element, *_ in ELEMENTS])
+def test_element_given_twice_is_refused(element, key):
+    # Neither copy is taken, whichever value each holds.
+    xml = serialize_agreement(BASE)
+    line = re.search(f"<{element}=[^>]*></{element}>\n", xml).group()
+    value = json.dumps(BASE._asdict()[key])
+    for text, name in ((xml.replace(line, line * 2), element),
+                       ('{"%s": %s, %s' % (key, value, json.dumps(BASE._asdict())[1:]), key)):
+        with pytest.raises(AgreementError, match=f"duplicate agreement element '{name}'"):
+            parse_agreement(text)
+
+
+def test_validate_exits_invalid_on_an_element_given_twice(tmp_path, capsys):
+    xml = serialize_agreement(BASE).replace(
+        '<lower_bound_size="13">', '<lower_bound_size="1"></lower_bound_size><lower_bound_size="7">')
+    js = json.dumps(BASE._asdict()).replace('"lower_bound": 13', '"lower_bound": 3, "lower_bound": 9')
+    for text, name in ((xml, "lower_bound_size"), (js, "lower_bound")):
+        path = tmp_path / "re.txt"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == EXIT_INVALID
+        assert f"duplicate agreement element '{name}'" in capsys.readouterr().err
+
+
+# Setup policies that XML's quotes carry as they are.
+POLICIES = ["é", "a<b", "a>b", "a&b", "re image now", " <&> é ", "null"]
+# Every agreement that a fixture of these tests accepts, and BASE with each policy.
+ACCEPTED = [BATCH_AGREEMENT_XML, serialize_agreement(BASE),
+            *(agreement_to_json(make_agreement(**fields)) for fields, _, _ in WRITTEN),
+            *(json.dumps({**BASE._asdict(), "setup_policy": policy}) for policy in POLICIES)]
+
+
+@pytest.mark.parametrize("text", ACCEPTED, ids=["batch-XML", "BASE-XML", "FLB_NUB-JSON",
+                                                "FB-JSON", *POLICIES])
+def test_accepted_agreement_round_trips(text):
+    agreement = parse_agreement(text)
+    assert parse_agreement(serialize_agreement(agreement)) == agreement
+    assert parse_agreement(agreement_to_json(agreement)) == agreement
+
+
+@given(st.text())
+def test_every_accepted_setup_policy_round_trips(policy):
+    # A '"' could not stand inside XML's quotes, so it is refused.
+    text = json.dumps({**BASE._asdict(), "setup_policy": policy})
+    if not policy.strip() or '"' in policy:
+        with pytest.raises(AgreementError, match="setup policy must be nonempty"):
+            parse_agreement(text)
+    else:
+        agreement = parse_agreement(text)
+        assert parse_agreement(serialize_agreement(agreement)) == agreement

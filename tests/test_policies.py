@@ -20,7 +20,14 @@ from provsim.policies import (
     whole,
     ws_instance_controller,
 )
-from provsim.state import REGIMES, AdjustmentLog, ClusterState, JobQueue
+from provsim.state import (
+    ACTOR_PBJ,
+    KIND_LEASE_TICK,
+    REGIMES,
+    AdjustmentLog,
+    ClusterState,
+    JobQueue,
+)
 from provsim.trace import Job
 
 from oracles import first_fit_reference, greedy_kill_reference, queue_order
@@ -483,6 +490,43 @@ class TestDcsAllocate:
     def test_config_must_match_peak_sum(self):
         with pytest.raises(ScenarioError):
             DCS(PolicyParams(), prc_pbj=144, prc_ws=129, config_size=272)
+
+
+# (regime, constructor arguments past the two peaks, batch holdings)
+ADMITTING = [("DCS", {}, 8), ("FB", {"config_size": 20}, 8),
+             ("FLB_NUB", {"pbj_floor": 8}, 8), ("EC2RS", {}, 0)]
+
+
+@pytest.mark.parametrize("name, kwargs, owned", ADMITTING, ids=[name for name, *_ in ADMITTING])
+def test_admit_returns_the_jobs_to_start_and_starts_none(name, kwargs, owned):
+    # Admission only decides: the kernel starts the jobs it returns, so the
+    # running entries, their allocation and the kept attempt counts stay as
+    # they were. Only EC2RS schedules an event, its lease's expiry.
+    params = PolicyParams(B=10, L=600)
+    regime = regime_class(name)(params, 8, 4, **kwargs)
+    state = regime.initial_state()
+    state.clock = 50
+    state.pbj_owned = owned
+    running = Job(9, 0, 1000, 2)
+    state.running[running.id] = (running, 0, 1)
+    state.running_alloc = running.size
+    queued = [Job(1, 50, 700, 7), Job(2, 50, 100, 3), Job(3, 50, 1200, 4), Job(4, 50, 60, 1)]
+    state.queue.push_front(queued)
+    state.attempts[3] = 2  # job 3 was killed once and requeued
+    before = (dict(state.running), state.running_alloc, dict(state.attempts))
+    log, pushed = AdjustmentLog(), []
+    started = regime.admit(state, log, lambda *event: pushed.append(event))
+    assert (dict(state.running), state.running_alloc, dict(state.attempts)) == before
+    if name == "EC2RS":
+        assert list(started) == queued
+        assert pushed == [(ec2_job_lifecycle(job, params)[1], KIND_LEASE_TICK, (job.id, job.size))
+                          for job in queued]
+        assert log.entries == [(50, ACTOR_PBJ, job.size) for job in queued]
+    else:
+        expected = first_fit_reference(queued, owned - running.size)
+        assert list(started) == expected and [job.id for job in expected] == [2, 4]
+        assert pushed == []
+    assert len(state.queue) == len(queued) - len(started)
 
 
 def test_regime_classes_named_as_regimes():
