@@ -15,8 +15,11 @@ lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
 - ``summary``: for each end-to-end metric of ``BENCHMARK.json``, each
   tree's median and quartiles, the pairs each tree won (by the metric's
   ``better`` direction; a tie counts for neither) and the relative change of
-  the median; each tree's median unscaled times; and whether every run was
-  correct;
+  the median; the same for the unscaled ``wall_s``, ``setup_s``, ``cpu_s``
+  and ``kernel_s``; each tree's median unscaled times, the host probe's
+  included; flags on each scaled time metric whose verdict the probe may
+  have set (``summarize``); and whether every run was correct. The summary
+  is also printed, one line a reading;
 - ``calls_per_event``: per seed and tree, each scenario's events, Python
   calls and calls per event from ``scripts/calls_per_event.py --workload W
   --seed S``, run once in each tree: the counts are exact, so one run shows
@@ -45,6 +48,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")  # TREE, then this tree
@@ -120,33 +124,89 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+# Each probe-scaled end-to-end metric and the unscaled time it is computed from.
+UNSCALED = {"wall_s": "wall_s", "setup_s": "setup_s", "cpu_s": "cpu_s",
+            "sim_events_per_s": "kernel_s"}
+
+
+def compare(runs: list[dict], key: str, name: str, direction: str) -> Optional[dict]:
+    """Both trees' spread of ``run[side][key][name]`` over the pairs that
+    have it, the pairs each tree won and the relative change of the median;
+    None when no pair has it."""
+    pairs = [(run["parent"][key][name], run["change"][key][name]) for run in runs
+             if name in run["parent"][key] and name in run["change"][key]]
+    if not pairs:
+        return None
+    sign = 1 if direction == "higher" else -1
+    parent, change = (spread(list(side)) for side in zip(*pairs))
+    return {
+        "better": direction, "pairs": len(pairs), "parent": parent, "change": change,
+        "parent_won": sum(sign * (p - c) > 0 for p, c in pairs),
+        "change_won": sum(sign * (c - p) > 0 for p, c in pairs),
+        "median_change": change["median"] / parent["median"] - 1 if parent["median"] else None,
+    }
+
+
+def winner(stats: dict) -> Optional[str]:
+    """The tree that won more pairs, or None on a tie."""
+    if stats["change_won"] == stats["parent_won"]:
+        return None
+    return "change" if stats["change_won"] > stats["parent_won"] else "parent"
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """The summary of a workload's pairs; ``better`` maps each end-to-end
-    metric to "higher" or "lower". Pairs missing a value are left out."""
-    metrics = {}
-    for name, direction in better.items():
-        pairs = [(run["parent"]["metrics"][name], run["change"]["metrics"][name])
-                 for run in runs
-                 if name in run["parent"]["metrics"] and name in run["change"]["metrics"]]
-        if not pairs:
-            continue
-        sign = 1 if direction == "higher" else -1
-        parent, change = (spread(list(side)) for side in zip(*pairs))
-        metrics[name] = {
-            "better": direction, "pairs": len(pairs), "parent": parent, "change": change,
-            "parent_won": sum(sign * (p - c) > 0 for p, c in pairs),
-            "change_won": sum(sign * (c - p) > 0 for p, c in pairs),
-            "median_change": change["median"] / parent["median"] - 1 if parent["median"] else None,
-        }
-    unscaled = {}
+    metric to "higher" or "lower". Pairs missing a value are left out.
+
+    Each scaled time metric also gets the name of its unscaled time and
+    ``flags``: why its verdict may be the probe's and not the program's. One
+    flag is raised when the scaled and unscaled readings pick different
+    winners by pairs won, and one when the trees' probe medians differ by
+    more than the quartile spread of the parent's scaled values (both as a
+    share of the median)."""
+    metrics = {name: stats for name, direction in better.items()
+               if (stats := compare(runs, "metrics", name, direction))}
+    unscaled = {name: stats for name in dict.fromkeys(UNSCALED.values())
+                if (stats := compare(runs, "unscaled", name, "lower"))}
+    medians = {}
     for side in SIDES:
         names = sorted({name for run in runs for name in run[side]["unscaled"]})
-        unscaled[side] = {name: statistics.median(run[side]["unscaled"][name] for run in runs
-                                                  if name in run[side]["unscaled"])
-                          for name in names}
+        medians[side] = {name: statistics.median(run[side]["unscaled"][name] for run in runs
+                                                 if name in run[side]["unscaled"])
+                         for name in names}
+    probes = [medians[side].get("probe_s") for side in SIDES]
+    for name, stats in metrics.items():
+        raw = unscaled.get(UNSCALED.get(name))
+        if raw is None:
+            continue
+        stats["unscaled"], stats["flags"] = UNSCALED[name], []
+        if winner(stats) != winner(raw):
+            stats["flags"].append(f"scaled {name} picks {winner(stats)}, unscaled "
+                                  f"{UNSCALED[name]} picks {winner(raw)}")
+        parent = stats["parent"]
+        quartiles = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0
+        if None not in probes and abs(probes[1] / probes[0] - 1) > quartiles:
+            stats["flags"].append(f"probe medians differ by {abs(probes[1] / probes[0] - 1):.1%}, "
+                                  f"more than {name}'s quartile spread of {quartiles:.1%}")
     correct = [run[side]["correct"] for run in runs for side in SIDES]
-    return {"metrics": metrics, "unscaled_median": unscaled,
+    return {"metrics": metrics, "unscaled": unscaled, "unscaled_median": medians,
             "runs_correct": sum(correct), "runs": len(correct), "all_correct": all(correct)}
+
+
+def describe(summary: dict) -> list[str]:
+    """One line per metric, scaled and unscaled, with its flags."""
+    def reading(name: str, stats: dict) -> str:
+        return (f"{name} {stats['parent']['median']:.6g} -> {stats['change']['median']:.6g} "
+                f"({stats['median_change']:+.1%}), pairs won parent {stats['parent_won']} "
+                f"change {stats['change_won']}" if stats["median_change"] is not None else name)
+
+    lines = [f"  scaled {reading(name, stats)}" for name, stats in summary["metrics"].items()]
+    lines += [f"  unscaled {reading(name, stats)}" for name, stats in summary["unscaled"].items()]
+    probes = [summary["unscaled_median"][side].get("probe_s") for side in SIDES]
+    lines.append(f"  probe median parent {probes[0]} change {probes[1]}")
+    lines += [f"  FLAG {flag}" for stats in summary["metrics"].values()
+              for flag in stats.get("flags", [])]
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -185,8 +245,9 @@ def main(argv: list[str]) -> int:
                 and name in run["change"]["metrics"]), flush=True)
         calls = {str(seed): {side: calls_once(trees[side], workload, seed) for side in SIDES}
                  for seed in dict.fromkeys(run["seed"] for run in runs)}
-        out["workloads"][workload] = {"summary": summarize(runs, better),
-                                      "calls_per_event": calls, "runs": runs}
+        summary = summarize(runs, better)
+        print(f"{workload}:", *describe(summary), sep="\n")
+        out["workloads"][workload] = {"summary": summary, "calls_per_event": calls, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

@@ -147,6 +147,24 @@ MUTANTS = [
     ("agreement-optional-element-required", "agreement.py",
      '"allows_cross_provider": ("cross_provider_coordinated_RE", False, _flag),',
      '"allows_cross_provider": ("cross_provider_coordinated_RE", True, _flag),'),
+    ("scenario-required-key-optional", "scenario.py",
+     '"window.duration": ("window_duration", _at_least(1), REQUIRED, "--duration"),',
+     '"window.duration": ("window_duration", _at_least(1), 0, "--duration"),'),
+    ("scenario-default-changed", "scenario.py",
+     '"cpus_per_node": ("cpus_per_node", _at_least(1), 1, "--cpus-per-node"),',
+     '"cpus_per_node": ("cpus_per_node", _at_least(1), 2, "--cpus-per-node"),'),
+    ("scenario-start-offset-range-unchecked", "scenario.py",
+     '"window.start_offset": ("window_start", _at_least(0), 0, "--window-start"),',
+     '"window.start_offset": ("window_start", whole, 0, "--window-start"),'),
+    ("scenario-unknown-nested-key-accepted", "scenario.py",
+     "_known(obj, rows, prefix)", "_known(obj, rows, prefix) if not outer else None"),
+    ("cli-target-peaks-flag-swapped", "cli.py",
+     'doc["target_peaks"] = {"pbj": pbj, "ws": ws}', 'doc["target_peaks"] = {"pbj": ws, "ws": pbj}'),
+    ("kernel-timer-bound-dropped", "simkernel.py",
+     "if rules.timer_kinds and firings > MAX_TIMER_FIRINGS:", "if False:"),
+    ("kernel-timer-bound-off-by-one", "simkernel.py",
+     "if rules.timer_kinds and firings > MAX_TIMER_FIRINGS:",
+     "if rules.timer_kinds and firings >= MAX_TIMER_FIRINGS:"),
     ("agreement-type-wins-over-workload-type", "agreement.py",
      'obj.setdefault("workload_type", obj["type"])', 'obj["workload_type"] = obj["type"]'),
 ]

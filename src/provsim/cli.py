@@ -28,6 +28,8 @@ from .errors import (
 )
 from .metrics import csv_header, report_to_csv_row, report_to_json
 from .scenario import (
+    FIELDS,
+    REQUIRED,
     SWEEP_AXES,
     Scenario,
     apply_axis,
@@ -41,7 +43,6 @@ from .scenario import (
     scenario_from_dict,
 )
 from .simkernel import collector_paused, write_event_log
-from .state import REGIMES
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -101,36 +102,31 @@ def _write_reports(scenario: Scenario, result, out_dir: Path) -> list[Path]:
     return written
 
 
-def _scenario_from_flags(args: argparse.Namespace) -> Scenario:
-    doc = {
-        "name": args.name or "adhoc",
-        "pbj_trace": args.pbj_trace,
-        "ws_trace": args.ws_trace,
-        "window": {"start_offset": args.window_start, "duration": args.duration},
-        "cpus_per_node": args.cpus_per_node,
-        "regime": args.regime,
-    }
-    if args.target_peaks:
-        pbj, ws = peak_pair(args.target_peaks, "--target-peaks")
+def _scenario_from_flags(given: dict[str, str]) -> Scenario:
+    """The scenario of the ad hoc flags ``given`` by key, each read as that key of a file."""
+    required = {key: flag for key, (_, _, default, flag) in FIELDS.items() if default is REQUIRED}
+    if not all(given.get(key) for key in required):  # an empty flag counts as missing
+        *first, last = required.values()
+        raise ScenarioError(f"ad hoc runs need {', '.join(first)} and {last}")
+    doc: dict = {}
+    for key, text in given.items():
+        outer, _, inner = key.rpartition(".")
+        (doc.setdefault(outer, {}) if outer else doc)[inner] = text
+    if "target_peaks" in doc:  # the one flag that gives an object
+        pbj, ws = peak_pair(doc["target_peaks"], "--target-peaks")
         doc["target_peaks"] = {"pbj": pbj, "ws": ws}
-    if args.config_size is not None:
-        doc["config_size"] = args.config_size
-    if args.params:
-        doc["params"] = args.params
-    return scenario_from_dict(doc)
+    return scenario_from_dict(doc, default_name="adhoc")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.scenario is not None:
-        if args.pbj_trace or args.ws_trace:
-            raise ScenarioError("give either a scenario file or --pbj-trace/--ws-trace flags")
-        scenario = load_scenario(args.scenario)
+    given = {key: vars(args)[key] for key, (*_, flag) in FIELDS.items() if flag and key in args}
+    if args.scenario is None:
+        scenario = _scenario_from_flags(given)
+    elif given:
+        raise ScenarioError("give either a scenario file or ad hoc flags, not both (got "
+                            f"{', '.join(FIELDS[key][3] for key in given)})")
     else:
-        if not (args.pbj_trace and args.ws_trace and args.regime) or args.duration is None:
-            raise ScenarioError(
-                "ad hoc runs need --pbj-trace, --ws-trace, --regime and --duration"
-            )
-        scenario = _scenario_from_flags(args)
+        scenario = load_scenario(args.scenario)
     # Paused through the reports, records freed before it resumes: a pass would walk them all.
     with collector_paused():
         result = run_scenario_obj(scenario, load_traces(scenario), record_events=args.event_log)
@@ -240,18 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("scenario", nargs="?", default=None, help="path to a scenario JSON file")
     run_p.add_argument("--event-log", action="store_true", help="also write the LDJSON event log")
     run_p.add_argument("--output-dir", default=None, help=f"report directory (or ${OUTPUT_DIR_ENV})")
-    adhoc = run_p.add_argument_group("ad hoc run (instead of a scenario file)")
-    adhoc.add_argument("--pbj-trace", default=None, help="SWF batch-job trace path")
-    adhoc.add_argument("--ws-trace", default=None, help="demand-trace CSV path")
-    adhoc.add_argument("--regime", choices=REGIMES, default=None)
-    # The integer flags are scenario fields, converted and checked as such.
-    adhoc.add_argument("--duration", default=None, help="window duration in seconds")
-    adhoc.add_argument("--window-start", default=0)
-    adhoc.add_argument("--cpus-per-node", default=1)
-    adhoc.add_argument("--target-peaks", default=None, help="scaling tuple as pbj:ws, e.g. 128:128")
-    adhoc.add_argument("--config-size", default=None)
-    adhoc.add_argument("--params", default=None, help='e.g. "B25/U1.2/V0.2/G0.5/L60"')
-    adhoc.add_argument("--name", default=None, help="report base name for ad hoc runs")
+    adhoc = run_p.add_argument_group(
+        "ad hoc run (instead of a scenario file)",
+        "each flag is read as the scenario field it names; --target-peaks as pbj:ws")
+    for key, (_, _, _, flag) in FIELDS.items():
+        if flag:
+            adhoc.add_argument(flag, dest=key, metavar=key, default=argparse.SUPPRESS)
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run one scenario across an axis of parameter values")

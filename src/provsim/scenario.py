@@ -47,26 +47,20 @@ class Scenario(NamedTuple):
     base_dir: Path = Path(".")
 
     def validate(self) -> "Scenario":
-        """Check the scenario's own fields; the regime checks the rest at run time."""
+        """Check the rules that tie fields together; the regime checks the rest at run time."""
         regime_class(self.regime)
-        if self.window_start < 0:
-            raise ScenarioError(f"window.start_offset must be >= 0, got {self.window_start}")
-        if self.window_duration <= 0:
-            raise ScenarioError(f"window.duration must be positive, got {self.window_duration}")
-        if self.cpus_per_node < 1:
-            raise ScenarioError(f"cpus_per_node must be >= 1, got {self.cpus_per_node}")
         if (self.prc_pbj is None) != (self.prc_ws is None):
             raise ScenarioError("target_peaks needs both pbj and ws, or neither")
         return self
 
 
 def _field(doc: dict[str, Any], key: str, converter: Callable[[Any], Any],
-           default: Any = None, prefix: str = "") -> Any:
-    """``converter(doc[key])``, or ``default`` when the field is absent or null."""
-    value = doc.get(key)
+           default: Any = None) -> Any:
+    """``converter(doc[k])``, k the dotted ``key``'s last part, or ``default`` if absent or null."""
+    value = doc.get(key.rpartition(".")[2])
     if value is None:
         return default
-    return convert(value, converter, f"scenario field {prefix}{key}")
+    return convert(value, converter, f"scenario field {key}")
 
 
 def _text(value: Any) -> str:
@@ -103,17 +97,19 @@ def _object(value: Any) -> dict[str, Any]:
     return value
 
 
-def _peak(value: Any) -> int:
-    peak = whole(value)
-    if peak < 1:
-        raise ValueError("a target peak must be >= 1")
-    return peak
+def _at_least(low: int) -> Callable[[Any], int]:
+    """The reader of a whole number of at least ``low``."""
+    def read(value: Any) -> int:
+        if (number := whole(value)) < low:
+            raise ValueError(f"must be >= {low}")
+        return number
+    return read
 
 
 def peak_pair(text: str, what: str) -> tuple[int, int]:
     """The (pbj, ws) target peaks written "pbj:ws", such as "128:64"."""
     try:
-        pbj, ws = (_peak(v) for v in text.split(":"))
+        pbj, ws = map(_at_least(1), text.split(":"))
     except ValueError:
         raise ScenarioError(f"{what} looks like '128:64', got {text!r}") from None
     return pbj, ws
@@ -124,18 +120,42 @@ _OBJECT_PARAMS = {**PARAM_CONVERTERS, "L": whole, "L_minutes": lease_seconds}
 
 
 def _parse_policy_params(raw: Any) -> PolicyParams:
-    if raw is None:
-        return PolicyParams()
     if isinstance(raw, str):
         return parse_params(raw)
     if isinstance(raw, dict):
         if "L_minutes" in raw and "L" in raw:
             raise ScenarioError("give either L (seconds) or L_minutes, not both")
         _known(raw, _OBJECT_PARAMS, "params.")
-        values = {key[0]: _field(raw, key, converter, prefix="params.")  # L_minutes sets L
+        values = {key[0]: _field(raw, f"params.{key}", converter)  # L_minutes sets L
                   for key, converter in _OBJECT_PARAMS.items() if raw.get(key) is not None}
         return PolicyParams(**values)
     raise ScenarioError(f"params must be a compact string or an object, got {type(raw)!r}")
+
+
+REQUIRED = "required"  # the default of a key that a scenario must give
+
+# Every key of a scenario document, a nested one after its object's key and a
+# dot: the Scenario field it sets (None for an object of keys), the reader of
+# its value, its default or REQUIRED, and the ad hoc `run` flag that gives it.
+# The checks run in this order: unknown and missing keys of the document, then
+# of each object, then each value's reader, then ``Scenario.validate``.
+FIELDS = {
+    "name": ("name", _file_name, None, "--name"),  # None: the file's stem
+    "pbj_trace": ("pbj_trace", _text, REQUIRED, "--pbj-trace"),
+    "ws_trace": ("ws_trace", _text, REQUIRED, "--ws-trace"),
+    "window": (None, _object, {}, None),
+    "window.start_offset": ("window_start", _at_least(0), 0, "--window-start"),
+    "window.duration": ("window_duration", _at_least(1), REQUIRED, "--duration"),
+    "cpus_per_node": ("cpus_per_node", _at_least(1), 1, "--cpus-per-node"),
+    "target_peaks": (None, _object, {}, "--target-peaks"),  # the flag as pbj:ws
+    "target_peaks.pbj": ("prc_pbj", _at_least(1), None, None),
+    "target_peaks.ws": ("prc_ws", _at_least(1), None, None),
+    "regime": ("regime", _text, REQUIRED, "--regime"),
+    "config_size": ("config_size", whole, None, "--config-size"),
+    "params": ("params", _parse_policy_params, PolicyParams(), "--params"),
+    "pbj_floor": ("pbj_floor", whole, None, None),
+    "output_dir": ("output_dir", _text, None, None),
+}
 
 
 def read_input(path: Path, what: str, read_error: type[ProvsimError] = ScenarioError,
@@ -162,38 +182,25 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, base_dir=path.parent, default_name=path.stem)
 
 
-_FIELDS = ("name", "pbj_trace", "ws_trace", "window", "cpus_per_node", "target_peaks", "regime",
-           "config_size", "params", "pbj_floor", "output_dir")
-
-
 def scenario_from_dict(
     doc: dict[str, Any], base_dir: Path = Path("."), default_name: str = "scenario"
 ) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _known(doc, _FIELDS)
-    for key in ("pbj_trace", "ws_trace", "regime"):
-        if doc.get(key) is None:
-            raise ScenarioError(f"missing scenario field {key!r}")
-    window = _known(_field(doc, "window", _object, {}), ("start_offset", "duration"), "window.")
-    targets = _known(_field(doc, "target_peaks", _object, {}), ("pbj", "ws"), "target_peaks.")
-    scenario = Scenario(
-        name=_field(doc, "name", _file_name) or convert(default_name, _file_name, "scenario name"),
-        pbj_trace=_field(doc, "pbj_trace", _text),
-        ws_trace=_field(doc, "ws_trace", _text),
-        window_start=_field(window, "start_offset", whole, 0, "window."),
-        window_duration=_field(window, "duration", whole, 0, "window."),
-        cpus_per_node=_field(doc, "cpus_per_node", whole, 1),
-        prc_pbj=_field(targets, "pbj", _peak, prefix="target_peaks."),
-        prc_ws=_field(targets, "ws", _peak, prefix="target_peaks."),
-        regime=_field(doc, "regime", _text),
-        config_size=_field(doc, "config_size", whole),
-        params=_parse_policy_params(doc.get("params")),
-        pbj_floor=_field(doc, "pbj_floor", whole),
-        output_dir=_field(doc, "output_dir", _text),
-        base_dir=base_dir,
-    )
-    return scenario.validate()
+    objects = {}  # the document at "", then each object in it
+    for outer in ["", *(key for key, (attr, *_) in FIELDS.items() if attr is None)]:
+        prefix = f"{outer}." if outer else ""
+        rows = {key[len(prefix):]: row for key, row in FIELDS.items()
+                if key.rpartition(".")[0] == outer}
+        obj = objects[outer] = _field(doc, outer, *FIELDS[outer][1:3]) if outer else doc
+        _known(obj, rows, prefix)
+        for key, (_, _, default, _) in rows.items():
+            if default is REQUIRED and obj.get(key) is None:
+                raise ScenarioError(f"missing scenario field {prefix + key!r}")
+    values = {attr: _field(objects[key.rpartition(".")[0]], key, read, default)
+              for key, (attr, read, default, _) in FIELDS.items() if attr is not None}
+    name = values.pop("name") or convert(default_name, _file_name, "scenario name")
+    return Scenario(name=name, **values, base_dir=base_dir).validate()
 
 
 def read_traces(scenario: Scenario) -> Traces:

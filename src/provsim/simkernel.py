@@ -62,6 +62,12 @@ Event = tuple[int, int, int, Any]
 # its [from, to) adjustment-log slice (from is the previous record's to), the state after.
 Record = tuple[int, int, Any, Sequence[Job], Sequence[int], int, int, tuple[int, ...]]
 
+# The most times a run may fire each timer of its regime, ``duration // L``.
+# Timers fire every L seconds up to the window end, so a longer window would
+# run for minutes or, at a duration near 2**62 s, for ever. The shipped and
+# benchmark scenarios fire theirs at most a few thousand times.
+MAX_TIMER_FIRINGS = 10**7
+
 
 class SimResult:
     def __init__(self, metrics: MetricsReport, adjustments: AdjustmentLog,
@@ -213,14 +219,21 @@ def run(
     ``SimResult.records`` is None. Jobs arrive in ``[0, duration)``, as
     ``trace.window`` keeps them; one submitted later only counts as incomplete.
     An empty job trace is accepted (the degenerate nothing-ever-runs case); the
-    demand trace must carry at least one sample. The cyclic garbage collector
-    is paused while the kernel executes.
+    demand trace must carry at least one sample. A regime with timers may fire
+    them at most ``MAX_TIMER_FIRINGS`` times (window duration // L); a longer
+    window raises ScenarioError. The cyclic garbage collector is paused while
+    the kernel executes.
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")
     rules = policies.regime_class(regime)(
         params, job_trace.peak_demand, demand_trace.peak_demand, config_size, pbj_floor
     )
+    firings = job_trace.window[1] // rules.params.L
+    if rules.timer_kinds and firings > MAX_TIMER_FIRINGS:
+        raise ScenarioError(f"window.duration={job_trace.window[1]} s over lease unit "
+                            f"L={rules.params.L} s fires {rules.name}'s timers {firings} times, "
+                            f"above the {MAX_TIMER_FIRINGS} a run may fire")
     with collector_paused():
         return _execute(job_trace, demand_trace, rules, record_events)
 

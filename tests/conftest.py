@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import io
+import signal
 
 import pytest
 
@@ -75,3 +77,24 @@ class CountingStream(io.BytesIO):
     def write(self, data):
         self.writes += 1
         return super().write(data)
+
+
+class TooLong(BaseException):
+    """Raised in a block that ran past its ``time_limit``; no ``except
+    Exception`` in the program catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Stop the block with TooLong after ``seconds`` of wall time, so that a
+    run that would not end fails instead of hanging the suite."""
+    def expire(*_):
+        raise TooLong(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

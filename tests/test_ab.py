@@ -89,3 +89,56 @@ def test_failed_run_gives_no_values_and_marks_the_workload():
     events = summary["metrics"]["sim_events_per_s"]
     assert events["pairs"] == 1 and events["change"] == {"median": 110, "q1": 110, "q3": 110}
     assert (summary["runs_correct"], summary["all_correct"]) == (3, False)
+
+
+def timed(wall_s, kernel_s, probe_s, scale=1.0):
+    """A run whose scaled times are its unscaled ones times ``scale``."""
+    return {"correct": True, "metrics": {"wall_s": wall_s * scale, "sim_events_per_s": 1 / (kernel_s * scale)},
+            "unscaled": {"wall_s": wall_s, "kernel_s": kernel_s, "probe_s": probe_s}}
+
+
+def test_summary_reads_the_unscaled_times_beside_the_scaled_ones():
+    runs = [{"pair": i, "seed": 1, "first": "parent", "parent": timed(1.0, 0.5, 0.06),
+             "change": timed(0.9 + i / 100, 0.45, 0.06)} for i in range(4)]
+    summary = ab.summarize(runs, BETTER)
+    wall = summary["unscaled"]["wall_s"]
+    assert (wall["change_won"], wall["parent_won"]) == (4, 0)
+    assert wall["change"]["median"] == pytest.approx(0.915)
+    assert summary["unscaled"]["kernel_s"]["change_won"] == 4
+    assert summary["metrics"]["wall_s"]["unscaled"] == "wall_s"
+    assert summary["metrics"]["sim_events_per_s"]["unscaled"] == "kernel_s"
+    assert all(stats["flags"] == [] for stats in summary["metrics"].values())
+    assert summary["unscaled_median"]["change"]["probe_s"] == 0.06
+
+
+def test_summary_flags_a_scaled_winner_the_unscaled_times_do_not_pick():
+    # The change runs faster, but its probe read faster still, so scaling reverses the verdict.
+    runs = [{"pair": i, "seed": 1, "first": "parent", "parent": timed(1.0, 0.5, 0.06, 1.0),
+             "change": timed(0.96, 0.48, 0.057, 1.06)} for i in range(4)]
+    summary = ab.summarize(runs, BETTER)
+    wall = summary["metrics"]["wall_s"]
+    assert ab.winner(wall) == "parent" and ab.winner(summary["unscaled"]["wall_s"]) == "change"
+    assert wall["flags"][0] == "scaled wall_s picks parent, unscaled wall_s picks change"
+    assert wall["flags"][1].startswith("probe medians differ by 5.0%, more than wall_s's")
+    assert any(line.startswith("  FLAG scaled wall_s") for line in ab.describe(summary))
+
+
+def test_probe_gap_within_the_quartile_spread_is_not_flagged():
+    runs = [{"pair": i, "seed": 1, "first": "parent", "parent": timed(1.0 + i / 10, 0.5, 0.060),
+             "change": timed(0.9 + i / 10, 0.45, 0.061)} for i in range(4)]
+    assert ab.summarize(runs, BETTER)["metrics"]["wall_s"]["flags"] == []
+
+
+@pytest.mark.parametrize("workload", ["long", "congested"])
+def test_committed_bench_runs_are_flagged(workload):
+    """Re-summarising the committed runs flags both workloads, whose scaled and
+    unscaled wall_s pick different winners (ROADMAP's probe finding)."""
+    root = SCRIPT.parent.parent
+    runs = json.loads((root / "BENCH_pr30.json").read_text())["workloads"][workload]["runs"]
+    better = {m["name"]: m["better"]
+              for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]}
+    summary = ab.summarize(runs, better)
+    wall = summary["metrics"]["wall_s"]
+    assert wall["flags"] and wall["flags"][0].startswith("scaled wall_s picks")
+    assert ab.winner(wall) != ab.winner(summary["unscaled"]["wall_s"])
+    assert summary["unscaled"]["kernel_s"]["change_won"] == 6

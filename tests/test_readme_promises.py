@@ -1,11 +1,12 @@
 """README's promises about running provsim, run as tests: its library
-example works on the shipped traces, a run writes the same bytes under any
-hash seed, and a sweep writes the same bytes with forked workers, from a
-fresh interpreter, as with one.
+example works on the shipped traces, its table of scenario fields is the
+code's, a run writes the same bytes under any hash seed, and a sweep writes
+the same bytes with forked workers, from a fresh interpreter, as with one.
 """
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 from provsim.cli import main
+from provsim.policies import parse_params
+from provsim.scenario import FIELDS, REQUIRED
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACES = ROOT / "traces"
@@ -35,6 +38,30 @@ def test_readme_library_example_runs_on_shipped_traces():
     result = namespace["result"]
     assert out.getvalue() == f"{result.metrics}\n"
     assert result.metrics.regime == "FLB_NUB" and result.metrics.completed_jobs > 0
+
+
+def test_readme_scenario_table_is_the_code_table():
+    """Its keys in the code's order, each one's default and flag. A default
+    written as code is JSON or a compact params string; plain words mean none."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| key | type | default | ad hoc flag |\n|---|---|---|---|\n")[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.split("\n\n")[0].splitlines()]
+    first_code = re.compile(r"`([^`]*)`")
+
+    def code(text):
+        match = first_code.match(text)
+        return match[1] if match else None
+
+    def default(text):
+        if text == "required":
+            return REQUIRED
+        if code(text) is None:
+            return None
+        return parse_params(code(text)) if code(text)[0] == "B" else json.loads(code(text))
+
+    assert [(code(key), default(text), code(flag)) for key, _, text, flag in rows] == [
+        (key, default, flag) for key, (_, _, default, flag) in FIELDS.items()]
 
 
 def _env(**extra) -> dict[str, str]:
