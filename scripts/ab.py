@@ -23,10 +23,11 @@ lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
 - ``calls_per_event``: per seed and tree, each scenario's events, Python
   calls and calls per event from ``scripts/calls_per_event.py --workload W
   --seed S``, run once in each tree: the counts are exact, so one run shows
-  a change of even a hundredth of a call per event. For ``congested``, whose
-  timed commands are recorded runs, the script runs with ``--record``, and a
-  tree whose script prints them adds the event-log writer's calls per line
-  and ``write`` calls per log.
+  a change of even a hundredth of a call per event. A tree whose script
+  prints it adds the MB a run retains (``retained_mb``). For ``congested``,
+  whose timed commands are recorded runs, the script runs with ``--record``,
+  and a tree whose script prints them adds the event-log writer's calls per
+  line and ``write`` calls per log.
 
 A run that exits nonzero counts as not correct and gives no values. Standard
 library only; not part of tier-1 (``tests/test_ab.py`` checks the summary).
@@ -65,21 +66,26 @@ def parse_run(stdout: str) -> dict:
             "unscaled": info.get("unscaled", {}), "host": info.get("start")}
 
 
-# One scenario's line of scripts/calls_per_event.py, and the writer's part of
-# it under --record.
+# One scenario's line of scripts/calls_per_event.py, its retained memory, and
+# the writer's part of it under --record.
 CALLS_LINE = re.compile(r"^(\S+)\s+\S+\s+events\s+(\d+)\s+calls\s+(\d+)\s+per event\s+([\d.]+)")
+RETAINED_PART = re.compile(r"retained ([\d.]+) MB")
 WRITER_PART = re.compile(r"writer calls per line ([\d.]+)\s+writes (\d+)")
 
 
 def parse_calls(stdout: str) -> dict:
     """Each scenario's events, calls and calls per event, by scenario name,
-    with the writer's calls per line and writes where the line gives them."""
+    with the retained MB and the writer's calls per line and writes where the
+    line gives them."""
     scenarios = {}
     for line in stdout.splitlines():
         match = CALLS_LINE.match(line)
         if match:
             counts = scenarios[match[1]] = {"events": int(match[2]), "calls": int(match[3]),
                                             "per_event": float(match[4])}
+            retained = RETAINED_PART.search(line)
+            if retained:
+                counts["retained_mb"] = float(retained[1])
             writer = WRITER_PART.search(line)
             if writer:
                 counts.update(writer_calls_per_line=float(writer[1]), writes=int(writer[2]))

@@ -15,9 +15,11 @@ unprofiled run of the same kind, from ``gc.get_stats()`` before and after
 it, starting from an empty young generation, and how many young-generation
 objects a run leaves (``gc.get_count()[0]`` before and after a run with the
 collector held off), with the time of the one young-generation pass over
-them that the resumed collector makes. The counts are exact: unlike a timing, they are the
-same on every run of the same code under the same Python version. Standard
-library only.
+them that the resumed collector makes, and the memory a run retains: what
+``tracemalloc`` traces after one more run of the same kind, with its result
+still held (a run of its own, so no timed run is traced). The counts are
+exact: unlike a timing, they are the same on every run of the same code
+under the same Python version. Standard library only.
 
 Run from anywhere:
     python3 scripts/calls_per_event.py [--workload long|congested|sweep] [--seed 1] [--record]
@@ -33,6 +35,7 @@ import pstats
 import sys
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -96,13 +99,22 @@ def main(argv: list[str]) -> int:
             gc.collect(0)
             young_pass_ms = (time.perf_counter() - started) * 1e3
             del result
+            gc.collect()  # so that no tuple comes from a free list, unseen
+            tracemalloc.start()
+            try:
+                result = call(record_events=args.record)
+                retained_mb = tracemalloc.get_traced_memory()[0] / 2**20
+            finally:
+                tracemalloc.stop()
+            del result
             profile = cProfile.Profile()
             profile.runcall(call, record_events=args.record)
             calls = pstats.Stats(profile).total_calls
             line = (f"{name:16} {scenario.regime:8} events {events:7}  calls {calls:8}  "
                     f"per event {calls / events:.2f}  "
                     f"collector passes {'/'.join(map(str, passes))}  "
-                    f"young objects left {young} (pass {young_pass_ms:.1f} ms)")
+                    f"young objects left {young} (pass {young_pass_ms:.1f} ms)  "
+                    f"retained {retained_mb:.2f} MB")
             if args.record:
                 line += "  " + writer_counts(call(record_events=True))
             print(line)

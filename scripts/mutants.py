@@ -52,9 +52,12 @@ MUTANTS = [
     ("kernel-stale-completion-kept", "simkernel.py",
      "if running is None or running[2] != attempt:", "if running is None or False:"),
     ("kernel-adjustments-from-after-handling", "simkernel.py",
-     "first, end = end, len(entries)", "first = end = len(entries)"),
+     "first, end = end, len(adjustments)", "first = end = len(adjustments)"),
     ("kernel-adjustment-carry-off-by-one", "simkernel.py",
-     "first, end = end, len(entries)", "first, end = end - 1, len(entries)"),
+     "first, end = end, len(adjustments)", "first, end = end - 1, len(adjustments)"),
+    ("adjust-kept-when-not-recording", "state.py", "if self.recording:", "if True:"),
+    ("adjust-not-counted", "state.py", "self.adjustment_count += 1", "pass"),
+    ("adjust-zero-delta-accepted", "state.py", "if delta == 0:", "if False:"),
     ("snapshot-built-when-not-recording", "state.py",
      "if not self.recording:", "if False:"),
     ("state-not-recording-by-default", "state.py",

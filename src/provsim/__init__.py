@@ -27,7 +27,7 @@ from .policies import (
     ws_instance_controller,
 )
 from .scenario import Scenario, load_scenario, load_traces, run_scenario_obj, scenario_from_dict
-from .simkernel import AdjustmentLog, ClusterState, SimResult, run
+from .simkernel import ClusterState, SimResult, run
 from .trace import (
     DemandTrace,
     Job,

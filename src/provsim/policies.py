@@ -2,9 +2,10 @@
 
 The four regimes (DCS, FB, FLB_NUB, EC2RS) share one cluster-state
 vocabulary. The module-level transition functions mutate the passed
-ClusterState in place and are pure otherwise (no I/O, no hidden state). One
-``Regime`` subclass per regime holds all of that regime's rules and calls
-them; the kernel builds one per run and never names a regime itself.
+ClusterState in place, adjustments included (``ClusterState.adjust``), and
+are pure otherwise (no I/O, no hidden state). One ``Regime`` subclass per
+regime holds all of that regime's rules and calls them; the kernel builds
+one per run and never names a regime itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .state import (
     KIND_LEASE_TICK,
     KIND_PBJ_MANAGE_TICK,
     REGIMES,
-    AdjustmentLog,
     ClusterState,
     JobQueue,
 )
@@ -131,7 +131,7 @@ def parse_params(compact: str) -> PolicyParams:
 first_fit_schedule = JobQueue.first_fit
 
 
-def fb_force_release(state: ClusterState, needed: int, log: AdjustmentLog) -> list[int]:
+def fb_force_release(state: ClusterState, needed: int) -> list[int]:
     """Surrender `needed` nodes from the batch RE to the provision service,
     returning the ids of the jobs killed, in kill order.
 
@@ -157,11 +157,11 @@ def fb_force_release(state: ClusterState, needed: int, log: AdjustmentLog) -> li
         short -= job.size
     state.pbj_owned -= needed
     state.queue.push_front(sorted(victims, key=lambda j: (j.submit_time, j.id)))
-    log.record(state.clock, ACTOR_PBJ, -needed)
+    state.adjust(ACTOR_PBJ, -needed)
     return [job.id for job in victims]
 
 
-def fb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> list[int]:
+def fb_ws_demand(state: ClusterState, new_demand: int) -> list[int]:
     """Apply a web-service demand change under FB: WS demand is absolute.
 
     Demand drops release the surplus to the provision service's free set;
@@ -170,33 +170,35 @@ def fb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> li
     """
     delta = new_demand - state.ws_held
     shortfall = delta - state.free
-    kills = fb_force_release(state, shortfall, log) if shortfall > 0 else []
+    kills = fb_force_release(state, shortfall) if shortfall > 0 else []
     state.ws_held = new_demand
     if delta:
-        log.record(state.clock, ACTOR_WS, delta)
+        state.adjust(ACTOR_WS, delta)
     return kills
 
 
-def fb_lease_tick(state: ClusterState, log: AdjustmentLog) -> None:
+def fb_lease_tick(state: ClusterState) -> None:
     """Provision free nodes to the batch RE, up to its agreement bound."""
     grant = min(state.free, state.pbj_bound - state.pbj_owned)
     if grant > 0:
         state.pbj_owned += grant
-        log.record(state.clock, ACTOR_PROVISION, grant)
+        state.adjust(ACTOR_PROVISION, grant)
 
 
-def _flb_acquire_pbj(state: ClusterState, amount: int) -> None:
+def _flb_acquire_pbj(state: ClusterState, amount: int, actor: str = ACTOR_PBJ) -> None:
     state.pbj_pool += min(amount, state.pool_room)
     state.pbj_owned += amount
+    state.adjust(actor, amount)
 
 
 def _flb_release_pbj(state: ClusterState, amount: int) -> None:
     external = min(amount, state.pbj_external)
     state.pbj_pool -= amount - external
     state.pbj_owned -= amount
+    state.adjust(ACTOR_PBJ, -amount)
 
 
-def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> None:
+def flb_ws_demand(state: ClusterState, new_demand: int) -> None:
     """Track web-service demand exactly: the unbounded provider always grants.
     A rise is charged to the pool while it has room; a fall gives back
     external leases first."""
@@ -207,18 +209,17 @@ def flb_ws_demand(state: ClusterState, new_demand: int, log: AdjustmentLog) -> N
         else:
             state.ws_pool += delta + min(-delta, state.ws_external)
         state.ws_held = new_demand
-        log.record(state.clock, ACTOR_WS, delta)
+        state.adjust(ACTOR_WS, delta)
 
 
-def flb_lease_tick(state: ClusterState, log: AdjustmentLog) -> None:
+def flb_lease_tick(state: ClusterState) -> None:
     """Provision the coordinated pool's idle capacity to the batch RE."""
     idle_pool = state.pool_room
     if idle_pool > 0:
-        _flb_acquire_pbj(state, idle_pool)
-        log.record(state.clock, ACTOR_PROVISION, idle_pool)
+        _flb_acquire_pbj(state, idle_pool, ACTOR_PROVISION)
 
 
-def flb_manage_tick(state: ClusterState, params: PolicyParams, log: AdjustmentLog) -> None:
+def flb_manage_tick(state: ClusterState, params: PolicyParams) -> None:
     """The batch manager's periodic adjustment decision.
 
     With R = (sum of queued sizes) / owned: request DR1 = queued - owned when
@@ -229,22 +230,17 @@ def flb_manage_tick(state: ClusterState, params: PolicyParams, log: AdjustmentLo
     queued = state.queue.demand
     owned = state.pbj_owned
     if queued > params.U * owned:  # R > U (covers owned == 0 with a nonempty queue)
-        dr1 = queued - owned
-        _flb_acquire_pbj(state, dr1)
-        log.record(state.clock, ACTOR_PBJ, dr1)
+        _flb_acquire_pbj(state, queued - owned)  # DR1
         return
     biggest = state.queue.biggest
     if biggest > owned:
-        dr2 = biggest - state.pbj_idle
-        _flb_acquire_pbj(state, dr2)
-        log.record(state.clock, ACTOR_PBJ, dr2)
+        _flb_acquire_pbj(state, biggest - state.pbj_idle)  # DR2
         return
     if queued < params.V * owned:  # R < V
         rss = math.floor(params.G * state.pbj_idle)
         rss = min(rss, owned - state.pbj_floor)
         if rss > 0:
             _flb_release_pbj(state, rss)
-            log.record(state.clock, ACTOR_PBJ, -rss)
 
 
 def ec2_job_lifecycle(job: Job, params: PolicyParams) -> tuple[int, int]:
@@ -299,7 +295,7 @@ class Regime:
             raise ScenarioError(f"{self.name} has no pool lower-bound share; omit pbj_floor")
         return None
 
-    def admit(self, state: ClusterState, log: AdjustmentLog, push: Callable) -> Sequence[Job]:
+    def admit(self, state: ClusterState, push: Callable) -> Sequence[Job]:
         """First fit on the batch side's idle nodes; returns the jobs to start."""
         return first_fit_schedule(state.queue, state.pbj_owned - state.running_alloc)
 
@@ -330,7 +326,7 @@ class DCS(Regime):
     def initial_state(self) -> ClusterState:
         return ClusterState(pbj_owned=self.prc_pbj)
 
-    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+    def on_demand(self, state: ClusterState, demand: int) -> Sequence[int]:
         # The web-service partition is the demand trace's own peak: it always fits.
         state.ws_held = demand
         return ()
@@ -360,11 +356,11 @@ class FB(Regime):
     def initial_state(self) -> ClusterState:
         return ClusterState(capacity=self.config_size, pbj_bound=self.prc_pbj)
 
-    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
-        return fb_ws_demand(state, demand, log)
+    def on_demand(self, state: ClusterState, demand: int) -> Sequence[int]:
+        return fb_ws_demand(state, demand)
 
-    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
-        fb_lease_tick(state, log)
+    def on_tick(self, state: ClusterState, kind: int, payload: Any) -> None:
+        fb_lease_tick(state)
 
 
 class FLB_NUB(Regime):
@@ -391,15 +387,15 @@ class FLB_NUB(Regime):
         return ClusterState(pool_size=self.params.B, pbj_floor=floor, pbj_owned=floor,
                             pbj_pool=floor)
 
-    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
-        flb_ws_demand(state, demand, log)
+    def on_demand(self, state: ClusterState, demand: int) -> Sequence[int]:
+        flb_ws_demand(state, demand)
         return ()
 
-    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
+    def on_tick(self, state: ClusterState, kind: int, payload: Any) -> None:
         if kind == KIND_LEASE_TICK:
-            flb_lease_tick(state, log)
+            flb_lease_tick(state)
         else:
-            flb_manage_tick(state, self.params, log)
+            flb_manage_tick(state, self.params)
 
     def consumption(self, state: ClusterState) -> int:
         """The whole pool plus both REs' external leases."""
@@ -419,21 +415,21 @@ class EC2RS(Regime):
     def initial_state(self) -> ClusterState:
         return ClusterState()
 
-    def on_demand(self, state: ClusterState, demand: int, log: AdjustmentLog) -> Sequence[int]:
+    def on_demand(self, state: ClusterState, demand: int) -> Sequence[int]:
         delta = demand - state.ws_held
         state.ws_held = demand
         if delta != 0:
-            log.record(state.clock, ACTOR_WS, delta)
+            state.adjust(ACTOR_WS, delta)
         return ()
 
-    def on_tick(self, state: ClusterState, kind: int, payload: Any, log: AdjustmentLog) -> None:
+    def on_tick(self, state: ClusterState, kind: int, payload: Any) -> None:
         """A job's lease expires and its nodes go back to the provider; the
         payload is (job id, nodes)."""
         nodes = payload[1]
         state.pbj_owned -= nodes
-        log.record(state.clock, ACTOR_PBJ, -nodes)
+        state.adjust(ACTOR_PBJ, -nodes)
 
-    def admit(self, state: ClusterState, log: AdjustmentLog, push: Callable) -> Sequence[Job]:
+    def admit(self, state: ClusterState, push: Callable) -> Sequence[Job]:
         """Lease nodes for every queued job and schedule the lease's expiry;
         returns the jobs, which start at once (a shared empty tuple when the
         queue is empty). A job is admitted at its arrival, its submit time.
@@ -448,7 +444,7 @@ class EC2RS(Regime):
             _, release = ec2_job_lifecycle(job, self.params)
             state.pbj_owned += job.size
             push(release, KIND_LEASE_TICK, (job.id, job.size))
-            log.record(state.clock, ACTOR_PBJ, job.size)
+            state.adjust(ACTOR_PBJ, job.size)
         return started
 
     def consumption(self, state: ClusterState) -> int:

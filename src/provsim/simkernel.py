@@ -11,16 +11,18 @@ kernel starts. Its rules live in one ``policies.Regime`` subclass. Arrivals,
 the last kind at any time, are walked in submit order beside the heap,
 which holds only pending events: each other seeded stream (demand samples,
 each timer kind) keeps one event in it and feeds the next when that one
-pops. The kernel tallies completions and consumption. Only a run that
-asks for its event log keeps one raw record per event, with the state as
-``ClusterState.snapshot``'s tuple. ``write_event_log`` is their only reader:
-it formats each as a bytes line from its kind's templates and writes a block
-of lines at a time; a caller reads a field by decoding a line. A metrics-only
-run still calls the snapshot once per event (``perfbench`` counts queue length
-at that call), but its state is not ``recording``, so the call returns None.
-Virtual time is integer seconds; identical inputs give byte-identical logs.
-``run`` pauses the cyclic garbage collector (``collector_paused``): a run
-builds no cycles, so a pass over the records it keeps would only cost time.
+pops. The kernel tallies completions and consumption, the state its
+adjustments. Only a run that asks for its event log keeps one raw record per
+event, with the state as ``ClusterState.snapshot``'s tuple, and the
+adjustments as ``(actor, delta)`` pairs. ``write_event_log`` is their only
+reader: it formats each as a bytes line from its kind's templates and writes
+a block of lines at a time; a caller reads a field by decoding a line. A
+metrics-only run still calls the snapshot once per event (``perfbench``
+counts queue length at that call), but its state is not ``recording``, so
+the call returns None and an adjustment is only counted. Virtual time is
+integer seconds; identical inputs give byte-identical logs. ``run`` pauses
+the cyclic garbage collector (``collector_paused``): a run builds no cycles,
+so a pass over the records it keeps would only cost time.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .state import (
     KIND_LEASE_TICK,
     KIND_NAMES,
     KIND_WS_DEMAND_CHANGE,
-    AdjustmentLog,
     ClusterState,
 )
 from .trace import _SUBMIT, DemandTrace, Job, JobTrace
@@ -52,14 +53,13 @@ __all__ = [
     "run",
     "write_event_log",
     "ClusterState",
-    "AdjustmentLog",
 ]
 
 
 # A pending event: (time, kind, seq, payload).
 Event = tuple[int, int, int, Any]
 # One processed event: time, kind, payload, the jobs it started, the ids it killed,
-# its [from, to) adjustment-log slice (from is the previous record's to), the state after.
+# its [from, to) slice of the adjustments (from is the previous record's to), the state after.
 Record = tuple[int, int, Any, Sequence[Job], Sequence[int], int, int, tuple[int, ...]]
 
 # The most times a run may fire each timer of its regime, ``duration // L``.
@@ -70,9 +70,9 @@ MAX_TIMER_FIRINGS = 10**7
 
 
 class SimResult:
-    def __init__(self, metrics: MetricsReport, adjustments: AdjustmentLog,
+    def __init__(self, metrics: MetricsReport, adjustments: Optional[list[tuple[str, int]]],
                  columns: dict[str, Any], records: Optional[list[Record]] = None):
-        self.metrics, self.adjustments = metrics, adjustments
+        self.metrics, self.adjustments = metrics, adjustments  # None unless recorded
         self.columns = columns  # the report's identification columns, from the regime
         self.records = records  # None unless recorded; read through ``write_event_log``
 
@@ -94,7 +94,6 @@ def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Re
     duration = job_trace.window[1]
     state = regime.initial_state()
     state.recording = record_events
-    log = AdjustmentLog()
     records: Optional[list[Record]] = [] if record_events else None
     # The stop event, one second past the window end, keeps the heap from
     # emptying; every later event comes after it and is never taken.
@@ -115,7 +114,7 @@ def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Re
             push(time, kind, payload)
     streams = [seeded.get(kind) for kind in range(len(KIND_NAMES))]
     consumption, admit = regime.consumption, regime.admit
-    entries, running_jobs, attempts = log.entries, state.running, state.attempts
+    adjustments, running_jobs, attempts = state.adjustments, state.running, state.attempts
     varying = regime.config_size is None  # a bounded regime always consumes its size
     # Arrivals before the window end in submit order (sorted only if need be), then
     # a stop job at the stop event.
@@ -157,12 +156,12 @@ def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Re
             runtime_sum += runtime
             turnaround_sum += time - submit
         elif kind == KIND_WS_DEMAND_CHANGE:
-            killed = regime.on_demand(state, payload, log)
+            killed = regime.on_demand(state, payload)
         elif kind == KIND_JOB_ARRIVAL:
             state.queue.append(payload)
         else:
-            regime.on_tick(state, kind, payload, log)
-        started = admit(state, log, push)
+            regime.on_tick(state, kind, payload)
+        started = admit(state, push)
         for job in started:
             job_id, _, runtime, size = job
             attempt = attempts.pop(job_id, 0) + 1
@@ -173,7 +172,7 @@ def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Re
         # derives its queue-length figures from one call per processed event.
         snapshot = state.snapshot()
         if records is not None:
-            first, end = end, len(entries)
+            first, end = end, len(adjustments)
             records.append((time, kind, payload, started, killed, first, end, snapshot))
         if varying:
             new_level = consumption(state)
@@ -197,10 +196,10 @@ def _execute(job_trace: JobTrace, demand_trace: DemandTrace, regime: policies.Re
         duration=duration,
         regime=regime.name,
         total_jobs=len(job_trace.jobs),
-        adjustment_count=len(entries),
+        adjustment_count=state.adjustment_count,
     )
-    return SimResult(metrics=report, adjustments=log, columns=regime.report_columns(),
-                     records=records)
+    return SimResult(metrics=report, adjustments=adjustments if record_events else None,
+                     columns=regime.report_columns(), records=records)
 
 
 def run(
@@ -212,17 +211,17 @@ def run(
     pbj_floor: Optional[int] = None,
     record_events: bool = False,
 ) -> SimResult:
-    """Simulate one scenario and return its metrics, adjustment log, report
+    """Simulate one scenario and return its metrics, adjustments, report
     identification columns and event log.
 
-    Raw event records are kept only with ``record_events``; otherwise
-    ``SimResult.records`` is None. Jobs arrive in ``[0, duration)``, as
-    ``trace.window`` keeps them; one submitted later only counts as incomplete.
-    An empty job trace is accepted (the degenerate nothing-ever-runs case); the
-    demand trace must carry at least one sample. A regime with timers may fire
-    them at most ``MAX_TIMER_FIRINGS`` times (window duration // L); a longer
-    window raises ScenarioError. The cyclic garbage collector is paused while
-    the kernel executes.
+    Raw event records and the adjustments are kept only with ``record_events``;
+    otherwise ``SimResult.records`` and ``.adjustments`` are None. Jobs arrive
+    in ``[0, duration)``, as ``trace.window`` keeps them; one submitted later
+    only counts as incomplete. An empty job trace is accepted (the degenerate
+    nothing-ever-runs case); the demand trace must carry at least one sample.
+    A regime with timers may fire them at most ``MAX_TIMER_FIRINGS`` times
+    (window duration // L); a longer window raises ScenarioError. The cyclic
+    garbage collector is paused while the kernel executes.
     """
     if not demand_trace.samples:
         raise ScenarioError("demand trace is empty")
@@ -268,7 +267,7 @@ _BLOCK = 256  # lines a write: up to about 80 KB, held only while they are writt
 
 def _lines(result: SimResult) -> Iterator[bytes]:
     """The event log's lines, one compact JSON object per record."""
-    entries = result.adjustments.entries
+    adjustments = result.adjustments
     for time, kind, payload, started, killed, first, end, snapshot in result.records:
         if kind == KIND_JOB_ARRIVAL:
             job_id, submit, runtime, size = payload
@@ -288,7 +287,7 @@ def _lines(result: SimResult) -> Iterator[bytes]:
             line += b',"killed":[%s]' % b",".join([b"%d" % job_id for job_id in killed])
         if end > first:
             line += b',"adjustments":[%s]' % b",".join([b'["%s",%d]' % (actor.encode(), delta)
-                                                        for _, actor, delta in entries[first:end]])
+                                                        for actor, delta in adjustments[first:end]])
         yield line + _STATE % snapshot
 
 

@@ -1,8 +1,9 @@
 """Shared state records for the simulation kernel and the provisioning policies.
 
 Events are plain ``(time, kind, seq, payload)`` tuples of the kernel, with
-the kinds numbered below. ``ClusterState.snapshot`` is a plain 11-tuple in
-the event log's ``"state"`` key order, or None when the state is not ``recording``.
+the kinds numbered below. A ``ClusterState`` counts its adjustments; only while
+``recording`` does it keep them, and ``snapshot`` give a plain 11-tuple in the
+event log's ``"state"`` key order (otherwise None).
 """
 
 from __future__ import annotations
@@ -30,18 +31,6 @@ KIND_PBJ_MANAGE_TICK = 3
 KIND_JOB_ARRIVAL = 4
 KIND_NAMES = ("job_completion", "ws_demand_change", "lease_tick", "pbj_manage_tick",
               "job_arrival")
-
-
-class AdjustmentLog:
-    """Every dynamic request/release/provisioning of resources, in event order."""
-
-    def __init__(self):
-        self.entries: list[tuple[int, str, int]] = []
-
-    def record(self, time: int, actor: str, delta: int) -> None:
-        if delta == 0:
-            raise ValueError("adjustment entries must have nonzero delta")
-        self.entries.append((time, actor, delta))
 
 
 class JobQueue:
@@ -168,6 +157,8 @@ class ClusterState:
     ``running`` maps each running job's id to its ``(job, start_time,
     attempt)`` entry, in start order (a killed job re-enters when it
     restarts), and ``attempts`` holds each killed job's attempt count until then.
+    ``adjustment_count`` counts every dynamic request, release or provisioning of
+    resources, and ``adjustments`` keeps them as ``(actor, delta)`` while ``recording``.
     """
 
     def __init__(self, pool_size: int = 0, capacity: Optional[int] = None,
@@ -182,6 +173,7 @@ class ClusterState:
         self.queue = JobQueue()
         self.attempts: dict[int, int] = {}
         self.recording = True  # the kernel clears it for a metrics-only run
+        self.adjustment_count, self.adjustments = 0, []  # (actor, delta) pairs
 
     @property
     def pbj_idle(self) -> int:
@@ -203,6 +195,14 @@ class ClusterState:
     @property
     def ws_external(self) -> int:
         return self.ws_held - self.ws_pool
+
+    def adjust(self, actor: str, delta: int) -> None:
+        """Count an adjustment of ``delta`` nodes by ``actor``; keep it if ``recording``."""
+        if delta == 0:
+            raise ValueError("an adjustment must have a nonzero delta")
+        self.adjustment_count += 1
+        if self.recording:
+            self.adjustments.append((actor, delta))
 
     def snapshot(self) -> Optional[tuple[int, ...]]:
         """Post-event accounting snapshot embedded in the event log, or None (and

@@ -487,9 +487,9 @@ def event_dicts_reference(result) -> list[dict]:
             record["started"] = [job.id for job in started]
         if killed:
             record["killed"] = killed
-        new_adjustments = result.adjustments.entries[first:end]
+        new_adjustments = result.adjustments[first:end]
         if new_adjustments:
-            record["adjustments"] = [[a, d] for _, a, d in new_adjustments]
+            record["adjustments"] = [[a, d] for a, d in new_adjustments]
         record["state"] = dict(zip(STATE_KEYS, snapshot))
         events.append(record)
     return events

@@ -46,6 +46,23 @@ def test_parse_calls_reads_the_writer_counts_of_a_recorded_line():
         "writes": 57}}
 
 
+def test_parse_calls_reads_the_retained_memory_where_the_line_gives_it():
+    # A tree whose script predates the figure prints no "retained" part.
+    stdout = ("long_ec2rs       EC2RS    events   67511  calls   574806  per event 8.51  "
+              "collector passes 0/0/0  young objects left 607 (pass 0.1 ms)  "
+              "retained 0.00 MB\n"
+              "congested_dcs    DCS      events   14396  calls   149663  per event 10.40  "
+              "collector passes 0/0/0  young objects left 40621 (pass 4.1 ms)  "
+              "retained 5.10 MB  writer calls per line 1.76  writes 57\n"
+              "long_fb152       FB       events   48584  calls   426509  per event 8.78  "
+              "collector passes 0/0/0  young objects left 7885 (pass 0.4 ms)\n")
+    assert ab.parse_calls(stdout) == {
+        "long_ec2rs": {"events": 67511, "calls": 574806, "per_event": 8.51, "retained_mb": 0.0},
+        "congested_dcs": {"events": 14396, "calls": 149663, "per_event": 10.40,
+                          "retained_mb": 5.10, "writer_calls_per_line": 1.76, "writes": 57},
+        "long_fb152": {"events": 48584, "calls": 426509, "per_event": 8.78}}
+
+
 @pytest.mark.parametrize("workload, record", [("congested", True), ("long", False),
                                                ("sweep", False)])
 def test_calls_are_counted_on_recorded_runs_where_the_workload_times_them(

@@ -14,7 +14,7 @@ import pytest
 from provsim import PolicyParams, parse_demand_trace, parse_swf, run, scale_to_peak, window
 from provsim.policies import fb_force_release, ws_instance_controller
 from provsim.scenario import apply_axis, load_scenario, load_traces, run_scenario_obj
-from provsim.state import AdjustmentLog, ClusterState
+from provsim.state import ClusterState
 from provsim.trace import Job
 
 from conftest import log_text, traces_dir
@@ -236,8 +236,7 @@ class TestCriterion6KillOrderProperty:
         checked = 0
         for _ in range(1000):
             state, running, idle, needed = random_force_release_instance(rng)
-            log = AdjustmentLog()
-            kills = fb_force_release(state, needed, log)
+            kills = fb_force_release(state, needed)
             idle_used = min(idle, needed)
             shortfall = needed - idle_used
             if shortfall > 0:

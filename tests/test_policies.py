@@ -24,7 +24,6 @@ from provsim.state import (
     ACTOR_PBJ,
     KIND_LEASE_TICK,
     REGIMES,
-    AdjustmentLog,
     ClusterState,
     JobQueue,
 )
@@ -213,8 +212,7 @@ def fb_state(*, config, ws=0, free=0, idle=0, running=(), queue=(), clock=0, pbj
 class TestFbForceRelease:
     def test_idle_surrendered_first_no_kills(self):
         state = fb_state(config=10, idle=5, free=0, ws=5)
-        log = AdjustmentLog()
-        kills = fb_force_release(state, 3, log)
+        kills = fb_force_release(state, 3)
         assert kills == []
         assert state.pbj_idle == 2
         assert state.free == 3
@@ -222,8 +220,7 @@ class TestFbForceRelease:
     def test_min_size_latest_start_victim(self):
         running = [(1, 4, 10), (2, 2, 20), (3, 2, 30)]
         state = fb_state(config=8, running=running, ws=0, free=0)
-        log = AdjustmentLog()
-        kills = fb_force_release(state, 2, log)
+        kills = fb_force_release(state, 2)
         assert kills == [3]
         # All of job 3's nodes, its size in `running`, are released.
         assert state.running_alloc == sum(size for _, size, _ in running) - running[2][1]
@@ -236,14 +233,13 @@ class TestFbForceRelease:
         # whichever of the two has the lower id.
         for first, second in ((1, 2), (2, 1)):
             state = fb_state(config=4, running=[(first, 2, 10), (second, 2, 10)])
-            kills = fb_force_release(state, 1, AdjustmentLog())
+            kills = fb_force_release(state, 1)
             assert kills == [second]
             assert list(state.running) == [first]
 
     def test_overshoot_stays_as_idle(self):
         state = fb_state(config=4, running=[(1, 4, 10)], ws=0, free=0)
-        log = AdjustmentLog()
-        kills = fb_force_release(state, 3, log)
+        kills = fb_force_release(state, 3)
         assert kills == [1]
         assert state.free == 3
         assert state.pbj_idle == 1
@@ -259,8 +255,7 @@ class TestFbForceRelease:
         for job_id, submit in ((5, 20), (9, 30), (2, 10)):
             job, start, _ = state.running[job_id]
             state.running[job_id] = (Job(job_id, submit, 1000, job.size), start, 1)
-        log = AdjustmentLog()
-        fb_force_release(state, 6, log)
+        fb_force_release(state, 6)
         assert [j.id for j in queue_order(state.queue)] == [2, 5, 9, 7]
 
     def test_same_submit_victims_requeued_in_id_order(self):
@@ -270,25 +265,24 @@ class TestFbForceRelease:
         for job_id in (3, 4):
             _, start, _ = state.running[job_id]
             state.running[job_id] = (Job(job_id, 5, 1000, 2), start, 1)
-        assert fb_force_release(state, 4, AdjustmentLog()) == [4, 3]
+        assert fb_force_release(state, 4) == [4, 3]
         assert [j.id for j in queue_order(state.queue)] == [3, 4]
         assert [j.id for j in first_fit_schedule(state.queue, 2)] == [3]
 
     def test_nonpositive_need_is_kernel_error(self):
         state = fb_state(config=4, idle=2, ws=0, free=2)
         with pytest.raises(KernelError, match="positive amount"):
-            fb_force_release(state, 0, AdjustmentLog())
+            fb_force_release(state, 0)
 
     def test_needed_beyond_holdings_is_kernel_error(self):
         state = fb_state(config=4, idle=2, ws=0, free=2)
         with pytest.raises(KernelError):
-            fb_force_release(state, 3, AdjustmentLog())
+            fb_force_release(state, 3)
 
     def test_matches_greedy_reference(self):
         running = [(1, 4, 10), (2, 2, 20), (3, 2, 30), (4, 6, 5)]
         state = fb_state(config=14, running=running, ws=0, free=0)
-        log = AdjustmentLog()
-        kills = fb_force_release(state, 5, log)
+        kills = fb_force_release(state, 5)
         expected, released = greedy_kill_reference(
             [(jid, size, start, i + 1) for i, (jid, size, start) in enumerate(running)], 5
         )
@@ -300,16 +294,14 @@ class TestFbForceRelease:
 class TestFbWsDemand:
     def test_demand_drop_releases_to_free_set(self):
         state = fb_state(config=20, ws=10, idle=10)
-        log = AdjustmentLog()
-        fb_ws_demand(state, 4, log)
+        fb_ws_demand(state, 4)
         assert state.ws_held == 4
         assert state.free == 6
-        assert log.entries == [(0, "ws_manager", -6)]
+        assert state.adjustments == [("ws_manager", -6)]
 
     def test_rise_within_free_capacity_no_kills(self):
         state = fb_state(config=20, ws=4, idle=6, free=10)
-        log = AdjustmentLog()
-        kills = fb_ws_demand(state, 12, log)
+        kills = fb_ws_demand(state, 12)
         assert kills == []
         assert state.ws_held == 12 and state.free == 2
         assert state.pbj_idle == 6  # batch side untouched
@@ -319,8 +311,7 @@ class TestFbWsDemand:
         # batch holdings to zero through kills.
         running = [(i, 16, 10 * i) for i in range(1, 9)]
         state = fb_state(config=128, running=running, ws=0, free=0)
-        log = AdjustmentLog()
-        kills = fb_ws_demand(state, 128, log)
+        kills = fb_ws_demand(state, 128)
         assert state.ws_held == 128
         assert state.pbj_owned == 0
         sizes = {jid: size for jid, size, _ in running}
@@ -339,21 +330,18 @@ class TestFbWsDemand:
 class TestFbLeaseTick:
     def test_noop_logs_nothing(self):
         state = fb_state(config=10, idle=10)
-        log = AdjustmentLog()
-        fb_lease_tick(state, log)
-        assert log.entries == []
+        fb_lease_tick(state)
+        assert state.adjustments == []
 
     def test_free_nodes_move_to_batch(self):
         state = fb_state(config=10, idle=3, free=7, pbj_bound=10)
-        log = AdjustmentLog()
-        fb_lease_tick(state, log)
+        fb_lease_tick(state)
         assert state.pbj_owned == 10 and state.pbj_idle == 10
-        assert log.entries == [(0, "provision_service", 7)]
+        assert state.adjustments == [("provision_service", 7)]
 
     def test_grant_capped_at_agreement_bound(self):
         state = fb_state(config=20, idle=4, free=16, pbj_bound=10)
-        log = AdjustmentLog()
-        fb_lease_tick(state, log)
+        fb_lease_tick(state)
         assert state.pbj_owned == 10
         assert state.free == 10
 
@@ -375,93 +363,80 @@ def flb_state(*, B, owned, idle, floor=0, ws=0, queue=(), pbj_pool=None, ws_pool
 class TestFlbManageTick:
     def test_dr1_when_ratio_exceeds_requesting_threshold(self):
         state = flb_state(B=25, owned=100, idle=0, queue=jobs_of_sizes([100, 50]))
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
         assert state.pbj_owned == 150
-        assert log.entries == [(0, "pbj_manager", 50)]
+        assert state.adjustments == [("pbj_manager", 50)]
 
     def test_dr2_for_biggest_job(self):
         state = flb_state(B=25, owned=100, idle=40, queue=jobs_of_sizes([120]))
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == [(0, "pbj_manager", 80)]
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == [("pbj_manager", 80)]
         assert state.pbj_idle == 120
 
     def test_release_elastic_share_of_idle(self):
         state = flb_state(B=25, owned=100, idle=60, floor=12)
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == [(0, "pbj_manager", -30)]
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == [("pbj_manager", -30)]
         assert state.pbj_owned == 70
 
     def test_release_never_breaks_lower_bound(self):
         state = flb_state(B=25, owned=14, idle=14, floor=12)
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
         assert state.pbj_owned == 12  # release capped at owned - floor
 
     def test_empty_queue_ratio_is_zero(self):
         state = flb_state(B=25, owned=0, idle=0, floor=0)
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == []
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == []
 
     def test_zero_owned_with_queue_requests_dr1(self):
         state = flb_state(B=25, owned=0, idle=0, floor=0, queue=jobs_of_sizes([5]))
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == [(0, "pbj_manager", 5)]
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == [("pbj_manager", 5)]
 
     def test_no_release_when_ratio_equals_release_threshold(self):
         # R = 2 / 10 is exactly V: release only when R < V.
         state = flb_state(B=25, owned=10, idle=8, queue=jobs_of_sizes([2]))
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == []
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == []
         assert state.pbj_owned == 10
 
     def test_dead_band_between_thresholds(self):
         state = flb_state(B=25, owned=100, idle=50, queue=jobs_of_sizes([50]))
-        log = AdjustmentLog()
-        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5), log)
-        assert log.entries == []  # R = 0.5 sits between V and U; biggest fits
+        flb_manage_tick(state, PolicyParams(U=1.2, V=0.2, G=0.5))
+        assert state.adjustments == []  # R = 0.5 sits between V and U; biggest fits
 
 
 class TestFlbLeaseTick:
     def test_full_pool_nothing_to_provision(self):
         state = flb_state(B=25, owned=15, idle=15, ws=10, pbj_pool=15, ws_pool=10)
-        log = AdjustmentLog()
-        flb_lease_tick(state, log)
-        assert log.entries == []
+        flb_lease_tick(state)
+        assert state.adjustments == []
 
     def test_idle_pool_capacity_provisioned(self):
         state = flb_state(B=25, owned=0, idle=0, ws=5, pbj_pool=0, ws_pool=5)
-        log = AdjustmentLog()
-        flb_lease_tick(state, log)
+        flb_lease_tick(state)
         assert state.pbj_owned == 20
-        assert log.entries == [(0, "provision_service", 20)]
+        assert state.adjustments == [("provision_service", 20)]
 
     def test_zero_pool_is_noop(self):
         state = flb_state(B=0, owned=0, idle=0)
-        log = AdjustmentLog()
-        flb_lease_tick(state, log)
-        assert log.entries == []
+        flb_lease_tick(state)
+        assert state.adjustments == []
 
 
 class TestFlbWsDemand:
     def test_acquire_pool_first_then_external(self):
         state = flb_state(B=25, owned=12, idle=12, floor=12, ws=0, pbj_pool=12, ws_pool=0)
-        log = AdjustmentLog()
-        flb_ws_demand(state, 20, log)
+        flb_ws_demand(state, 20)
         assert state.ws_pool == 13
         assert state.ws_external == 7
 
     def test_release_external_first(self):
         state = flb_state(B=25, owned=12, idle=12, ws=20, pbj_pool=12, ws_pool=13)
-        log = AdjustmentLog()
-        flb_ws_demand(state, 15, log)
+        flb_ws_demand(state, 15)
         assert state.ws_pool == 13 and state.ws_external == 2
-        flb_ws_demand(state, 5, log)
+        flb_ws_demand(state, 5)
         assert state.ws_pool == 5 and state.ws_external == 0
 
 
@@ -514,14 +489,14 @@ def test_admit_returns_the_jobs_to_start_and_starts_none(name, kwargs, owned):
     state.queue.push_front(queued)
     state.attempts[3] = 2  # job 3 was killed once and requeued
     before = (dict(state.running), state.running_alloc, dict(state.attempts))
-    log, pushed = AdjustmentLog(), []
-    started = regime.admit(state, log, lambda *event: pushed.append(event))
+    pushed = []
+    started = regime.admit(state, lambda *event: pushed.append(event))
     assert (dict(state.running), state.running_alloc, dict(state.attempts)) == before
     if name == "EC2RS":
         assert list(started) == queued
         assert pushed == [(ec2_job_lifecycle(job, params)[1], KIND_LEASE_TICK, (job.id, job.size))
                           for job in queued]
-        assert log.entries == [(50, ACTOR_PBJ, job.size) for job in queued]
+        assert state.adjustments == [(ACTOR_PBJ, job.size) for job in queued]
     else:
         expected = first_fit_reference(queued, owned - running.size)
         assert list(started) == expected and [job.id for job in expected] == [2, 4]

@@ -1,6 +1,7 @@
 """A run without an event log reports exactly what a recording run reports,
-and keeps no per-event records. Its completion figures also equal those
-replayed from a recorded log (`oracles.replay_completions`).
+and keeps no per-event records and no adjustments, only their count. Its
+completion figures also equal those replayed from a recorded log
+(`oracles.replay_completions`).
 
 `run` builds event records only with `record_events=True`; the metrics come
 from completion tallies and the consumption peak and integral the kernel
@@ -51,7 +52,8 @@ def test_fuzzed_metrics_identical_with_recording_off(regime):
         plain = run(jobs, demand, regime, params, **kwargs)
         assert plain.records is None
         assert plain.metrics == recorded.metrics, seed
-        assert plain.adjustments.entries == recorded.adjustments.entries, seed
+        assert plain.adjustments is None, seed
+        assert len(recorded.adjustments) == recorded.metrics.adjustment_count, seed
         m = plain.metrics
         assert replay_completions(event_dicts_reference(recorded)) == (
             m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time), seed
@@ -65,7 +67,8 @@ def test_shipped_scenarios_identical_with_recording_off(path):
     plain = run_shipped(scenario, jobs, demand)
     assert plain.records is None
     assert plain.metrics == recorded.metrics
-    assert plain.adjustments.entries == recorded.adjustments.entries
+    assert plain.adjustments is None
+    assert len(recorded.adjustments) == recorded.metrics.adjustment_count
     m = plain.metrics
     assert replay_completions(event_dicts_reference(recorded)) == (
         m.completed_jobs, m.avg_execution_time, m.avg_turnaround_time)
@@ -79,7 +82,8 @@ def test_shipped_scenarios_identical_with_recording_off(path):
 def test_default_run_snapshots_once_per_event(monkeypatch):
     # perfbench/tracer.py reads the queue length at each snapshot call, so a
     # run without records still calls it once per event. Its state is not
-    # recording, so every call returns None and builds nothing.
+    # recording, so every call returns None and builds nothing, and the state
+    # keeps none of its adjustments, only their count.
     cases = [(regime, seed, *random_fuzz_setup(regime, seed))
              for regime in REGIMES for seed in range(20)]
     times = [[r["time"] for r in event_dicts_reference(
@@ -88,12 +92,13 @@ def test_default_run_snapshots_once_per_event(monkeypatch):
     calls = []
     snapshot = ClusterState.snapshot
     monkeypatch.setattr(ClusterState, "snapshot",
-                        lambda state: calls.append((state.clock, snapshot(state))))
+                        lambda state: calls.append((state.clock, snapshot(state),
+                                                    len(state.adjustments))))
     for (regime, seed, jobs, demand, params, kwargs), expected in zip(cases, times):
         calls.clear()
         plain = run(jobs, demand, regime, params, **kwargs)
         assert plain.records is None
-        assert calls == [(time, None) for time in expected], (regime, seed)
+        assert calls == [(time, None, 0) for time in expected], (regime, seed)
 
 
 def test_state_built_outside_a_run_snapshots_its_tuple():
