@@ -24,10 +24,19 @@ lacks (about 0.6 ms of ``setup_s`` per 100 lines). Seeds cycle through
   calls and calls per event from ``scripts/calls_per_event.py --workload W
   --seed S``, run once in each tree: the counts are exact, so one run shows
   a change of even a hundredth of a call per event. A tree whose script
-  prints it adds the MB a run retains (``retained_mb``). For ``congested``,
-  whose timed commands are recorded runs, the script runs with ``--record``,
-  and a tree whose script prints them adds the event-log writer's calls per
-  line and ``write`` calls per log.
+  prints it adds the MB a run retains (``retained_mb``). For a workload
+  whose timed commands are recorded runs (the plan's
+  ``event_logs_from_timed``), the script runs with ``--record``, and a tree
+  whose script prints them adds the event-log writer's calls per line and
+  ``write`` calls per log;
+- ``launcher_rss_mb``: per seed and tree, the peak RSS in MB of each of the
+  workload's timed commands, on inputs built once per seed by this tree's
+  ``perfbench/workloads.prepare``. A ``python3 -S`` launcher forks and execs
+  the command in a full interpreter, with the tree's ``src`` on its path and
+  ``PYTHONDONTWRITEBYTECODE=1``, and prints ``ru_maxrss`` of the child and
+  the workers it reaped: unlike perfbench's ``peak_rss_mb``, which starts
+  from the harness's own RSS, this can fall below it. The summary adds each
+  tree's median over all the commands (``launcher_rss_median_mb``).
 
 A run that exits nonzero counts as not correct and gives no values. Standard
 library only; not part of tier-1 (``tests/test_ab.py`` checks the summary).
@@ -48,12 +57,33 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
 SIDES = ("parent", "change")  # TREE, then this tree
-RECORDED = ("congested",)  # workloads whose timed commands write an event log
+
+# Runs under ``python3 -S`` in a tree: argv[1] is ENTRY, the rest the command's
+# arguments. Prints the peak RSS in KB of the child and the workers it reaped.
+LAUNCHER = r"""
+import os, sys
+env = dict(os.environ, PYTHONPATH=os.path.abspath("src"), PYTHONDONTWRITEBYTECODE="1")
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execve(sys.executable, [sys.executable, "-c", *sys.argv[1:]], env)
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+ENTRY = "import sys; from provsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def parse_run(stdout: str) -> dict:
@@ -115,11 +145,32 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(done.stdout)
 
 
-def calls_once(tree: Path, workload: str, seed: int) -> dict:
-    record = ["--record"] if workload in RECORDED else []
-    done = run_script(tree, "scripts/calls_per_event.py", "--workload", workload,
-                      "--seed", str(seed), *record)
+def calls_once(tree: Path, plan: workloads.Plan) -> dict:
+    record = ["--record"] if plan.event_logs_from_timed else []
+    done = run_script(tree, "scripts/calls_per_event.py", "--workload", plan.workload,
+                      "--seed", str(plan.seed), *record)
     return parse_calls(done.stdout) if done.returncode == 0 else {"error": last_error(done)}
+
+
+def launcher_rss(tree: Path, plan: workloads.Plan, out: Path) -> list[float] | dict:
+    """The peak RSS in MB of each timed command of ``plan`` run in ``tree``
+    from the launcher, writing to ``out``; the error of the first that fails."""
+    sizes = []
+    for command in plan.timed(out, workloads.sweep_workers()):
+        done = run_script(tree, "-S", "-c", LAUNCHER, ENTRY, *command.argv)
+        if done.returncode != 0:
+            return {"error": last_error(done)}
+        sizes.append(int(done.stdout.split()[-1]) / 1024)
+    return sizes
+
+
+def launcher_medians(launcher: dict) -> dict:
+    """Each tree's median launcher RSS over every seed's commands (None when
+    none ran)."""
+    sizes = {side: [mb for seed in launcher.values() if isinstance(seed[side], list)
+                    for mb in seed[side]] for side in SIDES}
+    return {side: statistics.median(values) if values else None
+            for side, values in sizes.items()}
 
 
 def spread(values: list[float]) -> dict:
@@ -249,11 +300,19 @@ def main(argv: list[str]) -> int:
                 f"{name} {run['parent']['metrics'][name]:.6g} -> {run['change']['metrics'][name]:.6g}"
                 for name in better if name in run["parent"]["metrics"]
                 and name in run["change"]["metrics"]), flush=True)
-        calls = {str(seed): {side: calls_once(trees[side], workload, seed) for side in SIDES}
-                 for seed in dict.fromkeys(run["seed"] for run in runs)}
+        calls, launcher = {}, {}
+        for seed in dict.fromkeys(run["seed"] for run in runs):
+            with tempfile.TemporaryDirectory(prefix="provsim-ab-") as work:
+                plan = workloads.prepare(workload, seed, Path(work))
+                calls[str(seed)] = {side: calls_once(trees[side], plan) for side in SIDES}
+                launcher[str(seed)] = {side: launcher_rss(trees[side], plan, Path(work) / side)
+                                       for side in SIDES}
         summary = summarize(runs, better)
+        rss = summary["launcher_rss_median_mb"] = launcher_medians(launcher)
         print(f"{workload}:", *describe(summary), sep="\n")
-        out["workloads"][workload] = {"summary": summary, "calls_per_event": calls, "runs": runs}
+        print(f"  launcher RSS median MB parent {rss['parent']} change {rss['change']}")
+        out["workloads"][workload] = {"summary": summary, "calls_per_event": calls,
+                                      "launcher_rss_mb": launcher, "runs": runs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")

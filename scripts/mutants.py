@@ -170,6 +170,14 @@ MUTANTS = [
      "if rules.timer_kinds and firings >= MAX_TIMER_FIRINGS:"),
     ("agreement-type-wins-over-workload-type", "agreement.py",
      'obj.setdefault("workload_type", obj["type"])', 'obj["workload_type"] = obj["type"]'),
+    ("error-infeasible-exits-invalid", "errors.py",
+     '"infeasible scenario", EXIT_INFEASIBLE', '"infeasible scenario", EXIT_INVALID'),
+    ("error-trace-category-as-input", "errors.py",
+     '"trace error", EXIT_INVALID', '"invalid input", EXIT_INVALID'),
+    ("trace-unreadable-as-scenario-error", "scenario.py",
+     'read_input(pbj_path, "batch-job trace", TraceParseError)',
+     'read_input(pbj_path, "batch-job trace", ScenarioError)'),
+    ("cli-exit-status-fixed", "cli.py", "return exc.exit_code", "return 1"),
 ]
 
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -11,12 +11,13 @@ than one CPU per node), ``parse_demand_trace`` and the peak scaling
 it reads and shapes the traces with the cyclic collector paused
 (``simkernel.collector_paused``). Then, outside the
 total, it times ``compile`` of the source of every ``src/provsim`` module
-that import loaded: without a bytecode cache (``PYTHONDONTWRITEBYTECODE=1``,
-or a tree with no ``__pycache__``), the import pays that much to compile
-them, and compiles them again in every new process. It prints each phase's
-median and quartiles in milliseconds. With ``--against TREE`` it alternates
-the two trees run by run (the first run and every second one after it start
-with TREE) and also prints in how
+that import loaded. Every process runs with ``PYTHONDONTWRITEBYTECODE=1``,
+after the ``__pycache__`` folders under each tree's ``src`` are removed, as
+``scripts/ab.py`` runs the benchmark: the import then compiles those modules
+in every process, and so includes the ``compile`` time, and no tree is left
+with a cache. It prints each phase's median and quartiles in milliseconds.
+With ``--against TREE`` it alternates the two trees run by run (the first
+run and every second one after it start with TREE) and also prints in how
 many pairs this tree was faster. Standard library only; not part of tier-1.
 
 Run from anywhere:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # nor for the workload modules imported here
 
 import workloads  # noqa: E402
 
@@ -59,8 +62,7 @@ def timed(name, function, *args):
     return value
 
 def read(scenario):
-    return [S.read_input((scenario.base_dir / name).resolve(), what,
-                         decode_error=TraceParseError)
+    return [S.read_input((scenario.base_dir / name).resolve(), what, TraceParseError)
             for name, what in ((scenario.pbj_trace, "batch-job trace"),
                                (scenario.ws_trace, "demand trace"))]
 
@@ -87,7 +89,8 @@ print(json.dumps(phases))
 def measure(tree: Path, scenario: Path) -> dict[str, float]:
     """One fresh interpreter's phase times for ``tree``."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + path if path else ""),
+               PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "-c", CHILD, str(scenario)], env=env, cwd=tree,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -110,6 +113,8 @@ def main(argv: list[str]) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
     trees = [ROOT] if args.against is None else [args.against.resolve(), ROOT]
+    for cache in [cache for tree in trees for cache in tree.glob("src/**/__pycache__")]:
+        shutil.rmtree(cache)
     with tempfile.TemporaryDirectory(prefix="provsim-setup-") as work:
         plan = workloads.prepare(args.workload, args.seed, Path(work))
         name = sorted(plan.job_counts)[0]  # a workload's scenarios share their traces

@@ -1,7 +1,7 @@
 """Batch command-line interface: run scenarios, sweep parameters, validate agreements.
 
-Exit codes: 0 success, 2 validation/parse problems (bad scenario, bad trace,
-bad agreement, missing file), 3 infeasible scenario, 1 anything else.
+Exit codes: 0 success, else the exit_code of the ProvsimError's class (errors.py):
+2 invalid input (scenario, trace, agreement, file), 3 infeasible scenario, 1 anything else.
 The PROVSIM_OUTPUT_DIR environment variable overrides where reports land.
 A sweep runs in N = min(--workers, points, CPUs) processes (1 without os.fork):
 process k, the parent being 0, runs every N-th distinct point from the k-th.
@@ -17,15 +17,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import (
-    AgreementError,
-    EmptyTraceError,
-    InfeasibleScenarioError,
-    ProvsimError,
-    ScenarioError,
-    SweepError,
-    TraceParseError,
-)
+from .errors import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK  # noqa: F401 (read as cli.EXIT_*)
+from .errors import AgreementError, ProvsimError, ScenarioError, SweepError
 from .metrics import csv_header, report_to_csv_row, report_to_json
 from .scenario import (
     FIELDS,
@@ -44,11 +37,6 @@ from .scenario import (
 )
 from .simkernel import collector_paused, write_event_log
 
-EXIT_OK = 0
-EXIT_ERROR = 1
-EXIT_INVALID = 2
-EXIT_INFEASIBLE = 3
-
 OUTPUT_DIR_ENV = "PROVSIM_OUTPUT_DIR"
 
 
@@ -62,18 +50,6 @@ def _output_dir(override: Optional[str], scenario: Optional[Scenario] = None) ->
     if scenario is not None and scenario.output_dir:
         return scenario.base_dir / scenario.output_dir
     return Path(".")
-
-
-def _classify(exc: ProvsimError) -> tuple[str, int]:
-    if isinstance(exc, InfeasibleScenarioError):
-        return "infeasible scenario", EXIT_INFEASIBLE
-    if isinstance(exc, (TraceParseError, EmptyTraceError)):
-        return "trace error", EXIT_INVALID
-    if isinstance(exc, (ScenarioError, AgreementError)):
-        return "invalid input", EXIT_INVALID
-    if isinstance(exc, SweepError):
-        return "sweep error", EXIT_INVALID
-    return "error", EXIT_ERROR
 
 
 @contextmanager
@@ -219,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .agreement import agreement_to_json, parse_agreement  # only this command needs it
 
-    text = read_input(Path(args.agreement), "agreement file", AgreementError, AgreementError)
+    text = read_input(Path(args.agreement), "agreement file", AgreementError)
     agreement = parse_agreement(text)
     print(agreement_to_json(agreement))
     return EXIT_OK
@@ -268,9 +244,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ProvsimError as exc:
-        category, code = _classify(exc)
-        print(f"provsim: {category}: {exc}", file=sys.stderr)
-        return code
+        print(f"provsim: {exc.category}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

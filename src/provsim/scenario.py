@@ -158,17 +158,15 @@ FIELDS = {
 }
 
 
-def read_input(path: Path, what: str, read_error: type[ProvsimError] = ScenarioError,
-               decode_error: type[ProvsimError] = ScenarioError) -> str:
-    """The UTF-8 text of an input file. A file that cannot be read raises
-    ``read_error`` and one that is not UTF-8 ``decode_error``; both name
-    ``what`` and the path."""
+def read_input(path: Path, what: str, error: type[ProvsimError] = ScenarioError) -> str:
+    """The UTF-8 text of an input file. A file that cannot be read or is not
+    UTF-8 raises ``error``, naming ``what`` and the path."""
     try:
         return path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise read_error(f"cannot read {what} {path}: {exc}") from None
+        raise error(f"cannot read {what} {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise decode_error(f"{what} {path} is not valid UTF-8: {exc}") from None
+        raise error(f"{what} {path} is not valid UTF-8: {exc}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -207,8 +205,8 @@ def read_traces(scenario: Scenario) -> Traces:
     """Read both traces: parse, window, then CPU-normalize; no peak scaling."""
     pbj_path = (scenario.base_dir / scenario.pbj_trace).resolve()
     ws_path = (scenario.base_dir / scenario.ws_trace).resolve()
-    pbj_text = read_input(pbj_path, "batch-job trace", decode_error=TraceParseError)
-    ws_text = read_input(ws_path, "demand trace", decode_error=TraceParseError)
+    pbj_text = read_input(pbj_path, "batch-job trace", TraceParseError)
+    ws_text = read_input(ws_path, "demand trace", TraceParseError)
     jobs = trace_mod.parse_swf(pbj_text)
     jobs = trace_mod.window(jobs, scenario.window_start, scenario.window_duration)
     if scenario.cpus_per_node > 1:

@@ -66,7 +66,7 @@ def test_parse_calls_reads_the_retained_memory_where_the_line_gives_it():
 @pytest.mark.parametrize("workload, record", [("congested", True), ("long", False),
                                                ("sweep", False)])
 def test_calls_are_counted_on_recorded_runs_where_the_workload_times_them(
-        monkeypatch, workload, record):
+        monkeypatch, tmp_path, workload, record):
     argvs = []
 
     def fake_run_script(tree, *argv):
@@ -74,9 +74,35 @@ def test_calls_are_counted_on_recorded_runs_where_the_workload_times_them(
         return ab.subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
 
     monkeypatch.setattr(ab, "run_script", fake_run_script)
-    assert ab.calls_once(Path("."), workload, 3) == {}
+    assert ab.calls_once(Path("."), ab.workloads.prepare(workload, 3, tmp_path)) == {}
     assert argvs == [("scripts/calls_per_event.py", "--workload", workload, "--seed", "3",
                       *(["--record"] if record else []))]
+
+
+def test_launcher_rss_reads_each_timed_command_and_the_medians(monkeypatch, tmp_path):
+    plan = ab.workloads.prepare("long", 1, tmp_path)
+    argvs = []
+
+    def fake_run_script(tree, *argv):
+        argvs.append(argv)
+        stdout = f"long_x: regime=DCS completed=9\n  wrote x.report.json\n{24576 + 512 * len(argvs)}\n"
+        return ab.subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(ab, "run_script", fake_run_script)
+    assert ab.launcher_rss(Path("."), plan, tmp_path / "out") == [24.5, 25.0, 25.5, 26.0]
+    commands = plan.timed(tmp_path / "out", ab.workloads.sweep_workers())
+    assert argvs == [("-S", "-c", ab.LAUNCHER, ab.ENTRY, *command.argv) for command in commands]
+
+    def failing_run_script(tree, *argv):
+        return ab.subprocess.CompletedProcess(argv, 2, stdout="", stderr="provsim: bad\n")
+
+    monkeypatch.setattr(ab, "run_script", failing_run_script)
+    assert ab.launcher_rss(Path("."), plan, tmp_path / "out") == {"error": "provsim: bad"}
+    launcher = {"1": {"parent": [21.0, 22.0, 30.0], "change": {"error": "provsim: bad"}},
+                "2": {"parent": [20.0], "change": [19.0, 23.0]}}
+    assert ab.launcher_medians(launcher) == {"parent": 21.5, "change": 21.0}
+    assert ab.launcher_medians({"1": {"parent": [], "change": {"error": "x"}}}) == {
+        "parent": None, "change": None}
 
 
 def test_summary_counts_the_pairs_each_tree_won():

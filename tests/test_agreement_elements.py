@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from provsim.agreement import agreement_to_json, parse_agreement, serialize_agreement
-from provsim.cli import EXIT_INVALID, main
-from provsim.errors import AgreementError
+from provsim.cli import main
+from provsim.errors import EXIT_INVALID, AgreementError
 
 from test_agreement import BATCH_AGREEMENT_XML, make_agreement
 

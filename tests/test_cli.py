@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from provsim import cli
-from provsim.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
-from provsim.errors import KernelError, ScenarioError
+from provsim import cli, errors
+from provsim.cli import main
+from provsim.errors import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, ScenarioError
 from provsim.scenario import apply_axis, load_scenario
 from provsim.trace import JobTrace, parse_demand_trace, parse_swf
 
@@ -40,6 +40,22 @@ AGREEMENT_XML = """<RE_agreement>
 <setup_policy="WIPE"></setup_policy>
 </RE_agreement>
 """
+
+# Each class of provsim.errors: the category main prints and the status it returns.
+ERROR_CONTRACT = {
+    "ProvsimError": ("error", EXIT_ERROR),
+    "TraceParseError": ("trace error", EXIT_INVALID),
+    "EmptyTraceError": ("trace error", EXIT_INVALID),
+    "AgreementError": ("invalid input", EXIT_INVALID),
+    "TransitionError": ("error", EXIT_ERROR),
+    "PairingError": ("error", EXIT_ERROR),
+    "InfeasibleScenarioError": ("infeasible scenario", EXIT_INFEASIBLE),
+    "KernelError": ("error", EXIT_ERROR),
+    "ScenarioError": ("invalid input", EXIT_INVALID),
+    "SweepError": ("sweep error", EXIT_INVALID),
+}
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.ProvsimError)]
 
 
 @pytest.fixture()
@@ -102,14 +118,17 @@ class TestRunCommand:
         assert main(["run", str(write_scenario(workspace))]) == EXIT_OK
         assert (workspace / "cwd" / "tiny.report.json").exists()
 
-    def test_other_provsim_error_exits_one(self, workspace, monkeypatch, capsys):
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda error: error.__name__)
+    def test_error_class_sets_category_and_exit_status(self, workspace, monkeypatch, capsys,
+                                                        error):
         def broken_run(*args, **kwargs):
-            raise KernelError("time regression")
+            raise error("time regression")
 
+        category, status = ERROR_CONTRACT[error.__name__]
         monkeypatch.setattr(cli, "run_scenario_obj", broken_run)
         path = write_scenario(workspace)
-        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == EXIT_ERROR
-        assert "provsim: error: time regression" in capsys.readouterr().err
+        assert main(["run", str(path), "--output-dir", str(workspace / "out")]) == status
+        assert capsys.readouterr().err == f"provsim: {category}: time regression\n"
 
     def test_zero_duration_rejected(self, workspace, capsys):
         path = write_scenario(workspace, window={"start_offset": 0, "duration": 0})
@@ -119,9 +138,12 @@ class TestRunCommand:
     def test_missing_scenario_file(self, workspace, capsys):
         assert main(["run", str(workspace / "nope.json")]) == EXIT_INVALID
 
-    def test_missing_trace_file(self, workspace):
+    def test_missing_trace_file(self, workspace, capsys):
         path = write_scenario(workspace, pbj_trace="absent.swf")
         assert main(["run", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("provsim: trace error: cannot read batch-job trace ")
+        assert str((workspace / "absent.swf").resolve()) in err
 
     def test_infeasible_scenario_exit_code(self, workspace):
         # FB with demand peak above the configuration size.

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 from conftest import traces_dir
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     normalize_cpus_reference,
@@ -297,6 +297,8 @@ class TestShapingMatchesReference:
 
     @derandomized(60)
     @given(job_traces, st.integers(0, 2))
+    # An earliest submit of -1 is always tried: what Hypothesis draws depends on the loaded modules.
+    @example(JobTrace(jobs=(Job(1, -1, 10, 1), Job(2, 5, 10, 1)), window=(0, 10)), 1)
     def test_window_over_whole_span(self, trace, extra):
         """Offset 0 and a duration that reaches, or just passes, the last submit time."""
         duration = max([0, *(job.submit_time for job in trace.jobs)]) + extra
