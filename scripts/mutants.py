@@ -4,10 +4,13 @@ mutants it kills.
 
 Copies the source tree (without .git and caches) to a temporary directory,
 checks that tier-1 passes there unmutated, then for each mutant in MUTANTS
-rewrites one line, runs tier-1 with ``-x`` and puts the line back. A mutant
-is killed when some test fails, and survives when tier-1 still passes.
-Standard library only; it is not part of tier-1 and takes up to one tier-1
-run per mutant.
+rewrites one line, runs tier-1 with ``-x`` and puts the line back. Each run
+has two passes: first the explicit inputs only (``--hypothesis-profile
+explicit``: plain tests and ``@example``s, no generated draws), then, only if
+that pass survives, the full tier-1. So each mutant prints one of
+``killed by <test> (explicit)``, ``killed only by generated draws: <test>``
+or ``SURVIVED``. The unmutated copy must pass both passes. Standard library
+only; it is not part of tier-1 and takes up to two tier-1 runs per mutant.
 
 Run from anywhere:  python3 scripts/mutants.py [mutant name ...]
 Exit status: 0 when every mutant run is killed, 1 when some survive, 2 when
@@ -184,16 +187,30 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypot
                                  "*.egg-info", ".work", ".traces")
 
 
-def tier1(tree: Path) -> tuple[int, str]:
+# Tier-1's two passes: the explicit inputs only (plain tests and @examples), then all of it.
+PASSES = {"explicit": ["--hypothesis-profile", "explicit"], "full": []}
+
+
+def tier1(tree: Path, *options: str) -> tuple[int, str]:
     """Tier-1 in ``tree``, stopping at the first failure: (exit status, the
     first failure's summary line, or "")."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", *options],
         cwd=tree, env=env, capture_output=True, text=True)
     failures = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
     return done.returncode, failures[0] if failures else ""
+
+
+def judge(tree: Path) -> tuple[str | None, int, str]:
+    """The passes of tier-1 in ``tree`` up to the first that fails: (its name,
+    exit status and first failure's summary line), or (None, 0, "")."""
+    for name, options in PASSES.items():
+        status, failure = tier1(tree, *options)
+        if status != 0:
+            return name, status, failure
+    return None, 0, ""
 
 
 def main(argv: list[str]) -> int:
@@ -205,11 +222,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="provsim-mutants-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORED)
-        status, failure = tier1(tree)
-        if status != 0:
-            print(f"mutants: tier-1 fails without a mutant (exit {status}) {failure}")
+        failed, status, failure = judge(tree)
+        if failed:
+            print(f"mutants: tier-1's {failed} pass fails without a mutant (exit {status}) "
+                  f"{failure}")
             return 2
-        survivors = 0
+        survivors = drawn = 0
         for name, file, source, mutated in chosen:
             path = tree / "src" / "provsim" / file
             original = path.read_text()
@@ -218,15 +236,20 @@ def main(argv: list[str]) -> int:
                 return 2
             path.write_text(original.replace(source, mutated))
             try:
-                status, failure = tier1(tree)
+                failed, status, failure = judge(tree)
             finally:
                 path.write_text(original)
-            if status == 0:
+            killer = failure or f"exit {status}"
+            if failed is None:
                 survivors += 1
                 print(f"{name}: SURVIVED ({file}: {source!r} -> {mutated!r})")
+            elif failed == "explicit":
+                print(f"{name}: killed by {killer} (explicit)")
             else:
-                print(f"{name}: killed by {failure or f'exit {status}'}")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+                drawn += 1
+                print(f"{name}: killed only by generated draws: {killer}")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed, "
+          f"{drawn} of them only by generated draws")
     return 1 if survivors else 0
 
 

@@ -4,12 +4,33 @@ import io
 import signal
 
 import pytest
+from hypothesis import Phase, settings
 
 from provsim import PolicyParams, parse_demand_trace, parse_swf, scale_to_peak, window
 from provsim.simkernel import write_event_log
 from provsim.trace import DemandTrace, Job, JobTrace
 
 TRACES = None  # resolved lazily relative to this file
+
+# The one place that decides how every property test draws. Derandomized, each
+# test draws the same examples at every run and keeps no example database, so
+# a failure found in one tree never carries into another; no deadline, since a
+# slow draw on a loaded host is no fault. "explicit" gives a property test its
+# @example inputs only: `pytest --hypothesis-profile explicit`.
+settings.register_profile("provsim", derandomize=True, deadline=None)
+settings.register_profile("explicit", parent=settings.get_profile("provsim"),
+                          phases=[Phase.explicit])
+settings.load_profile("provsim")
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_configure(config):
+    """`--hypothesis-seed` draws from that seed: Hypothesis lets `derandomize`
+    win over the seed, so a seeded run turns it off."""
+    if config.getoption("--hypothesis-seed") is not None:
+        name = f"{settings.get_current_profile_name()}-seeded"
+        settings.register_profile(name, derandomize=False, database=None)
+        settings.load_profile(name)
 
 
 def traces_dir():

@@ -51,7 +51,7 @@ def run_adhoc(compact, regime, out_dir):
                  f"--params={compact}", "--name", "p", "--output-dir", str(out_dir)])
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(max_examples=12)
 @given(compact=COMPACT, regime=REGIMES)
 def test_params_string_exits_ok_or_invalid(compact, regime):
     with tempfile.TemporaryDirectory() as scratch:

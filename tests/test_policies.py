@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from provsim.errors import InfeasibleScenarioError, KernelError, ScenarioError
@@ -119,7 +119,6 @@ class TestJobQueueProperty:
     fit given the whole queued demand empties the queue, so the lone-job slot
     is filled, moved by an append or a requeue, started and passed over often."""
 
-    @settings(deadline=None)
     @given(st.lists(st.one_of(
         st.tuples(st.just("append"), st.integers(1, 9)),
         st.tuples(st.just("requeue"), st.lists(st.integers(1, 9), max_size=4)),

@@ -1,9 +1,11 @@
 """README's promises about running provsim, run as tests: its library
 example works on the shipped traces, its table of scenario fields is the
-code's, a run writes the same bytes under any hash seed, and a sweep writes
-the same bytes with forked workers, from a fresh interpreter, as with one.
+code's, a run writes the same bytes under any hash seed, a sweep writes
+the same bytes with forked workers, from a fresh interpreter, as with one,
+and the property tests draw as the one Hypothesis profile says.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -12,6 +14,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from provsim.cli import main
 from provsim.policies import parse_params
@@ -94,3 +99,30 @@ def test_sweep_with_forked_workers_writes_the_serial_bytes(tmp_path):
     assert done.returncode == 0, done.stderr
     name = f"{FLB_BASELINE.stem}.sweep_L.csv"
     assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_property_tests_draw_as_the_profile_says():
+    """tests/conftest.py's profile decides how every property test draws: the
+    same examples at every run, with no deadline and no example database, and
+    its child "explicit" runs the @example inputs only. Elsewhere in tests/, a
+    `settings(...)` call sets nothing but a `max_examples` other than 100."""
+    assert settings.default.deadline is None and settings.default.database is None
+    assert settings.get_profile("explicit").phases == (Phase.explicit,)
+    overrides = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "settings"
+        and (node.args or any(kw.arg != "max_examples" or getattr(kw.value, "value", None) == 100
+                              for kw in node.keywords))]
+    assert overrides == []
+    drawn = []
+
+    @given(st.integers())
+    def draw(value):
+        drawn.append(value)
+
+    draw()  # the explicit profile skips the test here: it draws nothing
+    draw()
+    assert drawn[:len(drawn) // 2] == drawn[len(drawn) // 2:]

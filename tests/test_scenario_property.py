@@ -91,7 +91,7 @@ def put(doc, key, value):
         owner[inner] = value
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(base=st.sampled_from(BASES),
        edits=st.lists(st.tuples(st.sampled_from(KEYS), st.one_of(st.just(LEFT_OUT), VALUES)),
                       min_size=1, max_size=3))
@@ -109,7 +109,7 @@ def test_scenario_document_runs_or_exits_invalid(base, edits):
         assert_runs_or_is_refused(lambda out: ["run", str(path), "--output-dir", str(out)])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(regime=st.sampled_from(["FLB_NUB", "FB", "DCS", "EC2RS"]),
        edits=st.lists(st.tuples(st.sampled_from([*FLAGS, *(f"{flag}x" for flag in FLAGS)]),
                                 st.one_of(st.just(LEFT_OUT), st.sampled_from(FLAG_TEXTS))),

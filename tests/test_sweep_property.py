@@ -94,7 +94,7 @@ def sweep(path, axis, values, workers, out_dir):
     return code, err.getvalue()
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(case=CASES, regime=st.sampled_from(sorted(REGIMES)), workers=st.sampled_from([1, 2]))
 def test_sweep_values_exit_ok_or_rejected(scenarios, case, regime, workers):
     axis, values = case

@@ -50,11 +50,6 @@ SEPARATORS = [" ", "  ", "\t", " \t ", "\u3000", "\x0c"]
 READ_FIELDS = (0, 1, 3, 4, 7)  # id, submit time, run time, allocated and requested size
 
 
-def derandomized(examples):
-    """Hypothesis settings that draw the same examples at every run."""
-    return settings(derandomize=True, deadline=None, max_examples=examples)
-
-
 def outcome(function, *args):
     """What ``function(*args)`` returns, or the type and message of what it raises."""
     try:
@@ -114,6 +109,11 @@ def swf_text(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
+def swf_line(job_id, count=18):
+    """An SWF data line of ``count`` integer fields, the first being ``job_id``."""
+    return " ".join([str(job_id), "0", "-1", "10", "1", *["-1"] * (count - 5)])
+
+
 HEADERS = ["time,demand", " Time , DEMAND ", "TIME,demand", "when,how_much", "time,demand,x",
            "+0,4", "0,two", "-5,3", "²,1", "--5,3", "-,-", "1_0,2", "time,", ",demand"]
 SAMPLE_TOKENS = token(st.integers(0, 9))
@@ -151,8 +151,14 @@ demand_traces = st.builds(
 
 
 class TestParsersMatchReference:
-    @derandomized(100)
     @given(swf_text())
+    # Texts that the draws need not reach, each read wrongly by a one-line slip in
+    # parse_swf: a comment with text after its ";", a NUL token within a line,
+    # lines of 17 and 19 fields, and an id repeated from the block before.
+    @example("\n".join([swf_line(1), ";note", swf_line(2)]))
+    @example("\n".join([swf_line(1) + " \x00 " + swf_line(2), swf_line(3, 17), "", ""]))
+    @example("\n".join([swf_line(1, 17), swf_line(2, 19)]))
+    @example("\n".join(map(swf_line, [*range(1, 1025), 1])))
     def test_parse_swf(self, text):
         assert outcome(parse_swf, text) == outcome(parse_swf_reference, text)
 
@@ -165,7 +171,6 @@ class TestParsersMatchReference:
                 text = "1 0 -1 30 2 -1 -1 2 -1 -1 1 1 1 1 1 1 -1 -1\n" + " ".join(fields)
                 assert outcome(parse_swf, text) == outcome(parse_swf_reference, text), text
 
-    @derandomized(100)
     @given(demand_text())
     def test_parse_demand_trace(self, text):
         assert outcome(parse_demand_trace, text) == outcome(parse_demand_trace_reference, text)
@@ -231,7 +236,7 @@ class TestSwfBlocksMatchReference:
     """`parse_swf` reads a regular block of lines column by column and any other
     line by line; either way it matches the line-by-line reference."""
 
-    @derandomized(50)
+    @settings(max_examples=50)
     @given(swf_text())
     def test_short_blocks(self, text):
         """Blocks of 1, 2 and 3 lines: the short texts span several blocks, with
@@ -243,7 +248,7 @@ class TestSwfBlocksMatchReference:
                 assert outcome(parse_swf, text) == expected, block
 
     @pytest.mark.parametrize("kind", SWF_EDITS)
-    @derandomized(2)
+    @settings(max_examples=2)
     @given(st.sampled_from(PBJ_DATA), st.sampled_from(PBJ_DATA), st.sampled_from(READ_FIELDS),
            st.integers(0, 17))
     def test_synthetic_trace_with_one_edit(self, kind, k, j, read, field):
@@ -265,25 +270,25 @@ class TestSwfBlocksMatchReference:
 
 
 class TestShapingMatchesReference:
-    @derandomized(60)
+    @settings(max_examples=60)
     @given(job_traces, st.one_of(st.integers(-1, 2), st.integers(-5, 300)), st.integers(-1, 400))
     def test_window(self, trace, start, duration):
         assert (outcome(window, trace, start, duration)
                 == outcome(window_reference, trace, start, duration))
 
-    @derandomized(40)
+    @settings(max_examples=40)
     @given(job_traces, st.integers(-1, 9))
     def test_normalize_cpus(self, trace, cpus_per_node):
         assert (outcome(normalize_cpus, trace, cpus_per_node)
                 == outcome(normalize_cpus_reference, trace, cpus_per_node))
 
-    @derandomized(60)
+    @settings(max_examples=60)
     @given(st.one_of(job_traces, demand_traces, st.just([(0, 1)])), st.integers(-1, 300))
     def test_scale_to_peak(self, trace, target):
         assert (outcome(scale_to_peak, trace, target)
                 == outcome(scale_to_peak_reference, trace, target))
 
-    @derandomized(60)
+    @settings(max_examples=60)
     @given(st.one_of(job_traces, demand_traces), st.booleans())
     def test_scale_to_own_peak(self, trace, huge):
         """Scaling to the trace's own peak, which above 2**53 is no identity."""
@@ -295,7 +300,7 @@ class TestShapingMatchesReference:
         if result == trace:
             assert entries(result) is entries(trace)
 
-    @derandomized(60)
+    @settings(max_examples=60)
     @given(job_traces, st.integers(0, 2))
     # An earliest submit of -1 is always tried: what Hypothesis draws depends on the loaded modules.
     @example(JobTrace(jobs=(Job(1, -1, 10, 1), Job(2, 5, 10, 1)), window=(0, 10)), 1)
@@ -308,7 +313,7 @@ class TestShapingMatchesReference:
             assert result.jobs is trace.jobs
 
 
-@derandomized(25)
+@settings(max_examples=25)
 @given(swf_text(), demand_text(), st.booleans(), st.sampled_from(["1", "2"]),
        st.sampled_from(["0", "50"]), st.sampled_from([[], ["--target-peaks", "8:4"]]))
 def test_run_on_generated_traces_exits_ok_or_invalid(swf, demand, not_utf8, cpus_per_node,
